@@ -14,24 +14,26 @@ from .errors import NotPositive, NotUnitary, ZeroMatrix
 from .qmat import SIGMA, _coords, is_positive, mat2, sqrt_psd
 from .conemap import phi
 
-# Below this relative size of 2a + X the square-coordinate form degenerates
-# (only possible at e = 0) and the root-coordinate form is used instead.
-_SQUARE_FORM_FLOOR = 1e-12
-
 
 def psi(a) -> np.ndarray:
     """psi(A)_{mu,nu} = (1/2) Tr(A sigma_nu A† sigma_mu), a 4x4 real matrix."""
-    a = mat2(a)
+    return _psi(mat2(a))
+
+
+def _psi(a: np.ndarray) -> np.ndarray:
     conj = np.einsum("ik,vkl,jl->vij", a, SIGMA, a.conj())
     return 0.5 * np.real(np.einsum("uij,vji->uv", SIGMA, conj))
 
 
 def psi_of_unitary(u, tol: float = 1e-9) -> np.ndarray:
     """psi restricted to unitaries: block diag(1, R) with R a proper rotation."""
-    u = mat2(u)
+    return _psi_of_unitary(mat2(u), tol)
+
+
+def _psi_of_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if np.max(np.abs(u.conj().T @ u - np.eye(2))) > tol:
         raise NotUnitary("matrix is not unitary within tolerance")
-    return psi(u)
+    return _psi(u)
 
 
 def psi_of_sqrt(e, form: str = "auto") -> np.ndarray:
@@ -41,7 +43,7 @@ def psi_of_sqrt(e, form: str = "auto") -> np.ndarray:
       "root"   - closed form in the root coordinates [alpha, beta, gamma, delta]
       "square" - closed form in the coordinates [a, x, y, z] of e itself,
                  with X = 2 sqrt(a^2 - x^2 - y^2 - z^2); requires e != 0
-      "auto"   - "square" unless degenerate, then "root"
+      "auto"   - "square" unless e = 0, then "root"
     """
     e = mat2(e)
     if not is_positive(e):
@@ -51,9 +53,9 @@ def psi_of_sqrt(e, form: str = "auto") -> np.ndarray:
     big_x = 2 * np.sqrt(disc)
 
     if form == "auto":
-        form = "square" if 2 * a + big_x > _SQUARE_FORM_FLOOR * max(a, 1e-300) and a > 0 else "root"
+        form = "square" if a > 0 else "root"
     if form == "square":
-        if a <= 0 or 2 * a + big_x <= 0:
+        if a <= 0:
             raise ZeroMatrix("the square-coordinate form requires e != 0")
         out = np.zeros((4, 4))
         p = np.array([x, y, z])

@@ -59,6 +59,8 @@ def _emit(obj) -> None:
 
 
 def cmd_validate(args) -> int:
+    if not args.tol >= 0:
+        raise MalformedInput(f"--tol must be a non-negative number, got {args.tol}")
     meas = _load_measurement(args.measurement)
     ok = validate(meas, tol=args.tol)
     _emit(
@@ -108,6 +110,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 0 or args.seed < 0:
+        raise MalformedInput("--n and --seed must be non-negative")
     meas = _load_measurement(args.measurement)
     rho = _load_state(args.state)
     outcomes = scenario1_sample(meas, rho, seed=args.seed, n=args.n)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedInput, NonPositiveTrace
-from .qmat import SIGMA, hermitize, mat2
+from .errors import NonPositiveTrace
+from .qmat import _coords, _finite, _from_coords, hermitize, mat2
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -28,30 +28,17 @@ class ConeMembership:
 
 
 def fourvector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (4,):
-        raise MalformedInput(f"expected a 4-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise MalformedInput("four-vector components must be finite")
-    return arr
+    return _finite(v, (4,), float, "4-vector")
 
 
 def phi(h) -> np.ndarray:
     """Pauli coordinates [Tr(h), Tr(hX), Tr(hY), Tr(hZ)] of a hermitian h."""
-    h = mat2(h)
-    return np.real(np.einsum("ij,kji->k", h, SIGMA))
+    return np.array(_coords(mat2(h)))
 
 
 def phi_inv(v) -> np.ndarray:
     """Inverse of phi: (1/2) sum_mu v_mu sigma_mu, exactly hermitian."""
-    v = fourvector(v)
-    return np.array(
-        [
-            [(v[0] + v[3]) / 2, (v[1] - 1j * v[2]) / 2],
-            [(v[1] + 1j * v[2]) / 2, (v[0] - v[3]) / 2],
-        ],
-        dtype=complex,
-    )
+    return _from_coords(*fourvector(v))
 
 
 def minkowski(u, v) -> float:

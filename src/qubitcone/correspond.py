@@ -9,12 +9,13 @@ identities tying the two pictures together live here as well.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import psi_of_unitary
-from .conemap import ETA, minkowski, phi, phi_inv
+from .adjoint import _psi_of_unitary
+from .conemap import ETA, minkowski, phi
 from .errors import (
     InvalidMeasurement,
     LambdaOutOfRange,
@@ -31,10 +32,12 @@ from .lorentz import (
     TOL_V,
     LorentzDecomposition,
     Velocity,
+    _effect_root,
+    _su2,
+    mat4,
     rotation_axis_angle,
-    su2_from_axis_angle,
 )
-from .qmat import adjoint, hermitize, is_positive, mat2, polar_decompose, sqrt_psd
+from .qmat import _coords, _gram, _hermitize, _unitary_factor, adjoint, is_positive, mat2, sqrt_psd
 
 COMPLETENESS_TOL = 1e-9
 
@@ -89,50 +92,61 @@ def validate(meas: Measurement, tol: float = COMPLETENESS_TOL) -> bool:
 
 def effect(m) -> np.ndarray:
     """The effect M†M of a measurement element, exactly hermitian."""
-    m = mat2(m)
-    return hermitize(adjoint(m) @ m)
+    return _gram(mat2(m))
+
+
+def _effect_vectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Four-vectors of the effect of a validated element: e_vec = phi(M†M)
+    and its index-lowered half v_vec = eta e_vec / 2."""
+    e_vec = np.array(_coords(_gram(m)))
+    return e_vec, 0.5 * (ETA @ e_vec)
+
+
+def _post_state(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Unrescaled post-measurement state M rho M† of validated m and rho."""
+    return _hermitize(m @ rho @ m.conj().T)
+
+
+def _post_vector(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return np.array(_coords(_post_state(m, rho)))
+
+
+def _state(rho, tol: float = 1e-9) -> np.ndarray:
+    """Validate a positive state."""
+    rho = mat2(rho)
+    if not is_positive(rho, tol):
+        raise NotPositive("state is not positive")
+    return rho
 
 
 def apply_element(m, rho, tol: float = 1e-9) -> tuple[float, np.ndarray]:
     """Outcome probability Tr(M†M rho) and unrescaled post state M rho M†."""
-    m = mat2(m)
-    rho = mat2(rho)
-    if not is_positive(rho, tol):
-        raise NotPositive("state is not positive")
-    p = float(np.real(np.trace(effect(m) @ rho)))
-    post = hermitize(m @ rho @ adjoint(m))
-    return p, post
+    m, rho = mat2(m), _state(rho, tol)
+    p = float(np.real(np.trace(_gram(m) @ rho)))
+    return p, _post_state(m, rho)
 
 
 def element_to_lorentz(m) -> EffectGeometry:
     """Forward correspondence: psi(M) = scale * rotation * boost(velocity)."""
     m = mat2(m)
-    if np.max(np.abs(m)) == 0:
-        raise ZeroElement("the zero matrix carries no Lorentz data")
-    unitary, _ = polar_decompose(m)
-    e = effect(m)
-    e_vec = phi(e)
+    e_vec, v_vec = _effect_vectors(m)
     a = e_vec[0]
     if a <= 0:
-        raise ZeroElement("effect has vanishing trace")
-    v_vec = 0.5 * (ETA @ e_vec)
+        raise ZeroElement("an element with a vanishing effect carries no Lorentz data")
+    unitary, abs_det = _unitary_factor(m)
     v3 = -e_vec[1:] / a
-    speed = float(np.linalg.norm(v3))
+    speed = math.hypot(*v3)
     if speed >= 1 - TOL_V:
-        vel = Velocity(v=v3 / speed, kind=NULL)
-        scale = a / 2
-        kind = NULL
-    else:
-        vel = Velocity(v=v3, kind=TIMELIKE)
-        scale = float(np.sqrt(max(minkowski(v_vec, v_vec), 0.0)))
-        kind = TIMELIKE
+        vel, scale = Velocity(v=v3 / speed, kind=NULL), a / 2
+    else:  # |det M| = sqrt(det M†M) = sqrt(eta(V, V)), with nothing squared
+        vel, scale = Velocity(v=v3, kind=TIMELIKE), abs_det
     return EffectGeometry(
         e_vec=e_vec,
         v_vec=v_vec,
         velocity=vel,
-        scale=scale,
-        rotation=psi_of_unitary(unitary),
-        kind=kind,
+        scale=float(scale),
+        rotation=_psi_of_unitary(unitary),
+        kind=vel.kind,
     )
 
 
@@ -144,15 +158,9 @@ def lambda_max(vel: Velocity) -> float:
 
 
 def _check_rotation_block(rot: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    rot = np.asarray(rot, dtype=float)
-    if rot.shape != (4, 4):
-        raise MalformedInput("rotation must be a 4x4 matrix")
+    rot = mat4(rot)
     r3 = rot[1:, 1:]
-    edge = max(
-        abs(rot[0, 0] - 1.0),
-        float(np.max(np.abs(rot[0, 1:]))),
-        float(np.max(np.abs(rot[1:, 0]))),
-    )
+    edge = np.abs(np.concatenate([rot[0] - (1.0, 0.0, 0.0, 0.0), rot[1:, 0]])).max()
     if edge > tol or np.max(np.abs(r3.T @ r3 - np.eye(3))) > tol:
         raise NotDecomposable("rotation is not a proper Bloch-block rotation")
     if np.linalg.det(r3) < 0:
@@ -165,7 +173,7 @@ def element_family(decomp: LorentzDecomposition) -> ElementFamily:
     r3 = _check_rotation_block(decomp.rotation)
     axis, theta = rotation_axis_angle(r3)
     return ElementFamily(
-        rotation_u=su2_from_axis_angle(axis, theta),
+        rotation_u=_su2(axis, theta),
         velocity=decomp.velocity,
         lambda_max=lambda_max(decomp.velocity),
         kind=decomp.velocity.kind,
@@ -187,13 +195,8 @@ def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -
             f"lambda = {lam} outside (0, {family.lambda_max}]"
         )
     v = family.velocity.v
-    if family.kind == NULL:
-        coords = np.concatenate([[lam], -lam * v])
-    else:
-        g = float(np.sqrt(1.0 - v @ v))
-        k = 1.0 / np.sqrt(1.0 + g)
-        coords = np.concatenate([[k * lam * (1.0 + g)], -k * lam * v])
-    return family.rotation_u @ phi_inv(coords)
+    g = 0.0 if family.kind == NULL else math.sqrt(1.0 - v @ v)
+    return family.rotation_u @ (lam * _effect_root(v, g))
 
 
 def complete_to_measurement(m, tol: float = 1e-9) -> Measurement:
@@ -201,8 +204,7 @@ def complete_to_measurement(m, tol: float = 1e-9) -> Measurement:
 
     The complement sqrt(I - M†M) is dropped when it vanishes.
     """
-    m = mat2(m)
-    rest = hermitize(np.eye(2) - effect(m))
+    rest = np.eye(2) - effect(m)
     if not is_positive(rest, tol):
         raise TooLarge("I - M†M is not positive; element cannot be completed")
     comp = sqrt_psd(rest)
@@ -218,19 +220,15 @@ def prop2_invariants(meas_element, rho, tol: float = 1e-9) -> Prop2Report:
     eta(rho_m, rho_m) = eta(V, V) eta(rho, rho); the two p values are the
     invariant-probability form eta(V, rho) and the direct Tr(E rho).
     """
-    m = mat2(meas_element)
-    rho = mat2(rho)
-    if not is_positive(rho, tol):
-        raise NotPositive("state is not positive")
+    m, rho = mat2(meas_element), _state(rho, tol)
     rho_vec = phi(rho)
-    e_vec = phi(effect(m))
-    v_vec = 0.5 * (ETA @ e_vec)
-    post_vec = phi(hermitize(m @ rho @ adjoint(m)))
+    _, v_vec = _effect_vectors(m)
+    post_vec = _post_vector(m, rho)
     return Prop2Report(
         lhs_norm=minkowski(post_vec, post_vec),
         rhs_norm=minkowski(v_vec, v_vec) * minkowski(rho_vec, rho_vec),
         p_from_minkowski=minkowski(v_vec, rho_vec),
-        p_direct=float(np.real(np.trace(effect(m) @ rho))),
+        p_direct=float(np.real(np.trace(_gram(m) @ rho))),
     )
 
 

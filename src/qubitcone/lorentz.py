@@ -8,6 +8,7 @@ decomposition, and the two-to-one spinor lift back to unit-determinant
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,7 @@ from .errors import (
     NotRestricted,
     NotTimelike,
 )
-from .qmat import SIGMA
-from .conemap import phi_inv
+from .qmat import SIGMA, _finite, _from_coords, _psd_root
 
 # Velocities with 1 - TOL_V < |v| < 1 are rejected as ambiguous rather than
 # silently classified: gamma overflows there.
@@ -47,12 +47,7 @@ class LorentzDecomposition:
 
 
 def _vec3(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise MalformedInput(f"expected a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise MalformedInput("vector components must be finite")
-    return arr
+    return _finite(v, (3,), float, "3-vector")
 
 
 def velocity(v, kind: str | None = None) -> Velocity:
@@ -62,7 +57,10 @@ def velocity(v, kind: str | None = None) -> Velocity:
     of 1. Without an explicit kind, magnitudes inside (1 - TOL_V, 1) are
     rejected as ambiguous.
     """
-    arr = _vec3(v)
+    return _velocity(_vec3(v), kind)
+
+
+def _velocity(arr: np.ndarray, kind: str | None = None) -> Velocity:
     s = float(np.linalg.norm(arr))
     if kind == NULL:
         if abs(s - 1) > TOL_V:
@@ -90,12 +88,7 @@ def _as_velocity(vel) -> Velocity:
 
 
 def mat4(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=float)
-    if m.shape != (4, 4):
-        raise MalformedInput(f"expected a 4x4 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise MalformedInput("matrix entries must be finite")
-    return m
+    return _finite(entries, (4, 4), float, "4x4 matrix")
 
 
 def pure_boost(vel) -> np.ndarray:
@@ -165,12 +158,12 @@ RESCALED_NULL_BOOST_PRODUCT = "rescaled_null_boost_product"
 OTHER = "other"
 
 
-def _is_restricted(m: np.ndarray, tol: float) -> bool:
+def _is_restricted(m: np.ndarray, d: float, tol: float) -> bool:
     if m[0, 0] <= 0:
         return False
     if np.max(np.abs(m.T @ ETA @ m - ETA)) > tol:
         return False
-    return abs(np.linalg.det(m) - 1.0) <= tol
+    return abs(d - 1.0) <= tol
 
 
 def _null_product_parts(m: np.ndarray, tol: float):
@@ -195,18 +188,22 @@ def _null_product_parts(m: np.ndarray, tol: float):
 def classify(L, tol: float = 1e-9) -> str:
     """Sort a 4x4 matrix into restricted / rescaled restricted /
     rescaled-null-boost product / other."""
-    m = mat4(L)
-    if _is_restricted(m, tol):
-        return RESTRICTED
+    return _classify(mat4(L), tol)[0]
+
+
+def _classify(m: np.ndarray, tol: float) -> tuple[str, float]:
+    """The class of m and its determinant."""
     d = float(np.linalg.det(m))
+    if _is_restricted(m, d, tol):
+        return RESTRICTED, d
     if d > tol:
         s = d ** 0.25
-        if m[0, 0] > 0 and _is_restricted(m / s, tol):
-            return RESCALED_RESTRICTED
+        if m[0, 0] > 0 and _is_restricted(m / s, d / s**4, tol):
+            return RESCALED_RESTRICTED, d
     if abs(d) <= max(tol, tol * np.max(np.abs(m)) ** 4):
         if _null_product_parts(m, tol) is not None:
-            return RESCALED_NULL_BOOST_PRODUCT
-    return OTHER
+            return RESCALED_NULL_BOOST_PRODUCT, d
+    return OTHER, d
 
 
 def _min_rotation3(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -236,19 +233,22 @@ def decompose(L, tol: float = 1e-9) -> LorentzDecomposition:
     rotation carrying it onto the (normalized) first column.
     """
     m = mat4(L)
-    kind = classify(m, tol)
+    return _decompose(m, *_classify(m, tol), tol)
+
+
+def _decompose(m: np.ndarray, kind: str, d: float, tol: float) -> LorentzDecomposition:
+    """decompose for m of class kind and determinant d."""
     if kind == OTHER:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
     if kind in (RESTRICTED, RESCALED_RESTRICTED):
-        s = float(np.linalg.det(m)) ** 0.25
+        s = d ** 0.25
         m1 = m / s
         v = -m1[0, 1:] / m1[0, 0]
-        vel = velocity(v)
+        vel = _velocity(v)
         rot = m1 @ pure_boost(Velocity(v=-vel.v, kind=TIMELIKE))
         return LorentzDecomposition(rotation=rot, velocity=vel, scale=s)
-    parts = _null_product_parts(m, tol)
-    s, v_row, v_col = parts
+    s, v_row, v_col = _null_product_parts(m, tol)
     rot = np.eye(4)
     rot[1:, 1:] = _min_rotation3(v_row, v_col)
     return LorentzDecomposition(
@@ -292,10 +292,20 @@ def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
 
 def su2_from_axis_angle(axis, theta: float) -> np.ndarray:
     """cos(theta/2) I - i sin(theta/2) (axis . sigma), a special unitary."""
-    axis = _vec3(axis)
+    return _su2(_vec3(axis), theta)
+
+
+def _su2(axis: np.ndarray, theta: float) -> np.ndarray:
     half = float(theta) / 2
     n_dot_sigma = axis[0] * SIGMA[1] + axis[1] * SIGMA[2] + axis[2] * SIGMA[3]
     return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * n_dot_sigma
+
+
+def _effect_root(v: np.ndarray, g: float) -> np.ndarray:
+    """Root of the effect (1, -v), |v| <= 1, whose sqrt(det) is g/2 with
+    g = sqrt(1 - |v|^2) (0 when null); lambda times it is the positive
+    measurement element of the effect lambda^2 (1, -v)."""
+    return _psd_root(_from_coords(1.0, *-v), g / 2)
 
 
 def boost_root(vel) -> np.ndarray:
@@ -303,15 +313,8 @@ def boost_root(vel) -> np.ndarray:
     vel = _as_velocity(vel)
     if vel.kind != TIMELIKE:
         raise NotTimelike("boost_root requires a timelike velocity")
-    v = vel.v
-    v2 = float(v @ v)
-    if v2 == 0:
-        return np.eye(2, dtype=complex)
-    g = np.sqrt(1.0 - v2)
-    lam = np.sqrt(2.0 / g)
-    k = 1.0 / np.sqrt(1.0 + g)
-    coords = np.concatenate([[k * lam * (1.0 + g)], -k * lam * v])
-    return phi_inv(coords)
+    g = math.sqrt(1.0 - float(vel.v @ vel.v))
+    return math.sqrt(2.0 / g) * _effect_root(vel.v, g)
 
 
 def _fix_unitary_sign(u: np.ndarray) -> np.ndarray:
@@ -327,9 +330,9 @@ def spinor_lift(L, tol: float = 1e-9) -> np.ndarray:
     psi(A) = L. A and -A are the two preimages; the returned sign follows
     the unitary-factor convention of _fix_unitary_sign."""
     m = mat4(L)
-    if classify(m, tol) != RESTRICTED:
+    kind, d = _classify(m, tol)
+    if kind != RESTRICTED:
         raise NotRestricted("spinor_lift requires a restricted Lorentz transform")
-    dec = decompose(m, tol)
+    dec = _decompose(m, kind, d, tol)
     axis, theta = rotation_axis_angle(dec.rotation[1:, 1:])
-    u = _fix_unitary_sign(su2_from_axis_angle(axis, theta))
-    return u @ boost_root(dec.velocity)
+    return _fix_unitary_sign(_su2(axis, theta)) @ boost_root(dec.velocity)

@@ -4,9 +4,13 @@ Everything downstream (cone geometry, Lorentz machinery, the measurement
 correspondence) reduces to a handful of primitives on 2x2 matrices:
 hermiticity, positivity, closed-form eigenvalues, the positive square root
 and the polar decomposition. All functions are pure and operate on plain
-numpy arrays of shape (2, 2), dtype complex128.
+numpy arrays of shape (2, 2), dtype complex128. Public functions validate
+their argument with mat2; the underscored kernels take validated arrays.
+Roots and polar factors are Cayley–Hamilton closed forms.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,11 +21,9 @@ from .errors import MalformedInput, NotPositive
 # indefinite inputs.
 POSITIVITY_TOL = 1e-9
 
-# Relative eigenvalue threshold below which a positive matrix is treated as
-# singular by polar_decompose. Forming m† m squares the condition number, so
-# an exactly rank-1 input already shows a spurious small eigenvalue of order
-# sqrt(machine eps); the threshold sits above that noise floor.
-_RANK_TOL = 1e-7
+# At or below this share of ||M||_F^2, |det M| is round-off of an exactly
+# singular M, whose phase is noise: polar_decompose then fixes det U = 1.
+_SINGULAR_DET = 8 * np.finfo(float).eps
 
 SIGMA0 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -32,14 +34,23 @@ SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA = np.stack([SIGMA0, SIGMA1, SIGMA2, SIGMA3])
 
 
+def _finite(entries, shape: tuple, dtype, what: str) -> np.ndarray:
+    """Input validation: entries as a finite array of the given shape."""
+    arr = np.asarray(entries, dtype=dtype)
+    if arr.shape != shape:
+        raise MalformedInput(f"expected a {what}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise MalformedInput(f"{what} entries must be finite")
+    return arr
+
+
 def mat2(entries) -> np.ndarray:
     """Validate and normalize a general 2x2 complex matrix."""
-    m = np.asarray(entries, dtype=complex)
-    if m.shape != (2, 2):
-        raise MalformedInput(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise MalformedInput("matrix entries must be finite")
-    return m
+    return _finite(entries, (2, 2), complex, "2x2 matrix")
+
+
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    return (m + m.conj().T) / 2
 
 
 def hermitize(m) -> np.ndarray:
@@ -48,8 +59,7 @@ def hermitize(m) -> np.ndarray:
     The result satisfies the hermiticity invariants exactly (real diagonal,
     conjugate off-diagonal pair), which downstream code relies on.
     """
-    m = mat2(m)
-    return (m + m.conj().T) / 2
+    return _hermitize(mat2(m))
 
 
 def herm_deviation(m) -> float:
@@ -68,7 +78,12 @@ def herm2(entries, tol: float = 1e-9) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(m))))
     if herm_deviation(m) > tol * scale:
         raise MalformedInput("matrix is not hermitian within tolerance")
-    return hermitize(m)
+    return _hermitize(m)
+
+
+def _gram(m: np.ndarray) -> np.ndarray:
+    """m† m, exactly hermitian."""
+    return _hermitize(m.conj().T @ m)
 
 
 def mul(a, b) -> np.ndarray:
@@ -79,9 +94,12 @@ def adjoint(a) -> np.ndarray:
     return mat2(a).conj().T
 
 
-def det(m) -> complex:
-    m = mat2(m)
+def _det(m: np.ndarray) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def det(m) -> complex:
+    return _det(mat2(m))
 
 
 def trace(m) -> complex:
@@ -90,22 +108,30 @@ def trace(m) -> complex:
 
 
 def _coords(h: np.ndarray) -> tuple[float, float, float, float]:
-    """Pauli coordinates Tr(h sigma_mu) of a hermitian matrix."""
+    """Pauli coordinates Re Tr(h sigma_mu)."""
     a = (h[0, 0] + h[1, 1]).real
-    x = 2 * h[0, 1].real
-    y = -2 * h[0, 1].imag
+    x = (h[0, 1] + h[1, 0]).real
+    y = (h[1, 0] - h[0, 1]).imag
     z = (h[0, 0] - h[1, 1]).real
     return a, x, y, z
+
+
+def _from_coords(a, x, y, z) -> np.ndarray:
+    """The hermitian matrix (1/2) sum_mu c_mu sigma_mu with coordinates c."""
+    return np.array(
+        [[(a + z) / 2, (x - 1j * y) / 2], [(x + 1j * y) / 2, (a - z) / 2]],
+        dtype=complex,
+    )
 
 
 def eigenvalues(h) -> tuple[float, float]:
     """Eigenvalues of a hermitian matrix, ordered lam_plus >= lam_minus.
 
-    Closed form: lam_pm = (Tr(h) +- |Bloch part|) / 2.
+    Closed form: lam_pm = (Tr(h) +- |Bloch part|) / 2, the Bloch norm taken
+    by hypot so that no square over- or underflows.
     """
-    h = mat2(h)
-    a, x, y, z = _coords(h)
-    r = np.sqrt(x * x + y * y + z * z)
+    a, x, y, z = _coords(mat2(h))
+    r = math.hypot(x, y, z)
     return (a + r) / 2, (a - r) / 2
 
 
@@ -117,66 +143,52 @@ def is_positive(h, tol: float = POSITIVITY_TOL) -> bool:
     return bool(lm >= -tol)
 
 
-def sqrt_psd(e, tol: float = POSITIVITY_TOL) -> np.ndarray:
-    """Positive square root of a positive hermitian matrix.
+def _psd_root(e: np.ndarray, sqrt_det: float) -> np.ndarray:
+    """sqrt(E) = (E + sqrt(det E) I) / sqrt(Tr E + 2 sqrt(det E)) for a
+    hermitian E >= 0; callers that know sqrt(det E) exactly pass it in."""
+    return (e + sqrt_det * SIGMA0) / math.sqrt((e[0, 0] + e[1, 1]).real + 2 * sqrt_det)
 
-    Uses the coordinate closed form: with [a, x, y, z] the Pauli coordinates
-    of e and X = 2 sqrt(a^2 - x^2 - y^2 - z^2), the root has coordinates
-    alpha = sqrt(a + X/2) and (x, y, z)/alpha. e = 0 returns 0.
-    """
+
+def sqrt_psd(e, tol: float = POSITIVITY_TOL) -> np.ndarray:
+    """Positive square root of a positive hermitian matrix, exactly hermitian.
+    e = 0 returns 0; det e is taken from the Pauli coordinates divided by the
+    trace, so that no square over- or underflows."""
     e = mat2(e)
     if not is_positive(e, tol):
         raise NotPositive("matrix is not positive semidefinite")
+    e = _hermitize(e)
     a, x, y, z = _coords(e)
     if a <= 0:
         # positivity forces e = 0 when the trace vanishes
         return np.zeros((2, 2), dtype=complex)
-    disc = max(a * a - (x * x + y * y + z * z), 0.0)
-    big_x = 2 * np.sqrt(disc)
-    alpha = np.sqrt(a + big_x / 2)
-    c = np.array([alpha, x / alpha, y / alpha, z / alpha])
-    root = np.array(
-        [
-            [(c[0] + c[3]) / 2, (c[1] - 1j * c[2]) / 2],
-            [(c[1] + 1j * c[2]) / 2, (c[0] - c[3]) / 2],
-        ],
-        dtype=complex,
-    )
-    return root
+    r = math.hypot(x / a, y / a, z / a)
+    return _psd_root(e, a * math.sqrt(max((1 - r) * (1 + r), 0.0)) / 2)
+
+
+def _unitary_factor(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unitary polar factor of a nonzero m, and |det m|; see polar_decompose.
+    m is divided by its largest entry first, so no product over- or underflows."""
+    mu = float(np.abs(m).max())
+    n = m / mu
+    d = _det(n)
+    abs_det = abs(d)
+    fro2 = float(np.vdot(n, n).real)
+    phase = d / abs_det if abs_det > _SINGULAR_DET * fro2 else 1.0
+    adj_h = np.array([[n[1, 1], -n[1, 0]], [-n[0, 1], n[0, 0]]]).conj()
+    return (n + phase * adj_h) / math.sqrt(fro2 + 2 * abs_det), mu * mu * abs_det
 
 
 def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition m = u p with u unitary and p = sqrt(m† m) >= 0.
 
-    Singular m (rank 1): u acts as m p⁺ on the range of p and maps the null
-    eigenvector of p to the unit vector orthogonal to the range of m, phase
-    fixed so that det(u) = 1. m = 0 returns (identity, 0).
+    Closed form (Higham, Functions of Matrices, ch. 8): with
+    s = Tr p = sqrt(||m||_F^2 + 2|det m|),
+        u = (m + e^{i arg det m} adj(m)†) / s,   p = (m† m + |det m| I) / s,
+    so det u = e^{i arg det m}; singular m takes the phase 1, i.e. det u = 1.
+    m = 0 returns (identity, 0).
     """
     m = mat2(m)
-    if np.max(np.abs(m)) == 0:
+    if not m.any():
         return np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-    p = sqrt_psd(hermitize(adjoint(m) @ m))
-    lp, lm = eigenvalues(p)
-    if lm > _RANK_TOL * lp:
-        u = m @ np.linalg.inv(p)
-        return u, p
-    # rank-1 branch
-    vals, vecs = np.linalg.eigh(p)
-    null_vec = vecs[:, 0]
-    range_vec = vecs[:, 1]
-    lam = vals[1]
-    # the small singular value recovered through det(m) avoids the noise
-    # floor of the squared product
-    small = abs(det(m)) / lam
-    p = lam * np.outer(range_vec, range_vec.conj()) + small * np.outer(
-        null_vec, null_vec.conj()
-    )
-    w1 = m @ range_vec
-    w1 = w1 / np.linalg.norm(w1)
-    w2 = np.array([-np.conj(w1[1]), np.conj(w1[0])])
-    u = np.outer(w1, range_vec.conj()) + np.outer(w2, null_vec.conj())
-    d = det(u)
-    u = np.outer(w1, range_vec.conj()) + (d.conjugate() / abs(d)) * np.outer(
-        w2, null_vec.conj()
-    )
-    return u, p
+    u, abs_det = _unitary_factor(m)
+    return u, _psd_root(_gram(m), abs_det)

@@ -13,10 +13,9 @@ import numpy as np
 
 from .adjoint import psi
 from .conemap import minkowski, phi
-from .correspond import Measurement, effect, require_valid
-from .errors import NotNormalized, NotPositive, NotTimelike
+from .correspond import Measurement, _effect_vectors, _post_vector, _state, effect, require_valid
+from .errors import NotNormalized, NotTimelike
 from .lorentz import TIMELIKE, Velocity, _as_velocity, pure_boost
-from .qmat import adjoint, hermitize, is_positive, mat2
 
 # Outcomes at or below this probability are never sampled and their post
 # state is reported as the zero vector (exact arithmetic gives M rho M† = 0).
@@ -49,9 +48,7 @@ def observer_boost(v) -> ObserverBoost:
 
 
 def _checked_state(rho, require_unit_trace: bool) -> np.ndarray:
-    rho = mat2(rho)
-    if not is_positive(rho):
-        raise NotPositive("state is not positive")
+    rho = _state(rho)
     if require_unit_trace and abs(np.real(np.trace(rho)) - 1.0) > NORMALIZATION_TOL:
         raise NotNormalized("state must have unit trace")
     return rho
@@ -116,11 +113,8 @@ def boosted_probabilities(meas: Measurement, rho, obs: ObserverBoost) -> list[fl
     v = obs.velocity.v
     rho_vec = phi(rho)
     denom = rho_vec[0] - float(v @ rho_vec[1:])
-    out = []
-    for m in meas.elements:
-        post_vec = phi(hermitize(m @ rho @ adjoint(m)))
-        out.append(float((post_vec[0] - v @ post_vec[1:]) / denom))
-    return out
+    post_vecs = (_post_vector(m, rho) for m in meas.elements)
+    return [float((w[0] - v @ w[1:]) / denom) for w in post_vecs]
 
 
 def report_invariants(meas: Measurement, rho) -> dict:
@@ -135,11 +129,10 @@ def report_invariants(meas: Measurement, rho) -> dict:
 
     elements = []
     for i, m in enumerate(meas.elements):
-        e_vec = phi(effect(m))
-        v_vec = 0.5 * np.array([e_vec[0], -e_vec[1], -e_vec[2], -e_vec[3]])
+        e_vec, v_vec = _effect_vectors(m)
         eta_vv = minkowski(v_vec, v_vec)
         p = minkowski(v_vec, rho_vec)
-        post_vec = phi(hermitize(m @ rho @ adjoint(m)))
+        post_vec = _post_vector(m, rho)
         mix_after = minkowski(post_vec, post_vec)
         info_effect = float(np.log2(eta_vv)) if eta_vv > 0 else None
         info_post = float(np.log2(mix_after)) if mix_after > 0 else None

@@ -1,5 +1,6 @@
 """Shared random generators for the test suite."""
 import numpy as np
+from hypothesis import strategies as st
 
 from qubitcone import (
     lorentz_to_element,
@@ -65,3 +66,35 @@ def rand_state(rng, unit_trace=True):
     if unit_trace:
         rho = rho / np.real(np.trace(rho))
     return rho
+
+
+# Singular-value ratios of the domain sweep: from well conditioned through
+# the band where an inverse-based polar factor loses unitarity, down to
+# exactly rank 1.
+RATIOS = [1.0, 1e-3, 1e-5, 1e-7, 1e-9, 0.0]
+angles = st.floats(min_value=0.0, max_value=2 * np.pi)
+
+
+def unitary(a, b, c, t):
+    return np.exp(1j * a) * np.array(
+        [
+            [np.exp(1j * b) * np.cos(t), np.exp(1j * c) * np.sin(t)],
+            [-np.exp(-1j * c) * np.sin(t), np.exp(-1j * b) * np.cos(t)],
+        ]
+    )
+
+
+unitaries = st.tuples(angles, angles, angles, angles).map(lambda p: unitary(*p))
+# (M, ratio) with M = 10^k U diag(1, ratio) V†, k in [-150, 150]
+swept_elements = st.builds(
+    lambda u, v, r, k: (10.0**k * u @ np.diag([1.0, r]) @ v.conj().T, r),
+    unitaries,
+    unitaries,
+    st.sampled_from(RATIOS),
+    st.floats(min_value=-150, max_value=150),
+)
+# corners of the sweep: det M subnormal, or M at the top scale
+CORNERS = [
+    (s * unitary(0.1, 0.2, 0.3, 0.4) @ np.diag([1.0, r]) @ unitary(0.5, 0.6, 0.7, 0.8), r)
+    for s, r in [(1e-150, 1e-9), (1e150, 0.0), (1e150, 1e-9)]
+]

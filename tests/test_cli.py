@@ -161,6 +161,23 @@ def test_simulate_deterministic(proj_z, mixed_state, capsys):
     assert sum(o["tally"] for o in doc["outcomes"]) == 1000
 
 
+@pytest.mark.parametrize("seed, n", [("123", "-1"), ("-1", "1000")])
+def test_simulate_negative_count_or_seed_is_malformed(proj_z, mixed_state, capsys, seed, n):
+    argv = ["simulate", "--measurement", proj_z, "--state", mixed_state, "--seed", seed, "--n", n]
+    assert main(argv) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_validate_negative_tol_is_malformed(proj_z, capsys, tol):
+    assert main(["validate", "--measurement", proj_z, "--tol", tol]) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_boost_observer(proj_z, mixed_state, capsys):
     code, out = run(
         capsys,

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from conftest import (
+    CORNERS,
     rand_element,
     rand_null_element,
     rand_rotation4,
     rand_state,
     rand_timelike,
     rand_unit3,
+    swept_elements,
 )
 from qubitcone.adjoint import psi
 from qubitcone.conemap import minkowski, phi, phi_inv
@@ -308,3 +311,45 @@ def test_information_conservation():
             - info_measure(phi(rho))
         )
         assert abs(residual) < 1e-9
+
+
+def real_rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def test_element_to_lorentz_inside_the_old_polar_band():
+    # singular-value ratio 1e-5: an inverse-based polar factor lost
+    # unitarity here and the forward map raised NotUnitary
+    m = real_rotation(0.3) @ np.diag([1, 1e-5]) @ np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+    geom = element_to_lorentz(m)
+    # 1 - |v| = 2e-10 is below TOL_V, so the effect reads as null
+    assert geom.kind == NULL
+    r3 = geom.rotation[1:, 1:]
+    assert np.max(np.abs(r3.T @ r3 - np.eye(3))) <= 1e-14
+    recon = geom.scale * geom.rotation @ null_boost_rescaled(geom.velocity)
+    assert np.max(np.abs(recon - psi(m))) <= 1e-4  # the ratio's order
+
+
+def test_element_to_lorentz_tiny_element():
+    m = np.array([[0.8, 0.1j], [0.2, 0.5]])
+    ref = element_to_lorentz(m)
+    geom = element_to_lorentz(1e-80 * m)
+    assert np.allclose(geom.rotation, ref.rotation, atol=1e-14)
+    assert np.allclose(geom.velocity.v, ref.velocity.v, atol=1e-14)
+    assert geom.scale == pytest.approx(1e-160 * ref.scale, rel=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(swept_elements)
+@example(CORNERS[0])
+@example(CORNERS[1])
+@example(CORNERS[2])
+def test_element_to_lorentz_domain_sweep(case):
+    m, _ = case
+    geom = element_to_lorentz(m)  # raises no NotUnitary anywhere in the sweep
+    if geom.kind == TIMELIKE:
+        assert geom.scale == pytest.approx(abs(np.linalg.det(m)), rel=1e-10)
+    else:
+        assert geom.scale == geom.e_vec[0] / 2
+    r3 = geom.rotation[1:, 1:]
+    assert np.max(np.abs(r3.T @ r3 - np.eye(3))) <= 1e-14

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_complex, rand_herm, rand_positive
+from conftest import CORNERS, rand_complex, rand_herm, rand_positive, swept_elements
 from qubitcone import qmat
 from qubitcone.errors import MalformedInput, NotPositive
 from qubitcone.qmat import (
@@ -217,3 +217,41 @@ def test_eigenvalue_closed_form_matches_coordinates():
         lp, lm = eigenvalues(h)
         assert lp == pytest.approx((c[0] + r) / 2, abs=1e-12)
         assert lm == pytest.approx((c[0] - r) / 2, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(swept_elements)
+@example(CORNERS[0])
+@example(CORNERS[1])
+@example(CORNERS[2])
+def test_polar_domain_sweep(case):
+    m, ratio = case
+    u, p = polar_decompose(m)
+    assert np.linalg.norm(u.conj().T @ u - I2) <= 1e-14
+    assert np.linalg.norm(u @ p - m) <= 1e-14 * np.linalg.norm(m)
+    assert is_positive(p / np.linalg.norm(p))
+    if ratio == 0:
+        # round-off branch: the phase convention pins det u to 1
+        assert abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1) <= 1e-14
+
+
+def test_eigenvalues_scale_range():
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        h = rand_herm(rng)
+        lp, lm = eigenvalues(h)
+        size = abs(lp) + abs(lm)
+        for s in (1e-300, 1e300):
+            sp, sm = eigenvalues(s * h)
+            assert abs(sp - s * lp) <= 1e-15 * s * size
+            assert abs(sm - s * lm) <= 1e-15 * s * size
+
+
+def test_sqrt_psd_scale_range():
+    m = np.array([[0.8, 0.1j], [0.2, 0.5]])
+    root = sqrt_psd(m.conj().T @ m)
+    for s in (1e-150, 1e-80, 1e80, 1e150):
+        e = (s * m).conj().T @ (s * m)
+        r = sqrt_psd(e)
+        assert np.max(np.abs(r @ r - e)) <= 1e-15 * np.max(np.abs(e))
+        assert np.max(np.abs(r - s * root)) <= 1e-15 * s
