@@ -45,7 +45,6 @@ from .lorentz import (
 )
 from .qmat import (
     SIGMA,
-    adjoint,
     det,
     eigenvalues,
     herm2,

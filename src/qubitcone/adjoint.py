@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotPositive, NotUnitary, ZeroMatrix
-from .qmat import SIGMA, _coords, is_positive, mat2, sqrt_psd
-from .conemap import phi
+from .qmat import SIGMA, _coords, _sqrt_det, is_positive, mat2, sqrt_psd
+from .conemap import _minkowski, phi
 
 
 def psi(a) -> np.ndarray:
@@ -21,8 +21,9 @@ def psi(a) -> np.ndarray:
 
 
 def _psi(a: np.ndarray) -> np.ndarray:
-    conj = np.einsum("ik,vkl,jl->vij", a, SIGMA, a.conj())
-    return 0.5 * np.real(np.einsum("uij,vji->uv", SIGMA, conj))
+    """psi over the leading axes of a validated (..., 2, 2) array."""
+    conj = np.einsum("...ik,vkl,...jl->...vij", a, SIGMA, a.conj())
+    return 0.5 * np.real(np.einsum("uij,...vji->...uv", SIGMA, conj))
 
 
 def psi_of_unitary(u, tol: float = 1e-9) -> np.ndarray:
@@ -42,30 +43,26 @@ def psi_of_sqrt(e, form: str = "auto") -> np.ndarray:
     form:
       "root"   - closed form in the root coordinates [alpha, beta, gamma, delta]
       "square" - closed form in the coordinates [a, x, y, z] of e itself,
-                 with X = 2 sqrt(a^2 - x^2 - y^2 - z^2); requires e != 0
+                 with X = 2 sqrt(a^2 - x^2 - y^2 - z^2) = 4 sqrt(det e); requires e != 0
       "auto"   - "square" unless e = 0, then "root"
     """
     e = mat2(e)
     if not is_positive(e):
         raise NotPositive("matrix is not positive semidefinite")
-    a, x, y, z = _coords(e)
-    disc = max(a * a - (x * x + y * y + z * z), 0.0)
-    big_x = 2 * np.sqrt(disc)
-
+    c = _coords(e)
+    a, p = c[0], c[1:]
     if form == "auto":
         form = "square" if a > 0 else "root"
     if form == "square":
         if a <= 0:
             raise ZeroMatrix("the square-coordinate form requires e != 0")
+        big_x = 4 * _sqrt_det(*c)
         out = np.zeros((4, 4))
-        p = np.array([x, y, z])
-        out[0, 0] = 2 * a
-        out[0, 1:] = 2 * p
-        out[1:, 0] = 2 * p
-        out[1:, 1:] = big_x * np.eye(3) + 4 * np.outer(p, p) / (2 * a + big_x)
-        return out / 4
+        out[0] = out[:, 0] = c / 2
+        out[1:, 1:] = (big_x / 4) * np.eye(3) + np.outer(p, p / (2 * a + big_x))
+        return out
     if form == "root":
-        c = phi(sqrt_psd(e))
-        x_root = c[0] ** 2 - c[1] ** 2 - c[2] ** 2 - c[3] ** 2
-        return (x_root * np.diag([-1.0, 1.0, 1.0, 1.0]) + 2 * np.outer(c, c)) / 4
+        root = phi(sqrt_psd(e))
+        x_root = _minkowski(root, root)
+        return (x_root * np.diag([-1.0, 1.0, 1.0, 1.0]) + 2 * np.outer(root, root)) / 4
     raise ValueError(f"unknown form {form!r}")

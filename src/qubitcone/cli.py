@@ -12,10 +12,11 @@ import sys
 import numpy as np
 
 from . import serialize
-from .conemap import phi
 from .correspond import (
     LorentzDecomposition,
-    apply_element,
+    _post_state,
+    _probabilities,
+    _state,
     completeness_deviation,
     element_to_lorentz,
     lorentz_to_element,
@@ -23,7 +24,7 @@ from .correspond import (
 )
 from .errors import DomainError, InvalidMeasurement, MalformedInput
 from .lorentz import rotation4, velocity
-from .qmat import herm2
+from .qmat import _coords, herm2
 from .sim import boosted_probabilities, observer_boost, report_invariants, scenario1_sample
 
 EXIT_OK = 0
@@ -93,18 +94,18 @@ def cmd_to_element(args) -> int:
 
 def cmd_apply(args) -> int:
     meas = _load_measurement(args.measurement)
-    rho = _load_state(args.state)
-    outcomes = []
-    for i, m in enumerate(meas.elements):
-        p, post = apply_element(m, rho)
-        outcomes.append(
-            {
-                "index": i,
-                "p": p,
-                "post_state": serialize.mat2_to_json(post),
-                "post_vector": serialize.fourvector_to_json(phi(post)),
-            }
-        )
+    rho = _state(_load_state(args.state))
+    posts = _post_state(meas.elements, rho)
+    columns = zip(_probabilities(meas.elements, rho).tolist(), posts, _coords(posts))
+    outcomes = [
+        {
+            "index": i,
+            "p": p,
+            "post_state": serialize.mat2_to_json(post),
+            "post_vector": serialize.fourvector_to_json(vec),
+        }
+        for i, (p, post, vec) in enumerate(columns)
+    ]
     _emit({"outcomes": outcomes})
     return EXIT_OK
 

@@ -33,7 +33,7 @@ def fourvector(v) -> np.ndarray:
 
 def phi(h) -> np.ndarray:
     """Pauli coordinates [Tr(h), Tr(hX), Tr(hY), Tr(hZ)] of a hermitian h."""
-    return np.array(_coords(mat2(h)))
+    return _coords(mat2(h))
 
 
 def phi_inv(v) -> np.ndarray:
@@ -42,9 +42,13 @@ def phi_inv(v) -> np.ndarray:
 
 
 def minkowski(u, v) -> float:
-    u = fourvector(u)
-    v = fourvector(v)
-    return float(u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3])
+    return float(_minkowski(fourvector(u), fourvector(v)))
+
+
+def _minkowski(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Minkowski pairing over leading axes; .T puts the components on the first axis."""
+    t = (u * v).T
+    return (t[0] - t[1] - t[2] - t[3]).T
 
 
 def hs_inner(a, b) -> float:

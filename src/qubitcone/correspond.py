@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import _psi_of_unitary
-from .conemap import ETA, minkowski, phi
+from .conemap import ETA, _minkowski, minkowski
 from .errors import (
     InvalidMeasurement,
     LambdaOutOfRange,
-    MalformedInput,
     NotDecomposable,
     NotPositive,
     NullOrSpacelike,
@@ -37,21 +36,19 @@ from .lorentz import (
     mat4,
     rotation_axis_angle,
 )
-from .qmat import _coords, _gram, _hermitize, _unitary_factor, adjoint, is_positive, mat2, sqrt_psd
+from .qmat import _coords, _finite, _gram, _hermitize, _unitary_factor, is_positive, mat2, sqrt_psd
 
 COMPLETENESS_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    elements: tuple
+    elements: np.ndarray  # (K, 2, 2) complex, K >= 1
 
 
 def measurement(elements) -> Measurement:
-    elems = tuple(mat2(m) for m in elements)
-    if not elems:
-        raise MalformedInput("a measurement needs at least one element")
-    return Measurement(elements=elems)
+    """Validate the elements once, as one (K, 2, 2) complex array, K >= 1."""
+    return Measurement(elements=_finite(elements, (None, 2, 2), complex, "stack of 2x2 matrices"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +78,7 @@ class Prop2Report:
 
 
 def completeness_deviation(meas: Measurement) -> float:
-    total = sum(adjoint(m) @ m for m in meas.elements)
+    total = (meas.elements.conj().swapaxes(-1, -2) @ meas.elements).sum(axis=0)
     return float(np.max(np.abs(total - np.eye(2))))
 
 
@@ -96,19 +93,24 @@ def effect(m) -> np.ndarray:
 
 
 def _effect_vectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Four-vectors of the effect of a validated element: e_vec = phi(M†M)
-    and its index-lowered half v_vec = eta e_vec / 2."""
-    e_vec = np.array(_coords(_gram(m)))
-    return e_vec, 0.5 * (ETA @ e_vec)
+    """Four-vectors of the effects of validated (..., 2, 2) elements:
+    e_vec = phi(M†M) and its index-lowered half v_vec = eta e_vec / 2."""
+    e_vec = _coords(_gram(m))
+    return e_vec, e_vec * (0.5 * ETA.diagonal())
+
+
+def _probabilities(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr(M†M rho) of validated (..., 2, 2) elements m and state rho."""
+    return np.real(np.trace(_gram(m) @ rho, axis1=-2, axis2=-1))
 
 
 def _post_state(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Unrescaled post-measurement state M rho M† of validated m and rho."""
-    return _hermitize(m @ rho @ m.conj().T)
+    """Unrescaled post-measurement states M rho M† of validated m and rho."""
+    return _hermitize(m @ rho @ m.conj().swapaxes(-1, -2))
 
 
 def _post_vector(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return np.array(_coords(_post_state(m, rho)))
+    return _coords(_post_state(m, rho))
 
 
 def _state(rho, tol: float = 1e-9) -> np.ndarray:
@@ -122,8 +124,7 @@ def _state(rho, tol: float = 1e-9) -> np.ndarray:
 def apply_element(m, rho, tol: float = 1e-9) -> tuple[float, np.ndarray]:
     """Outcome probability Tr(M†M rho) and unrescaled post state M rho M†."""
     m, rho = mat2(m), _state(rho, tol)
-    p = float(np.real(np.trace(_gram(m) @ rho)))
-    return p, _post_state(m, rho)
+    return float(_probabilities(m, rho)), _post_state(m, rho)
 
 
 def element_to_lorentz(m) -> EffectGeometry:
@@ -221,14 +222,14 @@ def prop2_invariants(meas_element, rho, tol: float = 1e-9) -> Prop2Report:
     invariant-probability form eta(V, rho) and the direct Tr(E rho).
     """
     m, rho = mat2(meas_element), _state(rho, tol)
-    rho_vec = phi(rho)
+    rho_vec = _coords(rho)
     _, v_vec = _effect_vectors(m)
     post_vec = _post_vector(m, rho)
     return Prop2Report(
-        lhs_norm=minkowski(post_vec, post_vec),
-        rhs_norm=minkowski(v_vec, v_vec) * minkowski(rho_vec, rho_vec),
-        p_from_minkowski=minkowski(v_vec, rho_vec),
-        p_direct=float(np.real(np.trace(_gram(m) @ rho))),
+        lhs_norm=float(_minkowski(post_vec, post_vec)),
+        rhs_norm=float(_minkowski(v_vec, v_vec) * _minkowski(rho_vec, rho_vec)),
+        p_from_minkowski=float(_minkowski(v_vec, rho_vec)),
+        p_direct=float(_probabilities(m, rho)),
     )
 
 

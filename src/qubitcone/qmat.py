@@ -5,8 +5,9 @@ correspondence) reduces to a handful of primitives on 2x2 matrices:
 hermiticity, positivity, closed-form eigenvalues, the positive square root
 and the polar decomposition. All functions are pure and operate on plain
 numpy arrays of shape (2, 2), dtype complex128. Public functions validate
-their argument with mat2; the underscored kernels take validated arrays.
-Roots and polar factors are Cayley–Hamilton closed forms.
+their argument with mat2; the underscored kernels take validated arrays, and
+_hermitize, _gram and _coords broadcast over leading axes (one call for a
+(K, 2, 2) stack). Roots and polar factors are Cayley–Hamilton closed forms.
 """
 from __future__ import annotations
 
@@ -32,11 +33,17 @@ SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Pauli basis sigma_mu, mu = 0..3: identity, X, Y, Z.
 SIGMA = np.stack([SIGMA0, SIGMA1, SIGMA2, SIGMA3])
+_PAULI_COLUMNS = SIGMA.transpose(0, 2, 1).reshape(4, 4).T
 
 
 def _finite(entries, shape: tuple, dtype, what: str) -> np.ndarray:
-    """Input validation: entries as a finite array of the given shape."""
-    arr = np.asarray(entries, dtype=dtype)
+    """Input validation: entries as a finite array of shape (None: any count > 0)."""
+    try:
+        arr = np.asarray(entries, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric entries
+        raise MalformedInput(f"expected a {what}: {exc}") from exc
+    if shape[0] is None and arr.ndim == len(shape) and len(arr):
+        shape = arr.shape[:1] + shape[1:]
     if arr.shape != shape:
         raise MalformedInput(f"expected a {what}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -50,7 +57,7 @@ def mat2(entries) -> np.ndarray:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def hermitize(m) -> np.ndarray:
@@ -62,12 +69,6 @@ def hermitize(m) -> np.ndarray:
     return _hermitize(mat2(m))
 
 
-def herm_deviation(m) -> float:
-    """Max-norm distance from m to its hermitian part."""
-    m = mat2(m)
-    return float(np.max(np.abs(m - m.conj().T))) / 2
-
-
 def herm2(entries, tol: float = 1e-9) -> np.ndarray:
     """Validate a hermitian 2x2 matrix and enforce exact hermiticity.
 
@@ -76,14 +77,14 @@ def herm2(entries, tol: float = 1e-9) -> np.ndarray:
     """
     m = mat2(entries)
     scale = max(1.0, float(np.max(np.abs(m))))
-    if herm_deviation(m) > tol * scale:
+    if float(np.max(np.abs(m - m.conj().T))) / 2 > tol * scale:
         raise MalformedInput("matrix is not hermitian within tolerance")
     return _hermitize(m)
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
     """m† m, exactly hermitian."""
-    return _hermitize(m.conj().T @ m)
+    return _hermitize(m.conj().swapaxes(-1, -2) @ m)
 
 
 def mul(a, b) -> np.ndarray:
@@ -107,13 +108,11 @@ def trace(m) -> complex:
     return m[0, 0] + m[1, 1]
 
 
-def _coords(h: np.ndarray) -> tuple[float, float, float, float]:
-    """Pauli coordinates Re Tr(h sigma_mu)."""
-    a = (h[0, 0] + h[1, 1]).real
-    x = (h[0, 1] + h[1, 0]).real
-    y = (h[1, 0] - h[0, 1]).imag
-    z = (h[0, 0] - h[1, 1]).real
-    return a, x, y, z
+def _coords(h: np.ndarray) -> np.ndarray:
+    """Pauli coordinates Re Tr(h sigma_mu), mu = 0..3, along a new last axis:
+    Tr(h sigma) = sum_ij h_ij sigma_ji, and column mu of _PAULI_COLUMNS is
+    sigma_mu transposed and flattened."""
+    return (h.reshape(h.shape[:-2] + (4,)) @ _PAULI_COLUMNS).real
 
 
 def _from_coords(a, x, y, z) -> np.ndarray:
@@ -130,7 +129,7 @@ def eigenvalues(h) -> tuple[float, float]:
     Closed form: lam_pm = (Tr(h) +- |Bloch part|) / 2, the Bloch norm taken
     by hypot so that no square over- or underflows.
     """
-    a, x, y, z = _coords(mat2(h))
+    a, x, y, z = _coords(mat2(h)).tolist()
     r = math.hypot(x, y, z)
     return (a + r) / 2, (a - r) / 2
 
@@ -157,12 +156,18 @@ def sqrt_psd(e, tol: float = POSITIVITY_TOL) -> np.ndarray:
     if not is_positive(e, tol):
         raise NotPositive("matrix is not positive semidefinite")
     e = _hermitize(e)
-    a, x, y, z = _coords(e)
+    a, x, y, z = _coords(e).tolist()
     if a <= 0:
         # positivity forces e = 0 when the trace vanishes
         return np.zeros((2, 2), dtype=complex)
+    return _psd_root(e, _sqrt_det(a, x, y, z))
+
+
+def _sqrt_det(a, x, y, z) -> float:
+    """sqrt(det e) = (a/2) sqrt(1 - r^2) of a positive e with Pauli coordinates
+    (a > 0, x, y, z), r = |(x, y, z)|/a, so that no square over- or underflows."""
     r = math.hypot(x / a, y / a, z / a)
-    return _psd_root(e, a * math.sqrt(max((1 - r) * (1 + r), 0.0)) / 2)
+    return a * math.sqrt(max((1 - r) * (1 + r), 0.0)) / 2
 
 
 def _unitary_factor(m: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1,21 +1,27 @@
 """Scenario engines: measurement as a randomized boost, and the view of a
-boosted observer.
+boosted observer, each run on the whole (K, 2, 2) element array at once.
 
-Sampling is bit-reproducible: outcomes are drawn by inverse-CDF over the
-element index in listed order, from a numpy PCG64 generator seeded with the
-caller's 64-bit seed.
+Sampling is a bit-reproducible inverse CDF over the element index in listed
+order, from a numpy PCG64 generator seeded with the caller's 64-bit seed.
+A draw u lands in bin k exactly when cum_{k-1} <= u < cum_k, so sorting the
+draws and counting those below each edge cum_k gives the tallies of a
+per-draw search, by the same comparisons. Draws in a bin of probability at
+most ZERO_PROB go to the next live bin, and draws past the last live edge
+to the last live bin.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import psi
-from .conemap import minkowski, phi
-from .correspond import Measurement, _effect_vectors, _post_vector, _state, effect, require_valid
+from .adjoint import _psi
+from .conemap import _minkowski
+from .correspond import Measurement, _effect_vectors, _post_vector, _probabilities, _state, require_valid
 from .errors import NotNormalized, NotTimelike
 from .lorentz import TIMELIKE, Velocity, _as_velocity, pure_boost
+from .qmat import _coords
 
 # Outcomes at or below this probability are never sampled and their post
 # state is reported as the zero vector (exact arithmetic gives M rho M† = 0).
@@ -55,10 +61,19 @@ def _checked_state(rho, require_unit_trace: bool) -> np.ndarray:
 
 
 def outcome_probabilities(meas: Measurement, rho) -> np.ndarray:
-    probs = np.array(
-        [float(np.real(np.trace(effect(m) @ rho))) for m in meas.elements]
-    )
-    return np.maximum(probs, 0.0)
+    return np.maximum(_probabilities(meas.elements, rho), 0.0)
+
+
+def _tallies(probs: np.ndarray, seed: int, n: int) -> np.ndarray:
+    """Counts of n inverse-CDF draws over probs, some above ZERO_PROB."""
+    live = np.flatnonzero(probs > ZERO_PROB)
+    draws = np.random.default_rng(np.random.SeedSequence(int(seed))).random(n)
+    draws.sort()
+    below = np.searchsorted(draws, np.cumsum(probs)[live], side="left")
+    below[-1] = n  # draws at or past the last live edge
+    tallies = np.zeros(len(probs), dtype=int)
+    tallies[live] = np.diff(below, prepend=0)
+    return tallies
 
 
 def scenario1_sample(meas: Measurement, rho, seed: int, n: int) -> list[ScenarioOutcome]:
@@ -69,35 +84,10 @@ def scenario1_sample(meas: Measurement, rho, seed: int, n: int) -> list[Scenario
     if n < 0:
         raise ValueError("sample count must be non-negative")
     probs = outcome_probabilities(meas, rho)
-    rho_vec = phi(rho)
-    transforms = [psi(m) for m in meas.elements]
-    post_vecs = [
-        t @ rho_vec if p > ZERO_PROB else np.zeros(4)
-        for p, t in zip(probs, transforms)
-    ]
-
-    cum = np.cumsum(probs)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    draws = np.searchsorted(cum, rng.random(n), side="right")
-    live = np.flatnonzero(probs > ZERO_PROB)
-    # guard the measure-zero edge where a draw lands past cum[-1] or on a
-    # zero-probability bin
-    draws = np.minimum(draws, live[-1])
-    bad = probs[draws] <= ZERO_PROB
-    if np.any(bad):
-        draws[bad] = live[np.searchsorted(live, draws[bad])]
-    tallies = np.bincount(draws, minlength=len(meas.elements))
-
-    return [
-        ScenarioOutcome(
-            index=i,
-            probability=float(probs[i]),
-            tally=int(tallies[i]),
-            post_vector=post_vecs[i],
-            applied_transform=transforms[i],
-        )
-        for i in range(len(meas.elements))
-    ]
+    transforms = _psi(meas.elements)
+    post_vecs = np.where((probs > ZERO_PROB)[:, None], transforms @ _coords(rho), 0.0)
+    columns = zip(probs.tolist(), _tallies(probs, seed, n).tolist(), post_vecs, transforms)
+    return [ScenarioOutcome(i, *column) for i, column in enumerate(columns)]
 
 
 def boosted_probabilities(meas: Measurement, rho, obs: ObserverBoost) -> list[float]:
@@ -111,10 +101,20 @@ def boosted_probabilities(meas: Measurement, rho, obs: ObserverBoost) -> list[fl
     if obs.velocity.kind != TIMELIKE:
         raise NotTimelike("observer boosts must be timelike")
     v = obs.velocity.v
-    rho_vec = phi(rho)
+    rho_vec = _coords(rho)
     denom = rho_vec[0] - float(v @ rho_vec[1:])
-    post_vecs = (_post_vector(m, rho) for m in meas.elements)
-    return [float((w[0] - v @ w[1:]) / denom) for w in post_vecs]
+    w = _post_vector(meas.elements, rho)
+    return ((w[:, 0] - w[:, 1:] @ v) / denom).tolist()
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    """log2 of the positive entries of x, NaN elsewhere."""
+    return np.log2(x, out=np.full_like(x, np.nan), where=x > 0)
+
+
+def _numbers(x: np.ndarray) -> list:
+    """The entries of x as floats, None for NaN."""
+    return [None if math.isnan(v) else v for v in np.atleast_1d(x).tolist()]
 
 
 def report_invariants(meas: Measurement, rho) -> dict:
@@ -123,41 +123,34 @@ def report_invariants(meas: Measurement, rho) -> dict:
     the conservation residual (only when every term is timelike)."""
     require_valid(meas)
     rho = _checked_state(rho, require_unit_trace=False)
-    rho_vec = phi(rho)
-    mix_before = minkowski(rho_vec, rho_vec)
-    info_rho = float(np.log2(mix_before)) if mix_before > 0 else None
-
-    elements = []
-    for i, m in enumerate(meas.elements):
-        e_vec, v_vec = _effect_vectors(m)
-        eta_vv = minkowski(v_vec, v_vec)
-        p = minkowski(v_vec, rho_vec)
-        post_vec = _post_vector(m, rho)
-        mix_after = minkowski(post_vec, post_vec)
-        info_effect = float(np.log2(eta_vv)) if eta_vv > 0 else None
-        info_post = float(np.log2(mix_after)) if mix_after > 0 else None
-        residual = None
-        if info_rho is not None and info_effect is not None and info_post is not None:
-            residual = info_post - info_effect - info_rho
-        elements.append(
-            {
-                "index": i,
-                "probability": float(p),
-                "e_vec": e_vec.tolist(),
-                "v_vec": v_vec.tolist(),
-                "eta_vv": float(eta_vv),
-                "kind": "null" if abs(eta_vv) <= 1e-12 * max(1.0, e_vec[0] ** 2) else "timelike",
-                "mixedness_after": float(mix_after),
-                "information_effect": info_effect,
-                "information_post": info_post,
-                "conservation_residual": residual,
-            }
-        )
+    rho_vec = _coords(rho)
+    mix_before = _minkowski(rho_vec, rho_vec)
+    info_rho = _log2(mix_before)
+    e_vecs, v_vecs = _effect_vectors(meas.elements)
+    eta_vv = _minkowski(v_vecs, v_vecs)
+    post_vecs = _post_vector(meas.elements, rho)
+    mix_after = _minkowski(post_vecs, post_vecs)
+    info_effect, info_post = _log2(eta_vv), _log2(mix_after)
+    null = np.abs(eta_vv) <= 1e-12 * np.maximum(1.0, e_vecs[:, 0] ** 2)
+    columns = {
+        "probability": _minkowski(v_vecs, rho_vec).tolist(),
+        "e_vec": e_vecs.tolist(),
+        "v_vec": v_vecs.tolist(),
+        "eta_vv": eta_vv.tolist(),
+        "kind": np.where(null, "null", "timelike").tolist(),
+        "mixedness_after": mix_after.tolist(),
+        "information_effect": _numbers(info_effect),
+        "information_post": _numbers(info_post),
+        "conservation_residual": _numbers(info_post - info_effect - info_rho),
+    }
     return {
         "state": {
             "vector": rho_vec.tolist(),
             "mixedness": float(mix_before),
-            "information": info_rho,
+            "information": _numbers(info_rho)[0],
         },
-        "elements": elements,
+        "elements": [
+            {"index": i, **{key: column[i] for key, column in columns.items()}}
+            for i in range(len(meas.elements))
+        ],
     }

@@ -1,5 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
+
+import qubitcone
 
 from conftest import rand_complex, rand_positive, rand_unit3
 from qubitcone.adjoint import psi, psi_of_sqrt, psi_of_unitary
@@ -145,3 +149,20 @@ def test_psi_of_sqrt_errors():
     with pytest.raises(ZeroMatrix):
         psi_of_sqrt(np.zeros((2, 2)), form="square")
     assert np.allclose(psi_of_sqrt(np.zeros((2, 2))), 0)
+
+
+@pytest.mark.parametrize("form", ["square", "auto", "root"])
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_psi_of_sqrt_at_extreme_element_scales(form, scale):
+    # the effect of M = scale * m has scale^2 = 1e-300 or 1e300, whose
+    # coordinates cannot be squared
+    m = np.array([[0.8, 0.1j], [0.2, 0.5]])
+    ref = psi_of_sqrt(m.conj().T @ m, form)
+    out = psi_of_sqrt((scale * m).conj().T @ (scale * m), form)
+    assert np.isfinite(out).all()
+    assert np.max(np.abs(out / scale**2 - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_package_adjoint_is_the_module():
+    assert qubitcone.adjoint is importlib.import_module("qubitcone.adjoint")
+    assert np.array_equal(qubitcone.qmat.adjoint(1j * X), -1j * X)

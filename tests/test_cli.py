@@ -178,6 +178,27 @@ def test_validate_negative_tol_is_malformed(proj_z, capsys, tol):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "elements",
+    [
+        [[[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]],
+        [serialize.mat2_to_json(PROJ0), [[[1, 0], [0, 0]]]],
+    ],
+    ids=["3x3-element", "ragged-elements"],
+)
+def test_malformed_measurement_file(tmp_path, mixed_state, capsys, elements):
+    path = write_json(tmp_path, "bad.json", {"elements": elements})
+    for argv in [
+        ["validate", "--measurement", path],
+        ["apply", "--measurement", path, "--state", mixed_state],
+        ["simulate", "--measurement", path, "--state", mixed_state, "--seed", "1", "--n", "10"],
+    ]:
+        assert main(argv) == EXIT_MALFORMED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_boost_observer(proj_z, mixed_state, capsys):
     code, out = run(
         capsys,

@@ -57,8 +57,9 @@ def test_validate_examples():
     assert validate(measurement([I2]))
     assert validate(measurement([PROJ0, PROJ1]))
     assert not validate(measurement([PROJ0]))
-    with pytest.raises(MalformedInput):
-        measurement([])
+    for bad in ([], [I2, np.eye(3)], [np.eye(3)], I2, [I2 * np.nan], [[["a", 0], [0, 1]]]):
+        with pytest.raises(MalformedInput):
+            measurement(bad)
 
 
 def test_apply_element_examples():

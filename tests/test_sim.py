@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_state
 from qubitcone.adjoint import psi
@@ -13,6 +15,8 @@ from qubitcone.errors import (
 )
 from qubitcone.qmat import SIGMA, eigenvalues
 from qubitcone.sim import (
+    ZERO_PROB,
+    _tallies,
     boosted_probabilities,
     observer_boost,
     outcome_probabilities,
@@ -187,3 +191,57 @@ def test_minkowski_norm_of_probability():
             assert el["probability"] == pytest.approx(
                 minkowski(el["v_vec"], phi(rho)), abs=1e-12
             )
+
+
+def inverse_cdf_tallies(probs, seed, n):
+    """Reference sampler: search every draw in the cumulative sums, send
+    draws past the last live bin to it and draws on a dead bin (p <=
+    ZERO_PROB) to the next live bin, then count."""
+    cum = np.cumsum(probs)
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    draws = np.searchsorted(cum, rng.random(n), side="right")
+    live = np.flatnonzero(probs > ZERO_PROB)
+    draws = np.minimum(draws, live[-1])
+    bad = probs[draws] <= ZERO_PROB
+    draws[bad] = live[np.searchsorted(live, draws[bad])]
+    return np.bincount(draws, minlength=len(probs))
+
+
+@st.composite
+def distributions(draw):
+    """K = 1..16 probabilities with zero and sub-ZERO_PROB bins anywhere
+    (at least one live bin) and a sum equal to or just below 1."""
+    k = draw(st.integers(1, 16))
+    kinds = draw(st.lists(st.sampled_from(["live", 0.0, 1e-16, ZERO_PROB]), min_size=k, max_size=k))
+    kinds[draw(st.integers(0, k - 1))] = "live"
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    live = np.array([kind == "live" for kind in kinds])
+    deficit = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 0.05]))
+    probs = np.where(live, weights, 0.0) / weights[live].sum() * (1 - deficit)
+    return np.where(live, probs, [0.0 if kind == "live" else kind for kind in kinds])
+
+
+@settings(max_examples=300, deadline=None)
+@given(distributions(), st.integers(0, 2**64 - 1), st.integers(0, 10_000))
+def test_sorted_count_tallies_equal_inverse_cdf(probs, seed, n):
+    tallies = _tallies(probs, seed, n)
+    assert np.array_equal(tallies, inverse_cdf_tallies(probs, seed, n))
+    assert tallies.sum() == n and not tallies[probs <= ZERO_PROB].any()
+
+
+def test_tallies_pinned():
+    # tallies of the per-draw inverse-CDF sampler, recorded before the
+    # sorted count replaced it
+    assert [o.tally for o in scenario1_sample(PROJ_Z, I2 / 2, seed=42, n=500)] == [249, 251]
+    # K = 16: eight antipodal pairs of projectors scaled by 1/sqrt(8), on a
+    # pure state along the first pair, so outcome 1 has probability 0
+    dirs = np.random.default_rng(16).normal(size=(8, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    elems = [
+        (I2 + s * np.einsum("i,ijk->jk", d, SIGMA[1:])) / (2 * np.sqrt(8)) for d in dirs for s in (1, -1)
+    ]
+    rho = (I2 + np.einsum("i,ijk->jk", dirs[0], SIGMA[1:])) / 2
+    out = scenario1_sample(measurement(elems), rho, seed=2024, n=10_000)
+    assert [o.tally for o in out] == [
+        1241, 0, 667, 614, 24, 1161, 442, 809, 1150, 112, 444, 831, 653, 585, 534, 733
+    ]

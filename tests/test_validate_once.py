@@ -1,26 +1,33 @@
 """Each public correspondence entry validates its argument once, at entry;
-the layers below take arrays that are already validated."""
+the layers below take arrays that are already validated. The scenario
+engines validate as often for many elements as for few: a measurement is
+validated when it is built."""
 import importlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import rand_element, rand_null_element
-from qubitcone.correspond import element_to_lorentz, lorentz_to_element
+from conftest import rand_element, rand_null_element, rand_state
+from qubitcone.correspond import completeness_deviation, element_to_lorentz, lorentz_to_element, measurement
 from qubitcone.lorentz import LorentzDecomposition, pure_boost, spinor_lift
+from qubitcone.sim import (
+    boosted_probabilities,
+    observer_boost,
+    outcome_probabilities,
+    report_invariants,
+    scenario1_sample,
+)
 
 VALIDATORS = ("mat2", "mat4", "fourvector", "_vec3")
-# by import path: the package namespace binds the name adjoint to a function
 MODULES = [
     importlib.import_module(f"qubitcone.{name}")
     for name in ("qmat", "conemap", "adjoint", "lorentz", "correspond", "sim", "serialize", "cli")
 ]
 
 
-@pytest.fixture
-def validator_calls(monkeypatch):
-    """Counts calls of the input validators through every module binding."""
+def count_calls(monkeypatch, names) -> Counter:
+    """Counts calls of the named functions through every module binding."""
     calls = Counter()
 
     def counting(name, fn):
@@ -31,10 +38,15 @@ def validator_calls(monkeypatch):
         return wrapper
 
     for mod in MODULES:
-        for name in VALIDATORS:
+        for name in names:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     return calls
+
+
+@pytest.fixture
+def validator_calls(monkeypatch):
+    return count_calls(monkeypatch, VALIDATORS)
 
 
 @pytest.mark.parametrize("make", [rand_element, rand_null_element])
@@ -54,3 +66,35 @@ def test_correspondence_validates_once(validator_calls, make):
         validator_calls.clear()
         spinor_lift(rb)
         assert validator_calls == {"mat4": 1}
+
+
+OBSERVER = observer_boost([0.1, 0.2, 0.3])
+ENGINES = {
+    "completeness_deviation": lambda meas, rho: completeness_deviation(meas),
+    "outcome_probabilities": outcome_probabilities,
+    "scenario1_sample": lambda meas, rho: scenario1_sample(meas, rho, seed=5, n=100),
+    "boosted_probabilities": lambda meas, rho: boosted_probabilities(meas, rho, OBSERVER),
+    "report_invariants": report_invariants,
+}
+
+
+def unitary_mixture(k, rng):
+    """k elements sqrt(w_i) U_i with unitaries U_i and weights summing to 1."""
+    weights = rng.dirichlet(np.ones(k))
+    return [np.sqrt(w) * np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for w in weights]
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_engines_validate_a_fixed_number_of_times(monkeypatch, engine):
+    """qmat._finite, behind every validator, runs as often for K = 16
+    elements as for K = 2: the measurement is validated once, when built."""
+    rng = np.random.default_rng(12)
+    rho = rand_state(rng)
+    counts = []
+    for k in (2, 16):
+        meas = measurement(unitary_mixture(k, rng))
+        calls = count_calls(monkeypatch, ["_finite"])
+        ENGINES[engine](meas, rho)
+        counts.append(calls["_finite"])
+        monkeypatch.undo()
+    assert counts[0] == counts[1] <= 2
