@@ -4,7 +4,7 @@ psi(A) is the 4x4 real matrix taking the coordinate vector of rho to the
 coordinate vector of A rho A†. It is multiplicative, sends unitaries to
 block rotations of the Bloch part, and sends positive square roots to
 (scaled) pure boosts; both closed forms of the latter are exposed for
-cross-checking.
+cross-checking. _psi_inv inverts psi up to the global phase psi cannot see.
 """
 from __future__ import annotations
 
@@ -13,6 +13,10 @@ import numpy as np
 from .errors import NotPositive, NotUnitary, ZeroMatrix
 from .qmat import SIGMA, _coords, _sqrt_det, is_positive, mat2, sqrt_psd
 from .conemap import _minkowski, phi
+
+# sigma_mu sigma_beta sigma_nu, rows (mu, nu) and columns (beta, i, j): the
+# product L.ravel() @ _SANDWICH lists M_beta = sum L_{mu nu} sigma_mu sigma_beta sigma_nu.
+_SANDWICH = np.einsum("mik,bkl,nlj->mnbij", SIGMA, SIGMA, SIGMA).reshape(16, 16)
 
 
 def psi(a) -> np.ndarray:
@@ -24,6 +28,26 @@ def _psi(a: np.ndarray) -> np.ndarray:
     """psi over the leading axes of a validated (..., 2, 2) array."""
     conj = np.einsum("...ik,vkl,...jl->...vij", a, SIGMA, a.conj())
     return 0.5 * np.real(np.einsum("uij,...vji->...uv", SIGMA, conj))
+
+
+def _psi_inv(L: np.ndarray) -> np.ndarray:
+    """The preimage A of a validated nonzero 4x4 L under psi, with Tr A >= 0
+    (Penrose & Rindler, Spinors and Space-Time, vol. 1, ch. 1).
+
+    psi(A) = L means sum_mu L_{mu nu} sigma_mu = A sigma_nu A†, and
+    sum_nu sigma_nu X sigma_nu = 2 Tr(X) I, so M_beta = 2 Tr(A† sigma_beta) A.
+    The beta with the largest |Tr(M_beta† sigma_beta)| = 2 |Tr(A† sigma_beta)|^2
+    gives A up to the phase that psi does not carry. L is divided by its
+    largest entry first, so that nothing over- or underflows. An L outside
+    the image of psi still yields some A, so callers compare psi(A) with L.
+    """
+    ell = float(np.abs(L).max())
+    m = ((L.reshape(16) / ell) @ _SANDWICH).reshape(4, 2, 2)
+    w = np.abs(np.einsum("bij,bij->b", m.conj(), SIGMA))
+    beta = int(np.argmax(w))
+    a = m[beta] * (np.sqrt(ell / (2 * w[beta])) if w[beta] > 0 else 0.0)
+    tr = a[0, 0] + a[1, 1]
+    return a * (tr.conjugate() / abs(tr)) if tr else a
 
 
 def psi_of_unitary(u, tol: float = 1e-9) -> np.ndarray:

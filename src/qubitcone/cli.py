@@ -22,9 +22,9 @@ from .correspond import (
     lorentz_to_element,
     validate,
 )
-from .errors import DomainError, InvalidMeasurement, MalformedInput
+from .errors import DomainError, InvalidMeasurement, MalformedInput, TooLarge
 from .lorentz import rotation4, velocity
-from .qmat import _coords, herm2
+from .qmat import _coords, _gram, herm2
 from .sim import boosted_probabilities, observer_boost, report_invariants, scenario1_sample
 
 EXIT_OK = 0
@@ -43,8 +43,19 @@ def _parse_vec3(text: str) -> list[float]:
         raise MalformedInput(f"expected X,Y,Z, got {text!r}") from exc
 
 
+def _finite_effects(elements: np.ndarray) -> np.ndarray:
+    """Reject elements whose effect M†M overflows: every command then
+    computes from finite input only finite numbers."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(_gram(elements)).all():
+            raise TooLarge("an element's effect M†M overflows")
+    return elements
+
+
 def _load_measurement(path: str):
-    return serialize.measurement_from_json(serialize.load_file(path))
+    meas = serialize.measurement_from_json(serialize.load_file(path))
+    _finite_effects(meas.elements)
+    return meas
 
 
 def _load_state(path: str) -> np.ndarray:
@@ -52,7 +63,7 @@ def _load_state(path: str) -> np.ndarray:
 
 
 def _load_element(path: str) -> np.ndarray:
-    return serialize.mat2_from_json(serialize.load_file(path))
+    return _finite_effects(serialize.mat2_from_json(serialize.load_file(path)))
 
 
 def _emit(obj) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _psi_of_unitary
+from .adjoint import _psi_inv, _psi_of_unitary
 from .conemap import ETA, _minkowski, minkowski
 from .errors import (
     InvalidMeasurement,
@@ -23,22 +23,25 @@ from .errors import (
     NotPositive,
     NullOrSpacelike,
     TooLarge,
-    ZeroElement,
 )
-from .lorentz import (
-    NULL,
-    TIMELIKE,
-    TOL_V,
-    LorentzDecomposition,
-    Velocity,
-    _effect_root,
-    _su2,
-    mat4,
-    rotation_axis_angle,
+from .lorentz import NULL, LorentzDecomposition, Velocity, _factor, _unit_det, mat4
+from .qmat import (
+    _coords,
+    _eigenvalues,
+    _finite,
+    _from_coords,
+    _gram,
+    _hermitize,
+    _is_positive,
+    _psd_root,
+    _sqrt_psd,
+    mat2,
 )
-from .qmat import _coords, _finite, _gram, _hermitize, _unitary_factor, is_positive, mat2, sqrt_psd
 
 COMPLETENESS_TOL = 1e-9
+
+# V = eta phi(M†M) / 2 of an effect four-vector phi(M†M)
+_HALF_ETA = 0.5 * ETA.diagonal()
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +99,7 @@ def _effect_vectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Four-vectors of the effects of validated (..., 2, 2) elements:
     e_vec = phi(M†M) and its index-lowered half v_vec = eta e_vec / 2."""
     e_vec = _coords(_gram(m))
-    return e_vec, e_vec * (0.5 * ETA.diagonal())
+    return e_vec, e_vec * _HALF_ETA
 
 
 def _probabilities(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -116,7 +119,7 @@ def _post_vector(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _state(rho, tol: float = 1e-9) -> np.ndarray:
     """Validate a positive state."""
     rho = mat2(rho)
-    if not is_positive(rho, tol):
+    if not _is_positive(rho, tol):
         raise NotPositive("state is not positive")
     return rho
 
@@ -129,23 +132,12 @@ def apply_element(m, rho, tol: float = 1e-9) -> tuple[float, np.ndarray]:
 
 def element_to_lorentz(m) -> EffectGeometry:
     """Forward correspondence: psi(M) = scale * rotation * boost(velocity)."""
-    m = mat2(m)
-    e_vec, v_vec = _effect_vectors(m)
-    a = e_vec[0]
-    if a <= 0:
-        raise ZeroElement("an element with a vanishing effect carries no Lorentz data")
-    unitary, abs_det = _unitary_factor(m)
-    v3 = -e_vec[1:] / a
-    speed = math.hypot(*v3)
-    if speed >= 1 - TOL_V:
-        vel, scale = Velocity(v=v3 / speed, kind=NULL), a / 2
-    else:  # |det M| = sqrt(det M†M) = sqrt(eta(V, V)), with nothing squared
-        vel, scale = Velocity(v=v3, kind=TIMELIKE), abs_det
+    e_vec, unitary, vel, scale = _factor(mat2(m))
     return EffectGeometry(
         e_vec=e_vec,
-        v_vec=v_vec,
+        v_vec=e_vec * _HALF_ETA,
         velocity=vel,
-        scale=float(scale),
+        scale=scale,
         rotation=_psi_of_unitary(unitary),
         kind=vel.kind,
     )
@@ -166,19 +158,24 @@ def _check_rotation_block(rot: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         raise NotDecomposable("rotation is not a proper Bloch-block rotation")
     if np.linalg.det(r3) < 0:
         raise NotDecomposable("rotation block is improper")
-    return r3
+    return rot
 
 
 def element_family(decomp: LorentzDecomposition) -> ElementFamily:
     """The lambda-family of elements equivalent (up to scale) to a transform."""
-    r3 = _check_rotation_block(decomp.rotation)
-    axis, theta = rotation_axis_angle(r3)
     return ElementFamily(
-        rotation_u=_su2(axis, theta),
+        rotation_u=_unit_det(_psi_inv(_check_rotation_block(decomp.rotation))),
         velocity=decomp.velocity,
         lambda_max=lambda_max(decomp.velocity),
         kind=decomp.velocity.kind,
     )
+
+
+def _effect_root(v: np.ndarray, g: float) -> np.ndarray:
+    """Root of the effect (1, -v), |v| <= 1, whose sqrt(det) is g/2 with
+    g = sqrt(1 - |v|^2) (0 when null); lambda times it is the positive
+    measurement element of the effect lambda^2 (1, -v)."""
+    return _psd_root(_from_coords(1.0, *-v), g / 2)
 
 
 def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -> np.ndarray:
@@ -201,14 +198,17 @@ def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -
 
 
 def complete_to_measurement(m, tol: float = 1e-9) -> Measurement:
-    """Pad a single admissible element to a two-outcome measurement.
+    """Pad a single admissible element, M†M <= I within tol, to a
+    two-outcome measurement.
 
-    The complement sqrt(I - M†M) is dropped when it vanishes.
+    tol bounds the largest eigenvalue of M†M above 1, so it is relative to
+    I rather than to I - M†M, which is round-off for a unitary M. The
+    complement sqrt(I - M†M) is dropped when it vanishes.
     """
-    rest = np.eye(2) - effect(m)
-    if not is_positive(rest, tol):
+    e = effect(m)
+    if _eigenvalues(e)[0] > 1 + tol:
         raise TooLarge("I - M†M is not positive; element cannot be completed")
-    comp = sqrt_psd(rest)
+    comp = _sqrt_psd(np.eye(2) - e)
     if np.max(np.abs(comp)) <= 1e-12:
         return measurement([m])
     return measurement([m, comp])

@@ -2,9 +2,11 @@
 
 Pure boosts, rescaled null boosts (the finite gamma^{-1}-scaled limits of
 boosts at the speed of light), Bloch-block rotations, classification of a
-4x4 matrix against those families, the unique rotation-times-boost
+4x4 matrix against those families, the rotation-times-boost
 decomposition, and the two-to-one spinor lift back to unit-determinant
-2x2 complex matrices.
+2x2 complex matrices. Classification, decomposition and lift all read the
+one psi preimage A = _psi_inv(L) and factor it with _factor, the
+factorisation behind element_to_lorentz.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conemap import ETA
+from .adjoint import _psi, _psi_inv, _psi_of_unitary
 from .errors import (
     BadAxis,
     DomainError,
@@ -22,8 +24,9 @@ from .errors import (
     NotNull,
     NotRestricted,
     NotTimelike,
+    ZeroElement,
 )
-from .qmat import SIGMA, _finite, _from_coords, _psd_root
+from .qmat import SIGMA, _coords, _det, _finite, _gram, _unitary_factor
 
 # Velocities with 1 - TOL_V < |v| < 1 are rejected as ambiguous rather than
 # silently classified: gamma overflows there.
@@ -158,102 +161,64 @@ RESCALED_NULL_BOOST_PRODUCT = "rescaled_null_boost_product"
 OTHER = "other"
 
 
-def _is_restricted(m: np.ndarray, d: float, tol: float) -> bool:
-    if m[0, 0] <= 0:
-        return False
-    if np.max(np.abs(m.T @ ETA @ m - ETA)) > tol:
-        return False
-    return abs(d - 1.0) <= tol
+def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, Velocity, float]:
+    """Effect coordinates phi(a†a), polar factor U, velocity and scale of
+    psi(a) = scale * psi(U) * boost(velocity) for a validated 2x2 a: timelike
+    with scale |det a| when 1 - |v| exceeds TOL_V, else null with Tr(a†a)/2."""
+    e_vec = _coords(_gram(a))
+    t = e_vec[0]
+    if t <= 0:
+        raise ZeroElement("an element with a vanishing effect carries no Lorentz data")
+    unitary, abs_det = _unitary_factor(a)
+    v3 = -e_vec[1:] / t
+    speed = math.hypot(*v3)
+    if speed >= 1 - TOL_V:
+        return e_vec, unitary, Velocity(v=v3 / speed, kind=NULL), float(t / 2)
+    # |det a| = sqrt(det a†a) = sqrt(eta(V, V)), with nothing squared
+    return e_vec, unitary, Velocity(v=v3, kind=TIMELIKE), float(abs_det)
 
 
-def _null_product_parts(m: np.ndarray, tol: float):
-    """Try to read m as scale * [1, -v_col] (x) [1, -v_row]; None if it is not."""
-    s = m[0, 0]
-    if s <= tol:
-        return None
-    v_row = -m[0, 1:] / s
-    v_col = -m[1:, 0] / s
-    nr = float(np.linalg.norm(v_row))
-    nc = float(np.linalg.norm(v_col))
-    if abs(nr - 1) > 1e-6 or abs(nc - 1) > 1e-6:
-        return None
-    left = np.concatenate([[1.0], -v_col])
-    right = np.concatenate([[1.0], -v_row])
-    recon = s * np.outer(left, right)
-    if np.max(np.abs(m - recon)) > tol * max(1.0, s):
-        return None
-    return s, v_row / nr, v_col / nc
+def _classify(m: np.ndarray, tol: float) -> tuple[str, np.ndarray | None, tuple | None]:
+    """The class of a validated m, with its psi preimage A (Tr A >= 0) and
+    _factor(A); both None when m is not in the image of psi."""
+    norm = float(np.abs(m).max())
+    if norm == 0:
+        return OTHER, None, None
+    a = _psi_inv(m)
+    if not np.abs(_psi(a) - m).max() <= tol * norm:
+        return OTHER, None, None
+    parts = _factor(a)
+    _, _, vel, scale = parts
+    if vel.kind == NULL:
+        return RESCALED_NULL_BOOST_PRODUCT, a, parts
+    return (RESTRICTED if abs(scale - 1) <= tol else RESCALED_RESTRICTED), a, parts
 
 
 def classify(L, tol: float = 1e-9) -> str:
     """Sort a 4x4 matrix into restricted / rescaled restricted /
-    rescaled-null-boost product / other."""
+    rescaled-null-boost product / other.
+
+    L is other when it is 0 or when its psi preimage A misses it by more
+    than tol max|L|: tol is relative. Else a null velocity of A's
+    factorisation (1 - |v| <= TOL_V) makes a null-boost product, and a
+    timelike one a restricted transform when |det A| = 1 within tol.
+    """
     return _classify(mat4(L), tol)[0]
 
 
-def _classify(m: np.ndarray, tol: float) -> tuple[str, float]:
-    """The class of m and its determinant."""
-    d = float(np.linalg.det(m))
-    if _is_restricted(m, d, tol):
-        return RESTRICTED, d
-    if d > tol:
-        s = d ** 0.25
-        if m[0, 0] > 0 and _is_restricted(m / s, d / s**4, tol):
-            return RESCALED_RESTRICTED, d
-    if abs(d) <= max(tol, tol * np.max(np.abs(m)) ** 4):
-        if _null_product_parts(m, tol) is not None:
-            return RESCALED_NULL_BOOST_PRODUCT, d
-    return OTHER, d
-
-
-def _min_rotation3(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Smallest-angle rotation taking unit vector u to unit vector w."""
-    c = float(u @ w)
-    ax = np.cross(u, w)
-    s = float(np.linalg.norm(ax))
-    if c > 1 - 1e-14:
-        return np.eye(3)
-    if c < -1 + 1e-14:
-        # pi rotation about any axis orthogonal to u; pick deterministically
-        e = np.zeros(3)
-        e[int(np.argmin(np.abs(u)))] = 1.0
-        axis = e - (e @ u) * u
-        axis = axis / np.linalg.norm(axis)
-        return _rodrigues(axis, np.pi)
-    return _rodrigues(ax / s, float(np.arctan2(s, c)))
-
-
 def decompose(L, tol: float = 1e-9) -> LorentzDecomposition:
-    """Unique factorization scale * rotation * boost(velocity).
+    """Factorization scale * rotation * boost(velocity) of the psi preimage
+    A of L (see classify for tol), unique unless L is a null-boost product.
 
-    Restricted (possibly rescaled) input: the boost velocity is read from
-    the first row, v_i = -L_{0i}/L_{00}, which is what makes
-    decompose(R L(v)) return exactly (R, v). Null-product input: the boost
-    velocity comes from the first row and the rotation is the smallest-angle
-    rotation carrying it onto the (normalized) first column.
+    A has Tr A >= 0, so decompose(psi(M)) = element_to_lorentz(e^{-i arg Tr M} M)
+    for every nonzero M, and decompose(R L(v)) = (R, v).
     """
-    m = mat4(L)
-    return _decompose(m, *_classify(m, tol), tol)
-
-
-def _decompose(m: np.ndarray, kind: str, d: float, tol: float) -> LorentzDecomposition:
-    """decompose for m of class kind and determinant d."""
-    if kind == OTHER:
+    _, _, parts = _classify(mat4(L), tol)
+    if parts is None:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
-    if kind in (RESTRICTED, RESCALED_RESTRICTED):
-        s = d ** 0.25
-        m1 = m / s
-        v = -m1[0, 1:] / m1[0, 0]
-        vel = _velocity(v)
-        rot = m1 @ pure_boost(Velocity(v=-vel.v, kind=TIMELIKE))
-        return LorentzDecomposition(rotation=rot, velocity=vel, scale=s)
-    s, v_row, v_col = _null_product_parts(m, tol)
-    rot = np.eye(4)
-    rot[1:, 1:] = _min_rotation3(v_row, v_col)
-    return LorentzDecomposition(
-        rotation=rot, velocity=Velocity(v=v_row, kind=NULL), scale=float(s)
-    )
+    _, unitary, vel, scale = parts
+    return LorentzDecomposition(rotation=_psi_of_unitary(unitary), velocity=vel, scale=scale)
 
 
 def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
@@ -292,47 +257,25 @@ def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
 
 def su2_from_axis_angle(axis, theta: float) -> np.ndarray:
     """cos(theta/2) I - i sin(theta/2) (axis . sigma), a special unitary."""
-    return _su2(_vec3(axis), theta)
-
-
-def _su2(axis: np.ndarray, theta: float) -> np.ndarray:
+    axis = _vec3(axis)
     half = float(theta) / 2
     n_dot_sigma = axis[0] * SIGMA[1] + axis[1] * SIGMA[2] + axis[2] * SIGMA[3]
     return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * n_dot_sigma
 
 
-def _effect_root(v: np.ndarray, g: float) -> np.ndarray:
-    """Root of the effect (1, -v), |v| <= 1, whose sqrt(det) is g/2 with
-    g = sqrt(1 - |v|^2) (0 when null); lambda times it is the positive
-    measurement element of the effect lambda^2 (1, -v)."""
-    return _psd_root(_from_coords(1.0, *-v), g / 2)
-
-
-def boost_root(vel) -> np.ndarray:
-    """The unit-determinant positive matrix whose psi image is pure_boost(v)."""
-    vel = _as_velocity(vel)
-    if vel.kind != TIMELIKE:
-        raise NotTimelike("boost_root requires a timelike velocity")
-    g = math.sqrt(1.0 - float(vel.v @ vel.v))
-    return math.sqrt(2.0 / g) * _effect_root(vel.v, g)
-
-
-def _fix_unitary_sign(u: np.ndarray) -> np.ndarray:
-    """Canonical sign: Re(u00) >= 0, ties broken to Im(u00) >= 0."""
-    re = u[0, 0].real
-    if re < 0 or (re == 0 and u[0, 0].imag < 0):
-        return -u
-    return u
+def _unit_det(a: np.ndarray) -> np.ndarray:
+    """a / sqrt(det a), signed so that its polar factor u has Re(u00) >= 0,
+    ties to Im(u00) >= 0; u00 is a positive multiple of a00 + conj(a11)."""
+    b = a / np.sqrt(_det(a))
+    s = b[0, 0] + b[1, 1].conjugate()
+    return -b if s.real < 0 or (s.real == 0 and s.imag < 0) else b
 
 
 def spinor_lift(L, tol: float = 1e-9) -> np.ndarray:
     """Lift a restricted transform to the unit-determinant 2x2 matrix A with
-    psi(A) = L. A and -A are the two preimages; the returned sign follows
-    the unitary-factor convention of _fix_unitary_sign."""
-    m = mat4(L)
-    kind, d = _classify(m, tol)
+    psi(A) = L (see classify for tol). A and -A are the two preimages; the
+    returned one is signed as _unit_det describes."""
+    kind, a, _ = _classify(mat4(L), tol)
     if kind != RESTRICTED:
         raise NotRestricted("spinor_lift requires a restricted Lorentz transform")
-    dec = _decompose(m, kind, d, tol)
-    axis, theta = rotation_axis_angle(dec.rotation[1:, 1:])
-    return _fix_unitary_sign(_su2(axis, theta)) @ boost_root(dec.velocity)
+    return _unit_det(a)

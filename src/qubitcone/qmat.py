@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import MalformedInput, NotPositive
 
-# Default tolerance on the smallest eigenvalue when testing positivity.
-# Absorbs rounding from user-supplied matrices without admitting genuinely
-# indefinite inputs.
+# Default tolerance on the smallest eigenvalue, relative to the trace, when
+# testing positivity. Absorbs rounding from user-supplied matrices without
+# admitting genuinely indefinite inputs.
 POSITIVITY_TOL = 1e-9
 
 # At or below this share of ||M||_F^2, |det M| is round-off of an exactly
@@ -129,17 +129,26 @@ def eigenvalues(h) -> tuple[float, float]:
     Closed form: lam_pm = (Tr(h) +- |Bloch part|) / 2, the Bloch norm taken
     by hypot so that no square over- or underflows.
     """
-    a, x, y, z = _coords(mat2(h)).tolist()
+    return _eigenvalues(mat2(h))
+
+
+def _eigenvalues(h: np.ndarray) -> tuple[float, float]:
+    a, x, y, z = _coords(h).tolist()
     r = math.hypot(x, y, z)
     return (a + r) / 2, (a - r) / 2
 
 
 def is_positive(h, tol: float = POSITIVITY_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol."""
+    """True iff the smallest eigenvalue is >= -tol Tr(h): tol is relative to
+    the size of h, so that round-off at any scale passes."""
+    return _is_positive(mat2(h), tol)
+
+
+def _is_positive(h: np.ndarray, tol: float) -> bool:
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    _, lm = eigenvalues(h)
-    return bool(lm >= -tol)
+    lp, lm = _eigenvalues(h)
+    return bool(lm >= -tol * (lp + lm))
 
 
 def _psd_root(e: np.ndarray, sqrt_det: float) -> np.ndarray:
@@ -149,13 +158,17 @@ def _psd_root(e: np.ndarray, sqrt_det: float) -> np.ndarray:
 
 
 def sqrt_psd(e, tol: float = POSITIVITY_TOL) -> np.ndarray:
-    """Positive square root of a positive hermitian matrix, exactly hermitian.
-    e = 0 returns 0; det e is taken from the Pauli coordinates divided by the
-    trace, so that no square over- or underflows."""
+    """Positive square root of a positive hermitian matrix, exactly hermitian."""
     e = mat2(e)
-    if not is_positive(e, tol):
+    if not _is_positive(e, tol):
         raise NotPositive("matrix is not positive semidefinite")
-    e = _hermitize(e)
+    return _sqrt_psd(_hermitize(e))
+
+
+def _sqrt_psd(e: np.ndarray) -> np.ndarray:
+    """sqrt of a hermitian e that is positive up to round-off; a trace <= 0
+    returns 0. det e is taken from the Pauli coordinates divided by the
+    trace, so that no square over- or underflows."""
     a, x, y, z = _coords(e).tolist()
     if a <= 0:
         # positivity forces e = 0 when the trace vanishes

@@ -199,6 +199,27 @@ def test_malformed_measurement_file(tmp_path, mixed_state, capsys, elements):
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+def test_overflowing_effect_is_a_domain_error(tmp_path, mixed_state, capsys):
+    """Finite elements whose effect M†M overflows exit 3 from every command
+    that reads an element or a measurement."""
+    big = np.diag([1e200, 5e199])
+    elem = write_json(tmp_path, "big.json", serialize.mat2_to_json(big))
+    meas = write_json(tmp_path, "big-meas.json", serialize.measurement_to_json(measurement([big, big])))
+    with_state = ["--measurement", meas, "--state", mixed_state]
+    for argv in [
+        ["to-lorentz", "--element", elem],
+        ["validate", "--measurement", meas],
+        ["apply", *with_state],
+        ["simulate", *with_state, "--seed", "1", "--n", "10"],
+        ["boost-observer", *with_state, "--velocity", "0.1,0,0"],
+        ["invariants", *with_state],
+    ]:
+        assert main(argv) == EXIT_DOMAIN, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_boost_observer(proj_z, mixed_state, capsys):
     code, out = run(
         capsys,

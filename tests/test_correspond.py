@@ -240,6 +240,18 @@ def test_complete_to_measurement():
         complete_to_measurement(2 * I2)
 
 
+def test_complete_unitary_elements():
+    """I - M†M is round-off for a unitary M; tol is relative to I, so the
+    completion accepts M and a slightly too large M, and rejects a larger one."""
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        for s in (1.0, 1 + 1e-12):
+            assert validate(complete_to_measurement(s * u))
+        with pytest.raises(TooLarge):
+            complete_to_measurement((1 + 1e-6) * u)
+
+
 def test_complete_random_elements_validate():
     rng = np.random.default_rng(5)
     for _ in range(100):

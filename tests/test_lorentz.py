@@ -114,6 +114,7 @@ def test_classify_examples():
     assert classify(null_boost_rescaled(velocity([0, 0, -1]))) == RESCALED_NULL_BOOST_PRODUCT
     assert classify(np.diag([1.0, 1, 1, 2])) == OTHER
     assert classify(-I4) == OTHER  # improper / non-orthochronous
+    assert classify(np.zeros((4, 4))) == OTHER
     rng = np.random.default_rng(3)
     for _ in range(50):
         L = rand_restricted(rng)
@@ -139,6 +140,12 @@ def test_decompose_examples():
     assert np.allclose(d.rotation, I4, atol=1e-12)
     assert np.allclose(d.velocity.v, [0, 0, -0.5], atol=1e-12)
     assert d.scale == pytest.approx(s, abs=1e-12)
+
+    # small scale: det L = 1e-12 is below any absolute threshold
+    d = decompose(1e-3 * pure_boost(velocity([0.1, 0, 0])))
+    assert np.allclose(d.rotation, I4, atol=1e-15)
+    assert np.allclose(d.velocity.v, [0.1, 0, 0], atol=1e-15)
+    assert d.scale == pytest.approx(1e-3, rel=1e-14)
 
 
 def test_decompose_uniqueness():

@@ -247,6 +247,19 @@ def test_eigenvalues_scale_range():
             assert abs(sm - s * lm) <= 1e-15 * s * size
 
 
+def test_sqrt_psd_of_rank_one_effects_at_top_scale():
+    """Round-off in M†M grows with its scale, and positivity is tested
+    relative to the trace, so a rank-one effect at element scale 1e150 passes."""
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        u = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        m = 1e150 * np.outer(u, v.conj()) / np.abs(np.outer(u, v.conj())).max()
+        e = m.conj().T @ m
+        r = sqrt_psd(e)
+        assert np.max(np.abs(r @ r - e)) <= 1e-14 * np.max(np.abs(e))
+
+
 def test_sqrt_psd_scale_range():
     m = np.array([[0.8, 0.1j], [0.2, 0.5]])
     root = sqrt_psd(m.conj().T @ m)
