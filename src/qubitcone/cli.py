@@ -17,7 +17,6 @@ from .correspond import (
     _post_state,
     _probabilities,
     _state,
-    completeness_deviation,
     element_to_lorentz,
     lorentz_to_element,
     validate,
@@ -78,7 +77,7 @@ def cmd_validate(args) -> int:
     _emit(
         {
             "valid": ok,
-            "max_deviation": completeness_deviation(meas),
+            "max_deviation": meas.deviation,
             "tol": args.tol,
             "n_elements": len(meas.elements),
         }
@@ -218,9 +217,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: main(argv) may be called any number of times.
+PARSER = build_parser()
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Write `--opt -value` as `--opt=-value`, so that argparse takes a value
+    starting with `-`, such as -0.5,0,0 or -1e-3, as the option's value."""
+    out = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        takes_value = prev[:2] == "--" and "=" not in prev and not "--help".startswith(prev)
+        if takes_value and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except MalformedInput as exc:

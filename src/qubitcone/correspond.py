@@ -10,7 +10,7 @@ identities tying the two pictures together live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,9 +44,21 @@ COMPLETENESS_TOL = 1e-9
 _HALF_ETA = 0.5 * ETA.diagonal()
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _completeness(elements: np.ndarray) -> float:
+    """max |sum M†M - I| over the entries, of a (K, 2, 2) element array;
+    inf or nan when an effect overflows."""
+    total = (elements.conj().swapaxes(-1, -2) @ elements).sum(axis=0)
+    return float(np.max(np.abs(total - np.eye(2))))
+
+
 @dataclass(frozen=True, eq=False)
 class Measurement:
     elements: np.ndarray  # (K, 2, 2) complex, K >= 1
+    deviation: float = field(init=False)  # _completeness(elements), formed once
+
+    def __post_init__(self):
+        object.__setattr__(self, "deviation", _completeness(self.elements))
 
 
 def measurement(elements) -> Measurement:
@@ -81,13 +93,12 @@ class Prop2Report:
 
 
 def completeness_deviation(meas: Measurement) -> float:
-    total = (meas.elements.conj().swapaxes(-1, -2) @ meas.elements).sum(axis=0)
-    return float(np.max(np.abs(total - np.eye(2))))
+    return meas.deviation
 
 
 def validate(meas: Measurement, tol: float = COMPLETENESS_TOL) -> bool:
     """True iff the elements satisfy sum M†M = identity within tol."""
-    return completeness_deviation(meas) <= tol
+    return meas.deviation <= tol
 
 
 def effect(m) -> np.ndarray:
@@ -244,7 +255,4 @@ def info_measure(v) -> float:
 
 def require_valid(meas: Measurement, tol: float = COMPLETENESS_TOL) -> None:
     if not validate(meas, tol):
-        raise InvalidMeasurement(
-            f"measurement completeness deviation {completeness_deviation(meas)} "
-            f"exceeds {tol}"
-        )
+        raise InvalidMeasurement(f"measurement completeness deviation {meas.deviation} exceeds {tol}")

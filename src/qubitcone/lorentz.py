@@ -28,9 +28,11 @@ from .errors import (
 )
 from .qmat import SIGMA, _coords, _det, _finite, _gram, _unitary_factor
 
-# Velocities with 1 - TOL_V < |v| < 1 are rejected as ambiguous rather than
-# silently classified: gamma overflows there.
+# Velocities with 1 - TOL_V < |v| < 1 - UNIT_ROUNDOFF are rejected as
+# ambiguous rather than silently classified: gamma overflows there. A norm
+# within UNIT_ROUNDOFF below 1 is the round-off of a unit vector: null.
 TOL_V = 1e-9
+UNIT_ROUNDOFF = 4 * np.finfo(float).eps
 
 TIMELIKE = "timelike"
 NULL = "null"
@@ -57,8 +59,8 @@ def velocity(v, kind: str | None = None) -> Velocity:
     """Classify a 3-velocity as timelike (|v| < 1) or null (|v| = 1).
 
     With kind="null" the vector is normalized provided |v| is within TOL_V
-    of 1. Without an explicit kind, magnitudes inside (1 - TOL_V, 1) are
-    rejected as ambiguous.
+    of 1. Without an explicit kind, magnitudes inside
+    (1 - TOL_V, 1 - UNIT_ROUNDOFF) are rejected as ambiguous.
     """
     return _velocity(_vec3(v), kind)
 
@@ -77,7 +79,7 @@ def _velocity(arr: np.ndarray, kind: str | None = None) -> Velocity:
         raise MalformedInput(f"unknown velocity kind {kind!r}")
     if s <= 1 - TOL_V:
         return Velocity(v=arr, kind=TIMELIKE)
-    if 1 <= s <= 1 + TOL_V:
+    if 1 - UNIT_ROUNDOFF <= s <= 1 + TOL_V:
         return Velocity(v=arr / s, kind=NULL)
     if s > 1 + TOL_V:
         raise NotTimelike(f"|v| = {s} is superluminal")

@@ -8,6 +8,8 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
 import numpy as np
 
@@ -17,48 +19,43 @@ from .lorentz import NULL, TIMELIKE, Velocity, mat4, velocity
 from .qmat import mat2
 
 
+def _fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError("cannot serialize non-finite numbers")
+    return format(x, ".17g") if x else "0"  # -0.0 as 0, so emit -> parse -> emit is stable
+
+
 def _fmt_number(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValueError("cannot serialize non-finite numbers")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0 so emit -> parse -> emit is stable
-    return format(x, ".17g")
+    if isinstance(x, (float, np.floating)):
+        return _fmt_float(float(x))
+    raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
 def dumps(obj, indent: int = 2) -> str:
-    """Deterministic JSON text with fixed float formatting."""
+    """Deterministic JSON text with fixed float formatting, in one recursive
+    pass; the common float types are told apart by exact type."""
+    step = " " * indent
 
-    def write(o, depth):
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
-        if o is None:
-            return "null"
-        if isinstance(o, str):
-            return json.dumps(o)
-        if isinstance(o, (bool, int, float, np.integer, np.floating)):
-            return _fmt_number(o)
+    def write(o, pad: str) -> str:
+        if type(o) is float or type(o) is np.float64:
+            return _fmt_float(o)
         if isinstance(o, (list, tuple, np.ndarray)):
-            items = list(o)
-            if not items:
-                return "[]"
-            body = ",\n".join(pad_in + write(v, depth + 1) for v in items)
-            return "[\n" + body + "\n" + pad + "]"
+            inner = pad + step
+            body = (",\n" + inner).join([write(v, inner) for v in o])
+            return f"[\n{inner}{body}\n{pad}]" if body else "[]"
         if isinstance(o, dict):
-            if not o:
-                return "{}"
-            body = ",\n".join(
-                pad_in + json.dumps(str(k)) + ": " + write(v, depth + 1)
-                for k, v in o.items()
-            )
-            return "{\n" + body + "\n" + pad + "}"
-        raise TypeError(f"cannot serialize {type(o).__name__}")
+            inner = pad + step
+            body = (",\n" + inner).join([_quote(str(k)) + ": " + write(v, inner) for k, v in o.items()])
+            return f"{{\n{inner}{body}\n{pad}}}" if body else "{}"
+        if isinstance(o, str):
+            return _quote(o)
+        return "null" if o is None else _fmt_number(o)
 
-    return write(obj, 0) + "\n"
+    return write(obj, "") + "\n"
 
 
 def loads(text: str):

@@ -19,6 +19,8 @@ from qubitcone.lorentz import (
     RESCALED_RESTRICTED,
     RESTRICTED,
     TIMELIKE,
+    TOL_V,
+    UNIT_ROUNDOFF,
     Velocity,
     classify,
     decompose,
@@ -46,6 +48,23 @@ def test_velocity_classification():
         velocity([0, 0, 0.5], kind=NULL)
     with pytest.raises(NotTimelike):
         velocity([0, 0, 1], kind=TIMELIKE)
+
+
+def test_normalised_vectors_read_as_null():
+    """The norm of a normalised vector rounds to within a few ulps of 1,
+    below as often as above; it is null either way."""
+    g = np.random.default_rng(16).normal(size=(1000, 3))
+    units = g / np.linalg.norm(g, axis=1, keepdims=True)
+    assert min(np.linalg.norm(units, axis=1)) < 1  # the case that used to fail
+    for u in units:
+        vel = velocity(u)
+        assert vel.kind == NULL and abs(np.linalg.norm(vel.v) - 1) <= UNIT_ROUNDOFF
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-14, 8 * UNIT_ROUNDOFF, 2 * UNIT_ROUNDOFF, TOL_V / 2])
+def test_speeds_in_the_ambiguous_band_still_raise(gap):
+    with pytest.raises(DomainError):
+        velocity([0, 0, 1 - gap])
 
 
 def test_pure_boost_examples():

@@ -9,7 +9,18 @@ import numpy as np
 import pytest
 
 from conftest import rand_element, rand_null_element, rand_state
-from qubitcone.correspond import completeness_deviation, element_to_lorentz, lorentz_to_element, measurement
+from qubitcone import serialize
+from qubitcone.cli import main
+from qubitcone.correspond import (
+    Measurement,
+    completeness_deviation,
+    element_to_lorentz,
+    lorentz_to_element,
+    measurement,
+    require_valid,
+    validate,
+)
+from qubitcone.errors import InvalidMeasurement
 from qubitcone.lorentz import LorentzDecomposition, pure_boost, spinor_lift
 from qubitcone.sim import (
     boosted_probabilities,
@@ -104,3 +115,41 @@ def test_engines_validate_a_fixed_number_of_times(monkeypatch, engine):
         counts.append(calls["_finite"])
         monkeypatch.undo()
     assert counts == [1 if engine in VALIDATES_STATE else 0] * 2
+
+
+def test_completeness_is_formed_once_per_measurement(monkeypatch):
+    """The completeness sum is formed when a measurement is built; validate,
+    require_valid and all three engines read the stored deviation."""
+    rng = np.random.default_rng(13)
+    rho = rand_state(rng)
+    calls = count_calls(monkeypatch, ["_completeness"])
+    meas = measurement(unitary_mixture(16, rng))
+    assert calls["_completeness"] == 1
+    for engine in ("completeness_deviation", "scenario1_sample", "boosted_probabilities", "report_invariants"):
+        ENGINES[engine](meas, rho)
+    assert validate(meas)
+    assert calls["_completeness"] == 1
+
+
+def test_invalid_measurement_error_reads_the_stored_deviation(monkeypatch):
+    calls = count_calls(monkeypatch, ["_completeness"])
+    meas = measurement([0.9 * np.eye(2)])
+    with pytest.raises(InvalidMeasurement, match=f"deviation {meas.deviation} exceeds"):
+        require_valid(meas)
+    assert calls["_completeness"] == 1
+
+
+def test_a_directly_built_measurement_has_its_deviation():
+    meas = Measurement(elements=np.array([np.eye(2)], dtype=complex))
+    assert meas.deviation == 0.0 and validate(meas)
+
+
+@pytest.mark.parametrize("scale, code", [(1.0, 0), (0.9, 1)])
+def test_cli_validate_forms_completeness_once(monkeypatch, tmp_path, capsys, scale, code):
+    elements = [scale * m for m in unitary_mixture(3, np.random.default_rng(14))]
+    path = tmp_path / "meas.json"
+    path.write_text(serialize.dumps(serialize.measurement_to_json(measurement(elements))))
+    calls = count_calls(monkeypatch, ["_completeness"])
+    assert main(["validate", "--measurement", str(path)]) == code
+    assert calls["_completeness"] == 1
+    assert serialize.loads(capsys.readouterr().out)["valid"] is (code == 0)
