@@ -47,15 +47,17 @@ def _psi_inv(L: np.ndarray) -> np.ndarray:
     beta = int(np.argmax(w))
     a = m[beta] * (np.sqrt(ell / (2 * w[beta])) if w[beta] > 0 else 0.0)
     tr = a[0, 0] + a[1, 1]
-    return a * (tr.conjugate() / abs(tr)) if tr else a
+    if not tr:
+        return a
+    a = a * (tr.conjugate() / abs(tr))
+    # Im Tr A is otherwise round-off of max|A|, not of |Tr A|
+    a[1, 1] = complex(a[1, 1].real, -a[0, 0].imag)
+    return a
 
 
 def psi_of_unitary(u, tol: float = 1e-9) -> np.ndarray:
     """psi restricted to unitaries: block diag(1, R) with R a proper rotation."""
-    return _psi_of_unitary(mat2(u), tol)
-
-
-def _psi_of_unitary(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    u = mat2(u)
     if np.max(np.abs(u.conj().T @ u - np.eye(2))) > tol:
         raise NotUnitary("matrix is not unitary within tolerance")
     return _psi(u)

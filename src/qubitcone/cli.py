@@ -7,6 +7,7 @@ documented in serialize.py. Exit codes: 0 success, 1 validation failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -66,12 +67,16 @@ def _load_element(path: str) -> np.ndarray:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(serialize.dumps(obj))
+    try:
+        text = serialize.dumps(obj)
+    except ValueError as exc:  # a result overflowed to inf or nan
+        raise TooLarge(f"a result is not finite: {exc}") from exc
+    sys.stdout.write(text)
 
 
 def cmd_validate(args) -> int:
-    if not args.tol >= 0:
-        raise MalformedInput(f"--tol must be a non-negative number, got {args.tol}")
+    if not 0 <= args.tol < math.inf:
+        raise MalformedInput(f"--tol must be a finite non-negative number, got {args.tol}")
     meas = _load_measurement(args.measurement)
     ok = validate(meas, tol=args.tol)
     _emit(
@@ -106,14 +111,11 @@ def cmd_apply(args) -> int:
     meas = _load_measurement(args.measurement)
     rho = _state(_load_state(args.state))
     posts = _post_state(meas.elements, rho)
-    columns = zip(_probabilities(meas.elements, rho).tolist(), posts, _coords(posts))
+    columns = zip(
+        _probabilities(meas.elements, rho).tolist(), serialize.mat2_to_json(posts), _coords(posts).tolist()
+    )
     outcomes = [
-        {
-            "index": i,
-            "p": p,
-            "post_state": serialize.mat2_to_json(post),
-            "post_vector": serialize.fourvector_to_json(vec),
-        }
+        {"index": i, "p": p, "post_state": post, "post_vector": vec}
         for i, (p, post, vec) in enumerate(columns)
     ]
     _emit({"outcomes": outcomes})
@@ -135,8 +137,8 @@ def cmd_simulate(args) -> int:
                     "index": o.index,
                     "probability": o.probability,
                     "tally": o.tally,
-                    "post_vector": serialize.fourvector_to_json(o.post_vector),
-                    "applied_transform": serialize.mat4_to_json(o.applied_transform),
+                    "post_vector": o.post_vector.tolist(),
+                    "applied_transform": o.applied_transform.tolist(),
                 }
                 for o in outcomes
             ],
@@ -238,7 +240,9 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     args = PARSER.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        # Finite input can still overflow; _emit reports a non-finite result.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import _psi_inv, _psi_of_unitary
+from .adjoint import _psi, _psi_inv
 from .conemap import ETA, _minkowski, minkowski
 from .errors import (
     InvalidMeasurement,
@@ -149,7 +149,7 @@ def element_to_lorentz(m) -> EffectGeometry:
         v_vec=e_vec * _HALF_ETA,
         velocity=vel,
         scale=scale,
-        rotation=_psi_of_unitary(unitary),
+        rotation=_psi(unitary),
         kind=vel.kind,
     )
 

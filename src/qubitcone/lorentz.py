@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _psi, _psi_inv, _psi_of_unitary
+from .adjoint import _psi, _psi_inv
 from .errors import (
     BadAxis,
     DomainError,
@@ -55,28 +55,13 @@ def _vec3(v) -> np.ndarray:
     return _finite(v, (3,), float, "3-vector")
 
 
-def velocity(v, kind: str | None = None) -> Velocity:
-    """Classify a 3-velocity as timelike (|v| < 1) or null (|v| = 1).
-
-    With kind="null" the vector is normalized provided |v| is within TOL_V
-    of 1. Without an explicit kind, magnitudes inside
-    (1 - TOL_V, 1 - UNIT_ROUNDOFF) are rejected as ambiguous.
-    """
-    return _velocity(_vec3(v), kind)
-
-
-def _velocity(arr: np.ndarray, kind: str | None = None) -> Velocity:
+def velocity(v) -> Velocity:
+    """Classify a 3-velocity as timelike (|v| <= 1 - TOL_V) or as null
+    (1 - UNIT_ROUNDOFF <= |v| <= 1 + TOL_V), returned normalized.
+    Magnitudes inside (1 - TOL_V, 1 - UNIT_ROUNDOFF) are rejected as
+    ambiguous."""
+    arr = _vec3(v)
     s = float(np.linalg.norm(arr))
-    if kind == NULL:
-        if abs(s - 1) > TOL_V:
-            raise NotNull(f"|v| = {s} is not 1 within tolerance")
-        return Velocity(v=arr / s, kind=NULL)
-    if kind == TIMELIKE:
-        if s >= 1 - TOL_V:
-            raise NotTimelike(f"|v| = {s} is not strictly below 1")
-        return Velocity(v=arr, kind=TIMELIKE)
-    if kind is not None:
-        raise MalformedInput(f"unknown velocity kind {kind!r}")
     if s <= 1 - TOL_V:
         return Velocity(v=arr, kind=TIMELIKE)
     if 1 - UNIT_ROUNDOFF <= s <= 1 + TOL_V:
@@ -148,12 +133,14 @@ def _rodrigues(axis: np.ndarray, theta: float) -> np.ndarray:
 
 def rotation4(axis, theta: float) -> np.ndarray:
     """Block rotation diag(1, R_theta(axis)) about a unit axis."""
-    axis = _vec3(axis)
+    axis, theta = _vec3(axis), float(theta)
+    if not math.isfinite(theta):
+        raise MalformedInput(f"rotation angle must be finite, got {theta}")
     n = float(np.linalg.norm(axis))
     if abs(n - 1) > 1e-9:
         raise BadAxis(f"axis norm {n} is not 1 within tolerance")
     out = np.eye(4)
-    out[1:, 1:] = _rodrigues(axis / n, float(theta))
+    out[1:, 1:] = _rodrigues(axis / n, theta)
     return out
 
 
@@ -220,7 +207,7 @@ def decompose(L, tol: float = 1e-9) -> LorentzDecomposition:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
     _, unitary, vel, scale = parts
-    return LorentzDecomposition(rotation=_psi_of_unitary(unitary), velocity=vel, scale=scale)
+    return LorentzDecomposition(rotation=_psi(unitary), velocity=vel, scale=scale)
 
 
 def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:

@@ -40,7 +40,7 @@ def _finite(entries, shape: tuple, dtype, what: str) -> np.ndarray:
     """Input validation: entries as a finite array of shape (None: any count > 0)."""
     try:
         arr = np.asarray(entries, dtype=dtype)
-    except (TypeError, ValueError) as exc:  # ragged or non-numeric entries
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric or beyond float range
         raise MalformedInput(f"expected a {what}: {exc}") from exc
     if shape[0] is None and arr.ndim == len(shape) and len(arr):
         shape = arr.shape[:1] + shape[1:]

@@ -1,9 +1,10 @@
 """JSON wire formats.
 
-Complex numbers are [re, im] pairs; 2x2 matrices are 2x2 arrays of those;
-four-vectors and 4x4 real matrices are plain number arrays. Floats are
-written with 17 significant digits so that emit -> parse -> emit is
-byte-identical.
+Complex numbers are [re, im] pairs; 2x2 matrices are 2x2 arrays of those,
+and a measurement is {"elements": [...]} of them. Real arrays are plain
+number arrays. Floats are written with 17 significant digits so that
+emit -> parse -> emit is byte-identical. The CLI reads only 2x2 matrices
+and measurements; both are validated once, by _pairs_from_json.
 """
 from __future__ import annotations
 
@@ -13,10 +14,10 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a st
 
 import numpy as np
 
-from .correspond import EffectGeometry, Measurement, measurement
+from .correspond import EffectGeometry, Measurement
 from .errors import MalformedInput
-from .lorentz import NULL, TIMELIKE, Velocity, mat4, velocity
-from .qmat import mat2
+from .lorentz import Velocity
+from .qmat import _finite
 
 
 def _fmt_float(x: float) -> str:
@@ -61,7 +62,7 @@ def dumps(obj, indent: int = 2) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise MalformedInput(f"invalid JSON: {exc}") from exc
 
 
@@ -71,110 +72,55 @@ def load_file(path: str):
             return loads(fh.read())
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _number(obj, what: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise MalformedInput(f"{what} must be a number")
-    return float(obj)
-
-
-def complex_to_json(c) -> list:
-    c = complex(c)
-    return [c.real, c.imag]
-
-
-def complex_from_json(obj) -> complex:
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise MalformedInput("a complex number must be a [re, im] pair")
-    return complex(_number(obj[0], "re"), _number(obj[1], "im"))
+def _pairs_from_json(obj, shape: tuple, what: str) -> np.ndarray:
+    """The complex array of the given shape (None: any count > 0) written as
+    nested [re, im] pairs of JSON numbers, validated in one pass. true and
+    "1" are malformed although numpy would read them as 1.0; the complex
+    view keeps every bit of the pairs, signed zeros included."""
+    pairs = _finite(obj, shape + (2,), float, what)
+    leaves = obj
+    for _ in shape:
+        leaves = [x for sub in leaves for x in sub]
+    if not all(type(x) in (int, float) for x in leaves):
+        raise MalformedInput(f"{what} entries must be JSON numbers")
+    return pairs.view(complex)[..., 0]
 
 
 def mat2_to_json(m) -> list:
-    m = mat2(m)
-    return [[complex_to_json(m[i, j]) for j in range(2)] for i in range(2)]
+    """[re, im] pairs of a 2x2 matrix, or of each matrix of a (K, 2, 2) stack."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def mat2_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != 2 or any(
-        not isinstance(row, list) or len(row) != 2 for row in obj
-    ):
-        raise MalformedInput("a 2x2 matrix must be a 2x2 array of [re, im] pairs")
-    return mat2([[complex_from_json(obj[i][j]) for j in range(2)] for i in range(2)])
-
-
-def fourvector_to_json(v) -> list:
-    return [float(x) for x in np.asarray(v, dtype=float)]
-
-
-def fourvector_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != 4:
-        raise MalformedInput("a four-vector must be an array of 4 numbers")
-    return np.array([_number(x, "component") for x in obj])
-
-
-def mat4_to_json(m) -> list:
-    m = mat4(m)
-    return [[float(m[i, j]) for j in range(4)] for i in range(4)]
-
-
-def mat4_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, list) or len(obj) != 4 or any(
-        not isinstance(row, list) or len(row) != 4 for row in obj
-    ):
-        raise MalformedInput("a 4x4 matrix must be a 4x4 array of numbers")
-    return mat4([[_number(x, "entry") for x in row] for row in obj])
+    return _pairs_from_json(obj, (2, 2), "2x2 matrix of [re, im] pairs")
 
 
 def measurement_to_json(meas: Measurement) -> dict:
-    return {"elements": [mat2_to_json(m) for m in meas.elements]}
+    return {"elements": mat2_to_json(meas.elements)}
 
 
 def measurement_from_json(obj) -> Measurement:
     if not isinstance(obj, dict) or "elements" not in obj:
         raise MalformedInput('a measurement must be {"elements": [...]}')
-    elems = obj["elements"]
-    if not isinstance(elems, list) or not elems:
-        raise MalformedInput("measurement elements must be a non-empty array")
-    return measurement([mat2_from_json(e) for e in elems])
+    elements = _pairs_from_json(obj["elements"], (None, 2, 2), "non-empty array of 2x2 matrices")
+    return Measurement(elements=elements)
 
 
 def velocity_to_json(vel: Velocity) -> dict:
-    return {"v": [float(x) for x in vel.v], "kind": vel.kind}
-
-
-def velocity_from_json(obj) -> Velocity:
-    if not isinstance(obj, dict) or "v" not in obj or "kind" not in obj:
-        raise MalformedInput('a velocity must be {"v": [...], "kind": ...}')
-    if obj["kind"] not in (TIMELIKE, NULL):
-        raise MalformedInput(f"unknown velocity kind {obj['kind']!r}")
-    if not isinstance(obj["v"], list) or len(obj["v"]) != 3:
-        raise MalformedInput("velocity v must be an array of 3 numbers")
-    return velocity([_number(x, "velocity") for x in obj["v"]], kind=obj["kind"])
+    return {"v": vel.v.tolist(), "kind": vel.kind}
 
 
 def effect_geometry_to_json(geom: EffectGeometry) -> dict:
     return {
-        "e_vec": fourvector_to_json(geom.e_vec),
-        "v_vec": fourvector_to_json(geom.v_vec),
+        "e_vec": geom.e_vec.tolist(),
+        "v_vec": geom.v_vec.tolist(),
         "velocity": velocity_to_json(geom.velocity),
         "scale": float(geom.scale),
-        "rotation": mat4_to_json(geom.rotation),
+        "rotation": geom.rotation.tolist(),
         "kind": geom.kind,
     }
-
-
-def effect_geometry_from_json(obj) -> EffectGeometry:
-    required = {"e_vec", "v_vec", "velocity", "scale", "rotation", "kind"}
-    if not isinstance(obj, dict) or not required.issubset(obj):
-        raise MalformedInput(f"effect geometry must have keys {sorted(required)}")
-    if obj["kind"] not in (TIMELIKE, NULL):
-        raise MalformedInput(f"unknown effect kind {obj['kind']!r}")
-    return EffectGeometry(
-        e_vec=fourvector_from_json(obj["e_vec"]),
-        v_vec=fourvector_from_json(obj["v_vec"]),
-        velocity=velocity_from_json(obj["velocity"]),
-        scale=_number(obj["scale"], "scale"),
-        rotation=mat4_from_json(obj["rotation"]),
-        kind=obj["kind"],
-    )

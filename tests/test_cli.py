@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,8 @@ def test_malformed_json(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["validate", "--measurement", str(path)]) == EXIT_MALFORMED
     assert main(["validate", "--measurement", str(tmp_path / "nope.json")]) == EXIT_MALFORMED
+    path.write_bytes(b"\xff\xfe not UTF-8")
+    assert main(["validate", "--measurement", str(path)]) == EXIT_MALFORMED
 
 
 def test_to_lorentz(tmp_path, capsys):
@@ -70,10 +74,10 @@ def test_to_lorentz(tmp_path, capsys):
     )
     code, out = run(capsys, ["to-lorentz", "--element", elem])
     assert code == EXIT_OK
-    geom = serialize.effect_geometry_from_json(serialize.loads(out))
-    assert geom.kind == "timelike"
-    assert np.allclose(geom.velocity.v, [0, 0, -0.5], atol=1e-12)
-    assert geom.scale == pytest.approx(np.sqrt(3) / 4, abs=1e-12)
+    geom = serialize.loads(out)
+    assert geom["kind"] == "timelike"
+    assert np.allclose(geom["velocity"]["v"], [0, 0, -0.5], atol=1e-12)
+    assert geom["scale"] == pytest.approx(np.sqrt(3) / 4, abs=1e-12)
 
 
 def test_to_lorentz_zero_element_is_domain_error(tmp_path, capsys):
@@ -170,7 +174,7 @@ def test_simulate_negative_count_or_seed_is_malformed(proj_z, mixed_state, capsy
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_validate_negative_tol_is_malformed(proj_z, capsys, tol):
     assert main(["validate", "--measurement", proj_z, "--tol", tol]) == EXIT_MALFORMED
     captured = capsys.readouterr()
@@ -197,6 +201,53 @@ def test_malformed_measurement_file(tmp_path, mixed_state, capsys, elements):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+HUGE = [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "element, meas",
+    [
+        (serialize.dumps(HUGE), serialize.dumps({"elements": [HUGE, HUGE]})),
+        (DEEP, f'{{"elements": {DEEP}}}'),
+    ],
+    ids=["integer-beyond-float-range", "nested-beyond-recursion-limit"],
+)
+def test_unrepresentable_input_is_malformed(tmp_path, mixed_state, capsys, element, meas):
+    elem_path, meas_path = tmp_path / "elem.json", tmp_path / "meas.json"
+    elem_path.write_text(element)
+    meas_path.write_text(meas)
+    for argv in [
+        ["validate", "--measurement", str(meas_path)],
+        ["to-lorentz", "--element", str(elem_path)],
+        ["apply", "--measurement", str(meas_path), "--state", mixed_state],
+    ]:
+        assert main(argv) == EXIT_MALFORMED, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_to_element_non_finite_angle_is_malformed(capsys):
+    argv = ["to-element", "--rotation-axis", "0,0,1", "--rotation-angle", "inf", "--velocity", "0,0,0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_MALFORMED
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_non_finite_result_is_a_domain_error(tmp_path, capsys):
+    """Effects of 8.1e307 are finite, their completeness sum is not."""
+    big = np.diag([9e153, 0])
+    meas = write_json(tmp_path, "meas.json", serialize.measurement_to_json(measurement([big] * 3)))
+    assert main(["validate", "--measurement", meas]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
 
 
 def test_overflowing_effect_is_a_domain_error(tmp_path, mixed_state, capsys):
@@ -281,9 +332,4 @@ def test_serialize_round_trip_values():
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     assert np.array_equal(serialize.mat2_from_json(serialize.mat2_to_json(m)), m)
     v = rng.normal(size=4)
-    assert np.array_equal(
-        serialize.fourvector_from_json(
-            serialize.loads(serialize.dumps(serialize.fourvector_to_json(v)))
-        ),
-        v,
-    )
+    assert np.array_equal(serialize.loads(serialize.dumps(v.tolist())), v)

@@ -1,5 +1,6 @@
-"""The closed-form psi inverse and the class test, factorisation and lift
-that read it: classify, decompose and spinor_lift. The sweeps run over
+"""The closed-form psi inverse and the class test, factorisation, lift and
+lambda-family that read it: classify, decompose, spinor_lift and
+lorentz_to_element. The sweeps run over
 element scales 1e-150..1e150, singular-value ratios down to exactly rank
 one, speeds up to 1 - 1e-8 and rotations up to pi."""
 import math
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import CORNERS, rand_element, rand_null_element, rand_unit3, swept_elements
 from qubitcone.adjoint import _psi_inv, psi
-from qubitcone.correspond import element_to_lorentz
+from qubitcone.correspond import element_to_lorentz, lambda_max, lorentz_to_element
 from qubitcone.errors import NotRestricted
 from qubitcone.lorentz import (
     NULL,
@@ -19,6 +20,7 @@ from qubitcone.lorentz import (
     RESCALED_RESTRICTED,
     RESTRICTED,
     TOL_V,
+    LorentzDecomposition,
     classify,
     decompose,
     null_boost_rescaled,
@@ -89,6 +91,29 @@ def test_spinor_lift_inverts_psi_up_to_sign(a):
     sign = 1 if np.vdot(a, lift).real >= 0 else -1
     # det A cancels like gamma ~ max|A|^2, so the lift's relative error grows so
     assert max_abs(lift - sign * a) <= 16 * EPS * max_abs(a) ** 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    directions,
+    st.floats(min_value=0, max_value=math.pi),
+    directions,
+    speeds | st.just(1.0),
+    st.floats(min_value=-3, max_value=0),
+)
+@example(np.array([0.0, 0.0, 1.0]), math.pi, np.array([1.0, 0.0, 0.0]), 1 - 1e-8, -3)
+def test_lorentz_to_element_then_element_to_lorentz(axis, theta, direction, speed, log_scale):
+    """The backward then the forward map returns the rotation and the
+    velocity, timelike up to 1 - 1e-8 or null, at element scales 1e-3 to 1
+    of lambda_max: within 32 gamma eps, 32 eps when null."""
+    vel = velocity(speed * direction)
+    rotation = rotation4(axis, theta)
+    decomp = LorentzDecomposition(rotation=rotation, velocity=vel, scale=1.0)
+    geom = element_to_lorentz(lorentz_to_element(decomp, 10.0**log_scale * lambda_max(vel)))
+    gamma = 1.0 if vel.kind == NULL else 1 / math.sqrt(1 - vel.v @ vel.v)
+    assert geom.kind == vel.kind
+    assert max_abs(geom.velocity.v - vel.v) <= 32 * gamma * EPS
+    assert max_abs(geom.rotation - rotation) <= 32 * gamma * EPS
 
 
 @settings(max_examples=300, deadline=None)

@@ -189,6 +189,8 @@ def test_mat2_rejects_bad_input():
         mat2([[np.nan, 0], [0, 0]])
     with pytest.raises(MalformedInput):
         mat2([[np.inf * 1j, 0], [0, 0]])
+    with pytest.raises(MalformedInput):
+        mat2([[10**400, 0], [0, 0]])  # beyond float range
 
 
 def test_herm2_enforces_exact_invariants():

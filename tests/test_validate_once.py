@@ -144,6 +144,18 @@ def test_a_directly_built_measurement_has_its_deviation():
     assert meas.deviation == 0.0 and validate(meas)
 
 
+@pytest.mark.parametrize("k", [2, 16])
+def test_measurement_from_json_validates_once(monkeypatch, k):
+    """A measurement read from JSON is validated in one qmat._finite call,
+    not once per element and again for the stack."""
+    meas = measurement(unitary_mixture(k, np.random.default_rng(15)))
+    doc = serialize.loads(serialize.dumps(serialize.measurement_to_json(meas)))
+    calls = count_calls(monkeypatch, ["_finite"])
+    read = serialize.measurement_from_json(doc)
+    assert calls["_finite"] == 1
+    assert np.array_equal(read.elements, meas.elements)
+
+
 @pytest.mark.parametrize("scale, code", [(1.0, 0), (0.9, 1)])
 def test_cli_validate_forms_completeness_once(monkeypatch, tmp_path, capsys, scale, code):
     elements = [scale * m for m in unitary_mixture(3, np.random.default_rng(14))]
