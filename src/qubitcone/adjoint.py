@@ -8,11 +8,17 @@ cross-checking. _psi_inv inverts psi up to the global phase psi cannot see.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotPositive, NotUnitary, ZeroMatrix
 from .qmat import SIGMA, _coords, _sqrt_det, is_positive, mat2, sqrt_psd
 from .conemap import _minkowski, phi
+
+# psi(A)_{uv} = (1/2) Tr(sigma_u A sigma_v A†) = sum_{ijkl} A_ij conj(A_kl) _PSI[ijkl, uv]:
+# one product of the flattened outer product of A and conj(A) with _PSI gives psi(A).
+_PSI = 0.5 * np.einsum("uki,vjl->ijkluv", SIGMA, SIGMA).reshape(16, 16)
 
 # sigma_mu sigma_beta sigma_nu, rows (mu, nu) and columns (beta, i, j): the
 # product L.ravel() @ _SANDWICH lists M_beta = sum L_{mu nu} sigma_mu sigma_beta sigma_nu.
@@ -26,8 +32,14 @@ def psi(a) -> np.ndarray:
 
 def _psi(a: np.ndarray) -> np.ndarray:
     """psi over the leading axes of a validated (..., 2, 2) array."""
-    conj = np.einsum("...ik,vkl,...jl->...vij", a, SIGMA, a.conj())
-    return 0.5 * np.real(np.einsum("uij,...vji->...uv", SIGMA, conj))
+    lead = a.shape[:-2]
+    flat = a.reshape(lead + (4,))
+    outer = (flat[..., :, None] * flat.conj()[..., None, :]).reshape(lead + (16,))
+    return (outer @ _PSI).real.reshape(lead + (4, 4))
+
+
+# Row beta is diag psi(sigma_beta): (_TRACE_SIGNS @ diag L)_beta = |Tr(sigma_beta A)|^2, L = psi(A)
+_TRACE_SIGNS = _psi(SIGMA).diagonal(axis1=1, axis2=2).copy()
 
 
 def _psi_inv(L: np.ndarray) -> np.ndarray:
@@ -36,23 +48,25 @@ def _psi_inv(L: np.ndarray) -> np.ndarray:
 
     psi(A) = L means sum_mu L_{mu nu} sigma_mu = A sigma_nu A†, and
     sum_nu sigma_nu X sigma_nu = 2 Tr(X) I, so M_beta = 2 Tr(A† sigma_beta) A.
-    The beta with the largest |Tr(M_beta† sigma_beta)| = 2 |Tr(A† sigma_beta)|^2
-    gives A up to the phase that psi does not carry. L is divided by its
-    largest entry first, so that nothing over- or underflows. An L outside
-    the image of psi still yields some A, so callers compare psi(A) with L.
+    The beta with the largest w = |Tr(sigma_beta A)|^2, read off diag(L),
+    gives A = M_beta sqrt(1 / w) / 2 up to the phase that psi does not carry;
+    only that M_beta is formed. L is divided by its largest entry first, so
+    that nothing over- or underflows. An L outside the image of psi still
+    yields some A, so callers compare psi(A) with L.
     """
     ell = float(np.abs(L).max())
-    m = ((L.reshape(16) / ell) @ _SANDWICH).reshape(4, 2, 2)
-    w = np.abs(np.einsum("bij,bij->b", m.conj(), SIGMA))
-    beta = int(np.argmax(w))
-    a = m[beta] * (np.sqrt(ell / (2 * w[beta])) if w[beta] > 0 else 0.0)
-    tr = a[0, 0] + a[1, 1]
-    if not tr:
-        return a
-    a = a * (tr.conjugate() / abs(tr))
+    flat = L.reshape(16) / ell
+    weights = _TRACE_SIGNS @ flat[::5]
+    beta = int(weights.argmax())
+    w = float(weights[beta])
+    if w <= 0:
+        return np.zeros((2, 2), dtype=complex)
+    m00, m01, m10, m11 = (flat @ _SANDWICH[:, 4 * beta : 4 * beta + 4]).tolist()
+    tr = m00 + m11
+    k = math.sqrt(ell / w) / 2 * (tr.conjugate() / abs(tr) if tr else 1)
+    a00, a11 = m00 * k, m11 * k
     # Im Tr A is otherwise round-off of max|A|, not of |Tr A|
-    a[1, 1] = complex(a[1, 1].real, -a[0, 0].imag)
-    return a
+    return np.array([[a00, m01 * k], [m10 * k, complex(a11.real, -a00.imag) if tr else a11]])
 
 
 def psi_of_unitary(u, tol: float = 1e-9) -> np.ndarray:

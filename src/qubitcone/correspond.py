@@ -29,12 +29,11 @@ from .qmat import (
     _coords,
     _eigenvalues,
     _finite,
-    _from_coords,
     _gram,
     _hermitize,
     _is_positive,
-    _psd_root,
     _sqrt_psd,
+    _unitary_factor,
     mat2,
 )
 
@@ -143,13 +142,15 @@ def apply_element(m, rho, tol: float = 1e-9) -> tuple[float, np.ndarray]:
 
 def element_to_lorentz(m) -> EffectGeometry:
     """Forward correspondence: psi(M) = scale * rotation * boost(velocity)."""
-    e_vec, unitary, vel, scale = _factor(mat2(m))
+    m = mat2(m)
+    vel, scale, n, d = _factor(m)
+    e_vec, v_vec = _effect_vectors(m)
     return EffectGeometry(
         e_vec=e_vec,
-        v_vec=e_vec * _HALF_ETA,
+        v_vec=v_vec,
         velocity=vel,
         scale=scale,
-        rotation=_psi(unitary),
+        rotation=_psi(_unitary_factor(n, d)),
         kind=vel.kind,
     )
 
@@ -158,35 +159,30 @@ def lambda_max(vel: Velocity) -> float:
     """Largest admissible element scale: sqrt(2/(1+v)) timelike, 1 null."""
     if vel.kind == NULL:
         return 1.0
-    return float(np.sqrt(2.0 / (1.0 + np.linalg.norm(vel.v))))
+    return math.sqrt(2.0 / (1.0 + math.hypot(*vel.v.tolist())))
 
 
 def _check_rotation_block(rot: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """The U with det U = 1, signed as _unit_det describes, and psi(U) = rot
+    within tol for a proper block rotation rot = diag(1, R); else NotDecomposable."""
     rot = mat4(rot)
-    r3 = rot[1:, 1:]
-    edge = np.abs(np.concatenate([rot[0] - (1.0, 0.0, 0.0, 0.0), rot[1:, 0]])).max()
-    if edge > tol or np.max(np.abs(r3.T @ r3 - np.eye(3))) > tol:
-        raise NotDecomposable("rotation is not a proper Bloch-block rotation")
-    if np.linalg.det(r3) < 0:
-        raise NotDecomposable("rotation block is improper")
-    return rot
+    edge = rot[0].tolist() + rot[1:, 0].tolist()
+    if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > tol:
+        raise NotDecomposable("rotation is not a Bloch-block rotation")
+    u = _unit_det(_psi_inv(rot))
+    if not np.abs(_psi(u) - rot).max() <= tol:
+        raise NotDecomposable("rotation block is not a proper rotation")
+    return u
 
 
 def element_family(decomp: LorentzDecomposition) -> ElementFamily:
     """The lambda-family of elements equivalent (up to scale) to a transform."""
     return ElementFamily(
-        rotation_u=_unit_det(_psi_inv(_check_rotation_block(decomp.rotation))),
+        rotation_u=_check_rotation_block(decomp.rotation),
         velocity=decomp.velocity,
         lambda_max=lambda_max(decomp.velocity),
         kind=decomp.velocity.kind,
     )
-
-
-def _effect_root(v: np.ndarray, g: float) -> np.ndarray:
-    """Root of the effect (1, -v), |v| <= 1, whose sqrt(det) is g/2 with
-    g = sqrt(1 - |v|^2) (0 when null); lambda times it is the positive
-    measurement element of the effect lambda^2 (1, -v)."""
-    return _psd_root(_from_coords(1.0, *-v), g / 2)
 
 
 def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -> np.ndarray:
@@ -200,12 +196,14 @@ def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -
         lam = family.lambda_max
     lam = float(lam)
     if not (0.0 < lam <= family.lambda_max * (1.0 + 1e-12)):
-        raise LambdaOutOfRange(
-            f"lambda = {lam} outside (0, {family.lambda_max}]"
-        )
+        raise LambdaOutOfRange(f"lambda = {lam} outside (0, {family.lambda_max}]")
     v = family.velocity.v
     g = 0.0 if family.kind == NULL else math.sqrt(1.0 - v @ v)
-    return family.rotation_u @ (lam * _effect_root(v, g))
+    # lam sqrt(E) = lam (E + (g/2) I) / sqrt(1 + g) for the effect E with coordinates
+    # (1, -v), sqrt(det E) = g/2: the positive element of the effect lam^2 (1, -v)
+    vx, vy, vz = v.tolist()
+    root = np.array([[1.0 - vz + g, complex(-vx, vy)], [complex(-vx, -vy), 1.0 + vz + g]])
+    return family.rotation_u @ (lam / (2 * math.sqrt(1.0 + g)) * root)
 
 
 def complete_to_measurement(m, tol: float = 1e-9) -> Measurement:

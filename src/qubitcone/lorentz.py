@@ -5,11 +5,12 @@ boosts at the speed of light), Bloch-block rotations, classification of a
 4x4 matrix against those families, the rotation-times-boost
 decomposition, and the two-to-one spinor lift back to unit-determinant
 2x2 complex matrices. Classification, decomposition and lift all read the
-one psi preimage A = _psi_inv(L) and factor it with _factor, the
-factorisation behind element_to_lorentz.
+one psi preimage A = _psi_inv(L) and factor it with _factor, as
+element_to_lorentz does; only decompose forms the polar factor.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .errors import (
     NotTimelike,
     ZeroElement,
 )
-from .qmat import SIGMA, _coords, _det, _finite, _gram, _unitary_factor
+from .qmat import SIGMA, _coords, _finite, _gram, _scaled_entries, _unitary_factor
 
 # Velocities with 1 - TOL_V < |v| < 1 - UNIT_ROUNDOFF are rejected as
 # ambiguous rather than silently classified: gamma overflows there. A norm
@@ -150,21 +151,23 @@ RESCALED_NULL_BOOST_PRODUCT = "rescaled_null_boost_product"
 OTHER = "other"
 
 
-def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, Velocity, float]:
-    """Effect coordinates phi(a†a), polar factor U, velocity and scale of
-    psi(a) = scale * psi(U) * boost(velocity) for a validated 2x2 a: timelike
-    with scale |det a| when 1 - |v| exceeds TOL_V, else null with Tr(a†a)/2."""
-    e_vec = _coords(_gram(a))
-    t = e_vec[0]
-    if t <= 0:
-        raise ZeroElement("an element with a vanishing effect carries no Lorentz data")
-    unitary, abs_det = _unitary_factor(a)
-    v3 = -e_vec[1:] / t
+def _factor(a: np.ndarray) -> tuple[Velocity, float, list, complex]:
+    """Velocity and scale of psi(a) = scale * psi(U) * boost(velocity) for a
+    validated 2x2 a, and the _scaled_entries n, det n that U = _unitary_factor(n, det n)
+    takes. v = -(x, y, z)/t from the effect coordinates of n†n does not underflow
+    with a: timelike with scale |det a| when 1 - |v| > TOL_V, else null with Tr(a†a)/2."""
+    if not a.any():
+        raise ZeroElement("the zero element carries no Lorentz data")
+    n, d, mu = _scaled_entries(a)
+    n00, n01, n10, n11 = n
+    h01 = n00.conjugate() * n01 + n10.conjugate() * n11  # (n†n)_01 = (x - iy)/2
+    p0, p1 = abs(n00) ** 2 + abs(n10) ** 2, abs(n01) ** 2 + abs(n11) ** 2
+    t = p0 + p1
+    v3 = (-2 * h01.real / t, 2 * h01.imag / t, (p1 - p0) / t)
     speed = math.hypot(*v3)
     if speed >= 1 - TOL_V:
-        return e_vec, unitary, Velocity(v=v3 / speed, kind=NULL), float(t / 2)
-    # |det a| = sqrt(det a†a) = sqrt(eta(V, V)), with nothing squared
-    return e_vec, unitary, Velocity(v=v3, kind=TIMELIKE), float(abs_det)
+        return Velocity(v=np.array(v3) / speed, kind=NULL), float(_coords(_gram(a))[0] / 2), n, d
+    return Velocity(v=np.array(v3), kind=TIMELIKE), mu * mu * abs(d), n, d
 
 
 def _classify(m: np.ndarray, tol: float) -> tuple[str, np.ndarray | None, tuple | None]:
@@ -176,8 +179,7 @@ def _classify(m: np.ndarray, tol: float) -> tuple[str, np.ndarray | None, tuple 
     a = _psi_inv(m)
     if not np.abs(_psi(a) - m).max() <= tol * norm:
         return OTHER, None, None
-    parts = _factor(a)
-    _, _, vel, scale = parts
+    vel, scale, _, _ = parts = _factor(a)
     if vel.kind == NULL:
         return RESCALED_NULL_BOOST_PRODUCT, a, parts
     return (RESTRICTED if abs(scale - 1) <= tol else RESCALED_RESTRICTED), a, parts
@@ -206,8 +208,8 @@ def decompose(L, tol: float = 1e-9) -> LorentzDecomposition:
     if parts is None:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
-    _, unitary, vel, scale = parts
-    return LorentzDecomposition(rotation=_psi(unitary), velocity=vel, scale=scale)
+    vel, scale, n, d = parts
+    return LorentzDecomposition(rotation=_psi(_unitary_factor(n, d)), velocity=vel, scale=scale)
 
 
 def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
@@ -255,9 +257,11 @@ def su2_from_axis_angle(axis, theta: float) -> np.ndarray:
 def _unit_det(a: np.ndarray) -> np.ndarray:
     """a / sqrt(det a), signed so that its polar factor u has Re(u00) >= 0,
     ties to Im(u00) >= 0; u00 is a positive multiple of a00 + conj(a11)."""
-    b = a / np.sqrt(_det(a))
-    s = b[0, 0] + b[1, 1].conjugate()
-    return -b if s.real < 0 or (s.real == 0 and s.imag < 0) else b
+    a00, a01, a10, a11 = a.ravel().tolist()
+    r = cmath.sqrt(a00 * a11 - a01 * a10)
+    s = a00 / r + (a11 / r).conjugate()
+    r = -r if s.real < 0 or (s.real == 0 and s.imag < 0) else r
+    return np.array([[a00 / r, a01 / r], [a10 / r, a11 / r]])
 
 
 def spinor_lift(L, tol: float = 1e-9) -> np.ndarray:

@@ -3,11 +3,11 @@
 Everything downstream (cone geometry, Lorentz machinery, the measurement
 correspondence) reduces to a handful of primitives on 2x2 matrices:
 hermiticity, positivity, closed-form eigenvalues, the positive square root
-and the polar decomposition. All functions are pure and operate on plain
-numpy arrays of shape (2, 2), dtype complex128. Public functions validate
-their argument with mat2; the underscored kernels take validated arrays, and
-_hermitize, _gram and _coords broadcast over leading axes (one call for a
-(K, 2, 2) stack). Roots and polar factors are Cayley–Hamilton closed forms.
+and the polar decomposition. All functions are pure. Public functions
+validate a (2, 2) complex128 array with mat2; the underscored kernels take
+validated arrays: _hermitize, _gram and _coords broadcast over leading axes,
+and the scalar-only polar factor works on four Python complex numbers.
+Roots and polar factors are Cayley–Hamilton closed forms.
 """
 from __future__ import annotations
 
@@ -95,12 +95,9 @@ def adjoint(a) -> np.ndarray:
     return mat2(a).conj().T
 
 
-def _det(m: np.ndarray) -> complex:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
 def det(m) -> complex:
-    return _det(mat2(m))
+    m = mat2(m)
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
 def trace(m) -> complex:
@@ -183,17 +180,25 @@ def _sqrt_det(a, x, y, z) -> float:
     return a * math.sqrt(max((1 - r) * (1 + r), 0.0)) / 2
 
 
-def _unitary_factor(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unitary polar factor of a nonzero m, and |det m|; see polar_decompose.
-    m is divided by its largest entry first, so no product over- or underflows."""
+def _scaled_entries(m: np.ndarray) -> tuple[list, complex, float]:
+    """Entries n00, n01, n10, n11 of n = m / max|m| as Python complex numbers, det n
+    and max|m| of a nonzero m: no product of entries of n over- or underflows."""
     mu = float(np.abs(m).max())
-    n = m / mu
-    d = _det(n)
+    n00, n01, n10, n11 = n = (m / mu).ravel().tolist()
+    return n, n00 * n11 - n01 * n10, mu
+
+
+def _unitary_factor(n: list, d: complex) -> np.ndarray:
+    """Unitary polar factor of a nonzero matrix from its _scaled_entries n
+    and det n; see polar_decompose."""
+    n00, n01, n10, n11 = n
     abs_det = abs(d)
-    fro2 = float(np.vdot(n, n).real)
+    fro2 = abs(n00) ** 2 + abs(n01) ** 2 + abs(n10) ** 2 + abs(n11) ** 2
     phase = d / abs_det if abs_det > _SINGULAR_DET * fro2 else 1.0
-    adj_h = np.array([[n[1, 1], -n[1, 0]], [-n[0, 1], n[0, 0]]]).conj()
-    return (n + phase * adj_h) / math.sqrt(fro2 + 2 * abs_det), mu * mu * abs_det
+    s = math.sqrt(fro2 + 2 * abs_det)
+    p = phase / s  # u = (n + phase adj(n)†) / s
+    return np.array([[n00 / s + p * n11.conjugate(), n01 / s - p * n10.conjugate()],
+                     [n10 / s - p * n01.conjugate(), n11 / s + p * n00.conjugate()]])
 
 
 def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
@@ -208,5 +213,5 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     m = mat2(m)
     if not m.any():
         return np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-    u, abs_det = _unitary_factor(m)
-    return u, _psd_root(_gram(m), abs_det)
+    n, d, mu = _scaled_entries(m)
+    return _unitary_factor(n, d), _psd_root(_gram(m), mu * mu * abs(d))

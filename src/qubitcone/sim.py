@@ -19,7 +19,7 @@ import numpy as np
 from .adjoint import _psi
 from .conemap import _minkowski
 from .correspond import Measurement, _effect_vectors, _post_vector, _probabilities, _state, require_valid
-from .errors import NotNormalized, NotTimelike
+from .errors import NotNormalized, NotTimelike, TooLarge
 from .lorentz import TIMELIKE, Velocity, _as_velocity, pure_boost
 from .qmat import _coords
 
@@ -67,7 +67,11 @@ def outcome_probabilities(meas: Measurement, rho) -> np.ndarray:
 def _tallies(probs: np.ndarray, seed: int, n: int) -> np.ndarray:
     """Counts of n inverse-CDF draws over probs, some above ZERO_PROB."""
     live = np.flatnonzero(probs > ZERO_PROB)
-    draws = np.random.default_rng(np.random.SeedSequence(int(seed))).random(n)
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    try:
+        draws = rng.random(n)
+    except (ValueError, MemoryError) as exc:  # a count numpy cannot allocate
+        raise TooLarge(f"cannot draw {n} samples: {exc}") from exc
     draws.sort()
     below = np.searchsorted(draws, np.cumsum(probs)[live], side="left")
     below[-1] = n  # draws at or past the last live edge

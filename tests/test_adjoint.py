@@ -2,11 +2,13 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qubitcone
 
 from conftest import rand_complex, rand_positive, rand_unit3
-from qubitcone.adjoint import psi, psi_of_sqrt, psi_of_unitary
+from qubitcone.adjoint import _psi, psi, psi_of_sqrt, psi_of_unitary
 from qubitcone.conemap import cone_membership, minkowski, phi, phi_inv
 from qubitcone.errors import NotPositive, NotUnitary, ZeroMatrix
 from qubitcone.lorentz import pure_boost, velocity
@@ -28,6 +30,32 @@ def test_psi_examples():
     assert np.allclose(psi(X), psi_oracle(X))
     for c in (0.5, 2.0, 3.7):
         assert np.allclose(psi(c * I2), c * c * np.eye(4))
+
+
+def trace_oracle(a):
+    """(1/2) Re Tr(sigma_mu A sigma_nu A†) over a (K, 2, 2) stack, in long
+    double so that its own round-off is far below the bound tested."""
+    a = a.astype(np.clongdouble)
+    a_dag = a.conj().swapaxes(-1, -2)
+    sigma = SIGMA.astype(np.clongdouble)
+    out = np.empty(a.shape[:-2] + (4, 4), dtype=np.longdouble)
+    for mu in range(4):
+        for nu in range(4):
+            out[..., mu, nu] = np.real(np.trace(sigma[mu] @ a @ sigma[nu] @ a_dag, axis1=-2, axis2=-1)) / 2
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.sampled_from([1e-150, 1.0, 1e150]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_psi_against_trace_oracle(k, scale, rank_one, seed):
+    """The one-tensor psi of a (K, 2, 2) stack is within 4 eps max|A|^2 of
+    the trace formula, element by element."""
+    rng = np.random.default_rng(seed)
+    a = scale * (rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2)))
+    if rank_one:
+        a[:, 1] = a[:, 0] * (rng.normal() + 1j * rng.normal())
+    err = np.abs(_psi(a) - trace_oracle(a)).max(axis=(1, 2))
+    assert np.all(err <= 4 * np.finfo(float).eps * np.abs(a).max(axis=(1, 2)) ** 2)
 
 
 def test_psi_transports_states():

@@ -174,6 +174,16 @@ def test_simulate_negative_count_or_seed_is_malformed(proj_z, mixed_state, capsy
     assert captured.err.startswith("error: ")
 
 
+def test_simulate_undrawable_count_is_a_domain_error(proj_z, mixed_state, capsys):
+    """numpy refuses 1e20 draws before it allocates anything; counts that it
+    would try to allocate are deliberately not tested."""
+    argv = ["simulate", "--measurement", proj_z, "--state", mixed_state, "--seed", "1", "--n", str(10**20)]
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_validate_negative_tol_is_malformed(proj_z, capsys, tol):
     assert main(["validate", "--measurement", proj_z, "--tol", tol]) == EXIT_MALFORMED

@@ -30,6 +30,7 @@ from qubitcone.correspond import (
 from qubitcone.errors import (
     LambdaOutOfRange,
     MalformedInput,
+    NotDecomposable,
     NotPositive,
     NullOrSpacelike,
     TooLarge,
@@ -350,6 +351,57 @@ def test_element_to_lorentz_tiny_element():
     assert np.allclose(geom.rotation, ref.rotation, atol=1e-14)
     assert np.allclose(geom.velocity.v, ref.velocity.v, atol=1e-14)
     assert geom.scale == pytest.approx(1e-160 * ref.scale, rel=1e-14)
+
+
+# Below an element scale of about 1e-154 the effect M†M, and with it e_vec
+# and scale, underflows; the velocity, kind and rotation are read from M/max|M|.
+@pytest.mark.parametrize(
+    "base",
+    [np.array([[0.8, 0.1j], [0.2, 0.5]]), np.outer([0.6, 0.8j], [1.0, 0.3 - 0.2j])],
+    ids=["timelike", "null"],
+)
+@pytest.mark.parametrize("k", range(150, 301, 10))
+def test_element_to_lorentz_at_tiny_element_scales(base, k):
+    ref = element_to_lorentz(base)
+    geom = element_to_lorentz(10.0**-k * base)
+    assert geom.kind == ref.kind
+    assert np.max(np.abs(geom.velocity.v - ref.velocity.v)) <= 1e-14
+    assert np.max(np.abs(geom.rotation - ref.rotation)) <= 1e-14
+
+
+ROTATION = rotation4([0.36, 0.48, 0.8], 1.1)
+
+
+def nudged(r, d):
+    out = r.copy()
+    out[2, 2] += d
+    return out
+
+
+@pytest.mark.parametrize(
+    "rot",
+    [
+        pure_boost(velocity([0, 0, 0.3])),
+        pure_boost(velocity([0, 0, 4e-5])),
+        np.diag([1.0, -1, -1, -1]),
+        np.diag([1.0, 1, 1, -1]),
+        1.001 * ROTATION,
+        np.zeros((4, 4)),
+        nudged(ROTATION, 1e-6),
+    ],
+    ids=["boost", "small-boost", "parity", "reflection", "scaled", "zero", "nudged-1e-6"],
+)
+def test_lorentz_to_element_rejects_a_non_rotation(rot):
+    dec = LorentzDecomposition(rotation=rot, velocity=velocity([0.1, -0.2, 0.3]), scale=1.0)
+    with pytest.raises(NotDecomposable):
+        lorentz_to_element(dec)
+
+
+def test_lorentz_to_element_accepts_rotation_round_off():
+    vel = velocity([0.1, -0.2, 0.3])
+    m = lorentz_to_element(LorentzDecomposition(rotation=nudged(ROTATION, 1e-10), velocity=vel, scale=1.0))
+    ref = lorentz_to_element(LorentzDecomposition(rotation=ROTATION, velocity=vel, scale=1.0))
+    assert np.max(np.abs(m - ref)) <= 1e-9
 
 
 @settings(max_examples=300, deadline=None)

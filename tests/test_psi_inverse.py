@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import CORNERS, rand_element, rand_null_element, rand_unit3, swept_elements
 from qubitcone.adjoint import _psi_inv, psi
-from qubitcone.correspond import element_to_lorentz, lambda_max, lorentz_to_element
+from qubitcone.correspond import element_family, element_to_lorentz, lambda_max, lorentz_to_element
 from qubitcone.errors import NotRestricted
 from qubitcone.lorentz import (
     NULL,
@@ -30,7 +30,7 @@ from qubitcone.lorentz import (
     su2_from_axis_angle,
     velocity,
 )
-from qubitcone.qmat import SIGMA
+from qubitcone.qmat import SIGMA, polar_decompose
 
 EPS = np.finfo(float).eps
 
@@ -91,6 +91,52 @@ def test_spinor_lift_inverts_psi_up_to_sign(a):
     sign = 1 if np.vdot(a, lift).real >= 0 else -1
     # det A cancels like gamma ~ max|A|^2, so the lift's relative error grows so
     assert max_abs(lift - sign * a) <= 16 * EPS * max_abs(a) ** 3
+
+
+# Re u00 >= 0 is decided by round-off when |Re u00| is itself round-off
+SIGN_TIE = 1e-6
+
+
+@settings(max_examples=300, deadline=None)
+@given(directions, st.floats(min_value=0, max_value=math.pi), directions, speeds, st.sampled_from([1, -1]))
+@example(np.array([0.0, 0.0, 1.0]), 2.0, np.array([1.0, 0.0, 0.0]), 1 - 1e-8, -1)
+def test_spinor_lift_sign_rule(axis, theta, n, speed, sign):
+    """A = U P with U = su2(axis, theta), theta in [0, pi], and P a positive
+    boost spinor has the polar factor U, with Re u00 = cos(theta/2) >= 0. So
+    whichever of A and -A psi is given, the lift is A: its polar factor has
+    Re u00 >= 0."""
+    a = su2_from_axis_angle(axis, theta) @ boost_spinor(n, speed)
+    lift = spinor_lift(psi(sign * a))
+    u00 = polar_decompose(lift)[0][0, 0]
+    if math.cos(theta / 2) > SIGN_TIE:
+        assert max_abs(lift - a) <= 16 * EPS * max_abs(a) ** 3
+        assert u00.real > 0
+    else:
+        assert u00.real >= -SIGN_TIE
+
+
+@settings(max_examples=300, deadline=None)
+@given(directions, st.floats(min_value=0, max_value=math.pi), st.sampled_from([1, -1]))
+def test_element_family_rotation_sign_rule(axis, theta, sign):
+    """The lambda-family's rotation_u is the unitary U with Re u00 >= 0."""
+    u = su2_from_axis_angle(axis, theta)
+    decomp = LorentzDecomposition(rotation=psi(sign * u), velocity=velocity([0.1, -0.2, 0.3]), scale=1.0)
+    rotation_u = element_family(decomp).rotation_u
+    if math.cos(theta / 2) > SIGN_TIE:
+        assert max_abs(rotation_u - u) <= 8 * EPS
+    else:
+        assert rotation_u[0, 0].real >= -SIGN_TIE
+
+
+# Re u00 = 0 exactly: a pi rotation about z, alone and times a boost along z
+@pytest.mark.parametrize(
+    "a, lift", [(np.diag([-1j, 1j]), np.diag([1j, -1j])), (np.diag([-2j, 0.5j]), np.diag([2j, -0.5j]))]
+)
+def test_sign_ties_go_to_im_u00_nonnegative(a, lift):
+    assert max_abs(spinor_lift(psi(a)) - lift) <= 4 * EPS * max_abs(lift)
+    if abs(a[0, 0]) == 1:
+        decomp = LorentzDecomposition(rotation=psi(a), velocity=velocity([0.0, 0.0, 0.5]), scale=1.0)
+        assert max_abs(element_family(decomp).rotation_u - lift) <= 4 * EPS
 
 
 @settings(max_examples=300, deadline=None)
