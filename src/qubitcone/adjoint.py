@@ -3,8 +3,9 @@
 psi(A) is the 4x4 real matrix taking the coordinate vector of rho to the
 coordinate vector of A rho A†. It is multiplicative, sends unitaries to
 block rotations of the Bloch part, and sends positive square roots to
-(scaled) pure boosts; both closed forms of the latter are exposed for
-cross-checking. _psi_inv inverts psi up to the global phase psi cannot see.
+(scaled) pure boosts, multiples of the one boost formula _boost; psi_of_sqrt
+exposes two closed forms of the latter for cross-checking. _psi_inv
+inverts psi up to the global phase psi cannot see.
 """
 from __future__ import annotations
 
@@ -69,6 +70,18 @@ def _psi_inv(L: np.ndarray) -> np.ndarray:
     return np.array([[a00, m01 * k], [m10 * k, complex(a11.real, -a00.imag) if tr else a11]])
 
 
+def _boost(v: np.ndarray, g: float) -> np.ndarray:
+    """[[1, -v^T], [-v, g I + v v^T / (1 + g)]]: the pure boost of velocity v
+    divided by its gamma, for g = 1/gamma = sqrt(1 - |v|^2); g = 0 and |v| = 1
+    give its null limit. Every boost matrix of the package is a multiple of this one."""
+    x, y, z = v.tolist()
+    k = 1.0 + g
+    return np.array([[1.0, -x, -y, -z],
+                     [-x, g + x * x / k, x * y / k, x * z / k],
+                     [-y, x * y / k, g + y * y / k, y * z / k],
+                     [-z, x * z / k, y * z / k, g + z * z / k]])
+
+
 def psi_of_unitary(u, tol: float = 1e-9) -> np.ndarray:
     """psi restricted to unitaries: block diag(1, R) with R a proper rotation."""
     u = mat2(u)
@@ -82,8 +95,8 @@ def psi_of_sqrt(e, form: str = "auto") -> np.ndarray:
 
     form:
       "root"   - closed form in the root coordinates [alpha, beta, gamma, delta]
-      "square" - closed form in the coordinates [a, x, y, z] of e itself,
-                 with X = 2 sqrt(a^2 - x^2 - y^2 - z^2) = 4 sqrt(det e); requires e != 0
+      "square" - the scaled boost (a/2) _boost(-p/a, X/(2a)) in the coordinates [a, p] of
+                 e itself, X = 2 sqrt(a^2 - |p|^2) = 4 sqrt(det e); requires e != 0
       "auto"   - "square" unless e = 0, then "root"
     """
     e = mat2(e)
@@ -96,11 +109,7 @@ def psi_of_sqrt(e, form: str = "auto") -> np.ndarray:
     if form == "square":
         if a <= 0:
             raise ZeroMatrix("the square-coordinate form requires e != 0")
-        big_x = 4 * _sqrt_det(*c)
-        out = np.zeros((4, 4))
-        out[0] = out[:, 0] = c / 2
-        out[1:, 1:] = (big_x / 4) * np.eye(3) + np.outer(p, p / (2 * a + big_x))
-        return out
+        return (a / 2) * _boost(-p / a, 2 * _sqrt_det(*c) / a)
     if form == "root":
         root = phi(sqrt_psd(e))
         x_root = _minkowski(root, root)

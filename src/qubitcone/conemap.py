@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveTrace
-from .qmat import _coords, _finite, _from_coords, hermitize, mat2
+from .qmat import _coords, _eigenvalues, _finite, _from_coords, hermitize, is_positive, mat2
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -59,19 +59,13 @@ def hs_inner(a, b) -> float:
 
 
 def cone_membership(v, tol: float = CONE_TOL) -> ConeMembership:
-    """Future-cone test for a four-vector.
-
-    Both tests are relative: the Minkowski norm is quadratic in the scale
-    of v, so the tolerance window scales with max(1, v0^2).
-    """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    v = fourvector(v)
-    n2 = minkowski(v, v)
-    window = tol * max(1.0, v[0] * v[0])
-    in_cone = n2 >= -window and v[0] >= -tol
-    on_boundary = in_cone and abs(n2) <= window
-    return ConeMembership(in_cone=in_cone, on_boundary=on_boundary, minkowski_norm2=n2)
+    """Future-cone test for a four-vector: is_positive(phi_inv(v), tol), so
+    the smaller eigenvalue (v0 - |v[1:]|)/2 is at least -tol v0; on the
+    boundary when it is also at most tol v0. Both tests are relative to v0."""
+    h = phi_inv(v)
+    in_cone = is_positive(h, tol)
+    lp, lm = _eigenvalues(h)
+    return ConeMembership(in_cone, in_cone and abs(lm) <= tol * (lp + lm), minkowski(v, v))
 
 
 def mixedness(v) -> float:

@@ -14,17 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import _psi, _psi_inv
+from .adjoint import _psi
 from .conemap import ETA, _minkowski, minkowski
 from .errors import (
     InvalidMeasurement,
     LambdaOutOfRange,
-    NotDecomposable,
     NotPositive,
     NullOrSpacelike,
     TooLarge,
 )
-from .lorentz import NULL, LorentzDecomposition, Velocity, _factor, _unit_det, mat4
+from .lorentz import NULL, LorentzDecomposition, Velocity, _factor, _rotation_spinor
 from .qmat import (
     _coords,
     _eigenvalues,
@@ -162,23 +161,10 @@ def lambda_max(vel: Velocity) -> float:
     return math.sqrt(2.0 / (1.0 + math.hypot(*vel.v.tolist())))
 
 
-def _check_rotation_block(rot: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """The U with det U = 1, signed as _unit_det describes, and psi(U) = rot
-    within tol for a proper block rotation rot = diag(1, R); else NotDecomposable."""
-    rot = mat4(rot)
-    edge = rot[0].tolist() + rot[1:, 0].tolist()
-    if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > tol:
-        raise NotDecomposable("rotation is not a Bloch-block rotation")
-    u = _unit_det(_psi_inv(rot))
-    if not np.abs(_psi(u) - rot).max() <= tol:
-        raise NotDecomposable("rotation block is not a proper rotation")
-    return u
-
-
 def element_family(decomp: LorentzDecomposition) -> ElementFamily:
     """The lambda-family of elements equivalent (up to scale) to a transform."""
     return ElementFamily(
-        rotation_u=_check_rotation_block(decomp.rotation),
+        rotation_u=_rotation_spinor(decomp.rotation),
         velocity=decomp.velocity,
         lambda_max=lambda_max(decomp.velocity),
         kind=decomp.velocity.kind,

@@ -1,12 +1,14 @@
 """Lorentz-group machinery on 4x4 real matrices.
 
-Pure boosts, rescaled null boosts (the finite gamma^{-1}-scaled limits of
-boosts at the speed of light), Bloch-block rotations, classification of a
-4x4 matrix against those families, the rotation-times-boost
-decomposition, and the two-to-one spinor lift back to unit-determinant
-2x2 complex matrices. Classification, decomposition and lift all read the
-one psi preimage A = _psi_inv(L) and factor it with _factor, as
-element_to_lorentz does; only decompose forms the polar factor.
+Pure boosts and rescaled null boosts (the finite gamma^{-1}-scaled limits
+of boosts at the speed of light), both multiples of the one adjoint._boost
+formula; Bloch-block rotations, the psi images of SU(2) spinors and read
+back through the same lift; classification of a 4x4 matrix against those
+families, the rotation-times-boost decomposition, and the two-to-one spinor
+lift back to unit-determinant 2x2 complex matrices. Classification,
+decomposition and lift all read the one psi preimage A = _psi_inv(L) and
+factor it with _factor, as element_to_lorentz does; only decompose forms
+the polar factor.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _psi, _psi_inv
+from .adjoint import _boost, _psi, _psi_inv
 from .errors import (
     BadAxis,
     DomainError,
@@ -27,7 +29,7 @@ from .errors import (
     NotTimelike,
     ZeroElement,
 )
-from .qmat import SIGMA, _coords, _finite, _gram, _scaled_entries, _unitary_factor
+from .qmat import _coords, _finite, _gram, _scaled_entries, _unitary_factor
 
 # Velocities with 1 - TOL_V < |v| < 1 - UNIT_ROUNDOFF are rejected as
 # ambiguous rather than silently classified: gamma overflows there. A norm
@@ -87,15 +89,8 @@ def pure_boost(vel) -> np.ndarray:
     vel = _as_velocity(vel)
     if vel.kind != TIMELIKE:
         raise NotTimelike("pure_boost requires a timelike velocity")
-    v = vel.v
-    v2 = float(v @ v)
-    g = 1.0 / np.sqrt(1.0 - v2)
-    out = np.empty((4, 4))
-    out[0, 0] = g
-    out[0, 1:] = -g * v
-    out[1:, 0] = -g * v
-    out[1:, 1:] = np.eye(3) + (g * g / (1.0 + g)) * np.outer(v, v)
-    return out
+    g = math.sqrt(1.0 - float(vel.v @ vel.v))
+    return _boost(vel.v, g) / g
 
 
 def null_boost_rescaled(vel) -> np.ndarray:
@@ -112,36 +107,17 @@ def null_boost_rescaled(vel) -> np.ndarray:
     vel = _as_velocity(vel)
     if vel.kind != NULL:
         raise NotNull("null_boost_rescaled requires a null velocity")
-    v = vel.v
-    out = np.empty((4, 4))
-    out[0, 0] = 1.0
-    out[0, 1:] = -v
-    out[1:, 0] = -v
-    out[1:, 1:] = np.outer(v, v)
-    return out
-
-
-def _rodrigues(axis: np.ndarray, theta: float) -> np.ndarray:
-    k = np.array(
-        [
-            [0.0, -axis[2], axis[1]],
-            [axis[2], 0.0, -axis[0]],
-            [-axis[1], axis[0], 0.0],
-        ]
-    )
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+    return _boost(vel.v, 0.0)
 
 
 def rotation4(axis, theta: float) -> np.ndarray:
-    """Block rotation diag(1, R_theta(axis)) about a unit axis."""
-    axis, theta = _vec3(axis), float(theta)
-    if not math.isfinite(theta):
-        raise MalformedInput(f"rotation angle must be finite, got {theta}")
+    """Block rotation diag(1, R) about a unit axis, R the block of psi(su2_from_axis_angle)."""
+    axis = _vec3(axis)
     n = float(np.linalg.norm(axis))
     if abs(n - 1) > 1e-9:
         raise BadAxis(f"axis norm {n} is not 1 within tolerance")
     out = np.eye(4)
-    out[1:, 1:] = _rodrigues(axis / n, theta)
+    out[1:, 1:] = _psi(su2_from_axis_angle(axis / n, theta))[1:, 1:]
     return out
 
 
@@ -149,6 +125,12 @@ RESTRICTED = "restricted"
 RESCALED_RESTRICTED = "rescaled_restricted"
 RESCALED_NULL_BOOST_PRODUCT = "rescaled_null_boost_product"
 OTHER = "other"
+
+
+def _is_null(speed):
+    """The null rule 1 - |v| <= TOL_V on the speed |v| = |e[1:]| / e[0] of an effect
+    four-vector e, elementwise on arrays: _factor and sim.report_invariants read it."""
+    return speed >= 1 - TOL_V
 
 
 def _factor(a: np.ndarray) -> tuple[Velocity, float, list, complex]:
@@ -165,7 +147,7 @@ def _factor(a: np.ndarray) -> tuple[Velocity, float, list, complex]:
     t = p0 + p1
     v3 = (-2 * h01.real / t, 2 * h01.imag / t, (p1 - p0) / t)
     speed = math.hypot(*v3)
-    if speed >= 1 - TOL_V:
+    if _is_null(speed):
         return Velocity(v=np.array(v3) / speed, kind=NULL), float(_coords(_gram(a))[0] / 2), n, d
     return Velocity(v=np.array(v3), kind=TIMELIKE), mu * mu * abs(d), n, d
 
@@ -212,46 +194,43 @@ def decompose(L, tol: float = 1e-9) -> LorentzDecomposition:
     return LorentzDecomposition(rotation=_psi(_unitary_factor(n, d)), velocity=vel, scale=scale)
 
 
-def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
-    """Axis and angle (in [0, pi]) of a proper 3x3 rotation.
+def _rotation_spinor(rot, tol: float = 1e-9) -> np.ndarray:
+    """The U with det U = 1, signed as _unit_det describes, and psi(U) = rot
+    within tol for a proper block rotation rot = diag(1, R); else NotDecomposable."""
+    rot = mat4(rot)
+    edge = rot[0].tolist() + rot[1:, 0].tolist()
+    if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > tol:
+        raise NotDecomposable("rotation is not a Bloch-block rotation")
+    u = _unit_det(_psi_inv(rot))
+    if not np.abs(_psi(u) - rot).max() <= tol:
+        raise NotDecomposable("rotation block is not a proper rotation")
+    return u
 
-    The angle comes from atan2 of the antisymmetric part against the trace;
-    near theta = pi the axis is recovered from the symmetric part, whose
-    dominant diagonal entry stays well-conditioned there.
-    """
-    r = np.asarray(r3, dtype=float)
-    if r.shape != (3, 3):
-        raise MalformedInput("expected a 3x3 rotation matrix")
-    a = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    sin_t = float(np.linalg.norm(a)) / 2
-    cos_t = (float(np.trace(r)) - 1.0) / 2
-    theta = float(np.arctan2(sin_t, cos_t))
-    if theta < 1e-12:
+
+def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
+    """Axis and angle (in [0, pi]) of a proper 3x3 rotation R, read from the lift
+    u = cos(theta/2) I - i sin(theta/2) (axis . sigma) of diag(1, R), signed so that
+    cos(theta/2) >= 0; the angle 0 has the axis z. NotDecomposable unless R is a
+    proper rotation within 1e-9."""
+    rot = np.eye(4)
+    rot[1:, 1:] = _finite(r3, (3, 3), float, "3x3 rotation matrix")
+    (u00, u01), (u10, u11) = _rotation_spinor(rot).tolist()
+    s = (-(u01 + u10).imag / 2, (u10 - u01).real / 2, (u11 - u00).imag / 2)
+    sin_half = math.hypot(*s)
+    if sin_half == 0:
         return np.array([0.0, 0.0, 1.0]), 0.0
-    if theta < 3.0:
-        axis = a / (2 * sin_t)
-        return axis / np.linalg.norm(axis), theta
-    # pi branch: nn^T = (sym(r) - cos I) / (1 - cos)
-    outer = ((r + r.T) / 2 - cos_t * np.eye(3)) / (1.0 - cos_t)
-    k = int(np.argmax(np.diag(outer)))
-    n = outer[:, k] / np.sqrt(max(outer[k, k], 1e-300))
-    n = n / np.linalg.norm(n)
-    if np.linalg.norm(a) > 1e-12:
-        if float(a @ n) < 0:
-            n = -n
-    else:
-        j = int(np.argmax(np.abs(n)))
-        if n[j] < 0:
-            n = -n
-    return n, theta
+    return np.array(s) / sin_half, 2 * math.atan2(sin_half, (u00 + u11).real / 2)
 
 
 def su2_from_axis_angle(axis, theta: float) -> np.ndarray:
     """cos(theta/2) I - i sin(theta/2) (axis . sigma), a special unitary."""
-    axis = _vec3(axis)
+    x, y, z = _vec3(axis).tolist()
     half = float(theta) / 2
-    n_dot_sigma = axis[0] * SIGMA[1] + axis[1] * SIGMA[2] + axis[2] * SIGMA[3]
-    return np.cos(half) * np.eye(2, dtype=complex) - 1j * np.sin(half) * n_dot_sigma
+    if not math.isfinite(half):
+        raise MalformedInput(f"rotation angle must be finite, got {theta}")
+    c, s = math.cos(half), math.sin(half)
+    return np.array([[complex(c, -s * z), complex(-s * y, -s * x)],
+                     [complex(s * y, -s * x), complex(c, s * z)]])
 
 
 def _unit_det(a: np.ndarray) -> np.ndarray:

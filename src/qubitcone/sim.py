@@ -20,7 +20,7 @@ from .adjoint import _psi
 from .conemap import _minkowski
 from .correspond import Measurement, _effect_vectors, _post_vector, _probabilities, _state, require_valid
 from .errors import NotNormalized, NotTimelike, TooLarge
-from .lorentz import TIMELIKE, Velocity, _as_velocity, pure_boost
+from .lorentz import TIMELIKE, Velocity, _as_velocity, _is_null, pure_boost
 from .qmat import _coords
 
 # Outcomes at or below this probability are never sampled and their post
@@ -135,13 +135,14 @@ def report_invariants(meas: Measurement, rho) -> dict:
     post_vecs = _post_vector(meas.elements, rho)
     mix_after = _minkowski(post_vecs, post_vecs)
     info_effect, info_post = _log2(eta_vv), _log2(mix_after)
-    null = np.abs(eta_vv) <= 1e-12 * np.maximum(1.0, e_vecs[:, 0] ** 2)
+    e0, e3 = e_vecs[:, 0], np.hypot(np.hypot(e_vecs[:, 1], e_vecs[:, 2]), e_vecs[:, 3])
+    speed = np.divide(e3, e0, out=np.ones_like(e0), where=e0 > 0)  # a zero effect is null
     columns = {
         "probability": _minkowski(v_vecs, rho_vec).tolist(),
         "e_vec": e_vecs.tolist(),
         "v_vec": v_vecs.tolist(),
         "eta_vv": eta_vv.tolist(),
-        "kind": np.where(null, "null", "timelike").tolist(),
+        "kind": np.where(_is_null(speed), "null", "timelike").tolist(),
         "mixedness_after": mix_after.tolist(),
         "information_effect": _numbers(info_effect),
         "information_post": _numbers(info_post),

@@ -1,4 +1,6 @@
 """Shared random generators for the test suite."""
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -98,3 +100,15 @@ CORNERS = [
     (s * unitary(0.1, 0.2, 0.3, 0.4) @ np.diag([1.0, r]) @ unitary(0.5, 0.6, 0.7, 0.8), r)
     for s, r in [(1e-150, 1e-9), (1e150, 0.0), (1e150, 1e-9)]
 ]
+
+
+def unit(polar, azimuth):
+    return np.array(
+        [math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth), math.cos(polar)]
+    )
+
+
+# unit 3-vectors over the whole sphere
+directions = st.builds(
+    unit, st.floats(min_value=0, max_value=math.pi), st.floats(min_value=0, max_value=2 * math.pi)
+)

@@ -81,6 +81,19 @@ def test_cone_equivalence_with_positivity():
         assert is_positive(h) == cone_membership(phi(h)).in_cone
 
 
+def test_cone_equivalence_with_positivity_over_scale():
+    """cone_membership reads is_positive's rule on the coordinates, relative
+    to the trace, so the two agree at scales 1e-150 to 1e150, and pure states
+    lie on the boundary there."""
+    rng = np.random.default_rng(3)
+    for _ in range(20_000):
+        h = rand_herm(rng, scale=10.0 ** rng.uniform(-150, 150))
+        assert is_positive(h) == cone_membership(phi(h)).in_cone
+    for _ in range(200):
+        psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+        assert cone_membership(phi(10.0 ** rng.uniform(-150, 150) * np.outer(psi, psi.conj()))).on_boundary
+
+
 def test_boundary_equivalence_with_zero_eigenvalue():
     rng = np.random.default_rng(2)
     for _ in range(200):

@@ -1,9 +1,12 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import rand_restricted, rand_rotation4, rand_timelike, rand_unit3
+from conftest import directions, rand_restricted, rand_rotation4, rand_timelike, rand_unit3
 from qubitcone.adjoint import psi
 from qubitcone.conemap import ETA
 from qubitcone.errors import (
@@ -220,6 +223,31 @@ def test_rotation_axis_angle():
         if theta > 1e-6:
             align = abs(float(axis @ n))
             assert align == pytest.approx(1, abs=1e-7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(directions, st.floats(min_value=0, max_value=math.pi))
+@example(np.array([0.0, 0.0, 1.0]), 0.0)
+@example(np.array([0.6, 0.0, 0.8]), 1e-12)
+@example(np.array([0.0, 0.6, -0.8]), math.pi - 1e-9)
+@example(np.array([-0.48, 0.6, 0.64]), math.pi)
+def test_rotation_axis_angle_reproduces_the_rotation(n, theta):
+    """rotation4 of the axis and angle read back is R within 8 eps; away from
+    0 and pi, where the axis is determined only up to sign, it has n's sign."""
+    r = rotation4(n, theta)[1:, 1:]
+    axis, angle = rotation_axis_angle(r)
+    assert 0 <= angle <= math.pi
+    assert np.max(np.abs(rotation4(axis, angle)[1:, 1:] - r)) <= 8 * np.finfo(float).eps
+    if 1e-6 < theta < math.pi - 1e-6:
+        assert float(axis @ n) > 0
+
+
+def test_rotation_axis_angle_rejects_a_non_rotation():
+    with pytest.raises(MalformedInput):
+        rotation_axis_angle(np.full((3, 3), np.nan))
+    for r in [np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3)), 2 * np.eye(3)]:
+        with pytest.raises(NotDecomposable):
+            rotation_axis_angle(r)
 
 
 def test_spinor_lift_examples():

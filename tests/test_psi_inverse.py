@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CORNERS, rand_element, rand_null_element, rand_unit3, swept_elements
+from conftest import CORNERS, directions, rand_element, rand_null_element, rand_unit3, swept_elements, unitaries
 from qubitcone.adjoint import _psi_inv, psi
 from qubitcone.correspond import element_family, element_to_lorentz, lambda_max, lorentz_to_element
 from qubitcone.errors import NotRestricted
@@ -19,6 +19,7 @@ from qubitcone.lorentz import (
     RESCALED_NULL_BOOST_PRODUCT,
     RESCALED_RESTRICTED,
     RESTRICTED,
+    TIMELIKE,
     TOL_V,
     LorentzDecomposition,
     classify,
@@ -35,15 +36,6 @@ from qubitcone.qmat import SIGMA, polar_decompose
 EPS = np.finfo(float).eps
 
 
-def unit(polar, azimuth):
-    return np.array(
-        [math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth), math.cos(polar)]
-    )
-
-
-directions = st.builds(
-    unit, st.floats(min_value=0, max_value=math.pi), st.floats(min_value=0, max_value=2 * math.pi)
-)
 # speed 1 - 10^-k, k in [0, 8]: from rest up to 1 - 1e-8
 speeds = st.floats(min_value=0, max_value=8).map(lambda k: 1 - 10.0**-k)
 
@@ -160,6 +152,32 @@ def test_lorentz_to_element_then_element_to_lorentz(axis, theta, direction, spee
     assert geom.kind == vel.kind
     assert max_abs(geom.velocity.v - vel.v) <= 32 * gamma * EPS
     assert max_abs(geom.rotation - rotation) <= 32 * gamma * EPS
+
+
+# singular-value ratio 0 or 10^k, k in [-4, 0]
+forward_ratios = st.just(0.0) | st.floats(min_value=-4, max_value=0).map(lambda k: 10.0**k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unitaries, unitaries, forward_ratios, st.floats(min_value=-150, max_value=150))
+@example(np.eye(2), np.eye(2), 1e-4, -150.0)
+@example(np.eye(2), np.eye(2), 0.0, 150.0)
+def test_element_to_lorentz_then_lorentz_to_element(u, v, ratio, log_scale):
+    """The forward then the backward map returns the element up to a positive
+    scale c: psi(M') = c psi(M), within 32 gamma eps of max|psi| (32 eps when
+    null), for M = 10^k U diag(1, ratio) V†, k in [-150, 150], ratio 0 or in
+    [1e-4, 1]. Ratios below about 2.2e-5 are left out: there 1 - |v| <= TOL_V,
+    so the forward map reads the element as null by design and M' is the
+    rank-one element of that null velocity."""
+    m = 10.0**log_scale * u @ np.diag([1.0, ratio]) @ v.conj().T
+    geom = element_to_lorentz(m)
+    decomp = LorentzDecomposition(rotation=geom.rotation, velocity=geom.velocity, scale=geom.scale)
+    back = lorentz_to_element(decomp)
+    assert geom.kind == (NULL if ratio == 0 else TIMELIKE)
+    vel = geom.velocity.v
+    gamma = 1.0 if geom.kind == NULL else 1 / math.sqrt(1 - vel @ vel)
+    want, got = psi(m), psi(back)
+    assert max_abs(got / max_abs(got) - want / max_abs(want)) <= 32 * gamma * EPS
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_state
+from conftest import rand_state, unitaries
 from qubitcone.adjoint import psi
 from qubitcone.conemap import cone_membership, minkowski, mixedness, phi
-from qubitcone.correspond import measurement
+from qubitcone.correspond import complete_to_measurement, element_to_lorentz, measurement
 from qubitcone.errors import (
     InvalidMeasurement,
     NotNormalized,
@@ -165,6 +165,24 @@ def test_report_invariants():
     assert el["probability"] == pytest.approx(0.5, abs=1e-12)
     assert el["mixedness_after"] == pytest.approx(3 / 16, abs=1e-12)
     assert el["conservation_residual"] == pytest.approx(0, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    unitaries,
+    unitaries,
+    st.just(0.0) | st.floats(min_value=-3, max_value=0).map(lambda k: 10.0**k),
+    st.floats(min_value=-100, max_value=-1),
+)
+@example(I2, I2, 1.0, -4.0)  # {1e-4 I, sqrt(1 - 1e-8) I}
+def test_report_invariants_kind_is_the_forward_maps(u, v, ratio, log_scale):
+    """An element's kind is element_to_lorentz's, 1 - |v| <= TOL_V with
+    |v| = |e[1:]| / e[0], at element scales 1e-1 to 1e-100: rank one or
+    singular-value ratio at least 1e-3, and the complement of either."""
+    m = 10.0**log_scale * u @ np.diag([1.0, ratio]) @ v.conj().T
+    meas = complete_to_measurement(m)
+    rep = report_invariants(meas, I2 / 2)
+    assert [el["kind"] for el in rep["elements"]] == [element_to_lorentz(e).kind for e in meas.elements]
 
 
 def test_validation_errors():
