@@ -21,10 +21,6 @@ from .conemap import _minkowski, phi
 # one product of the flattened outer product of A and conj(A) with _PSI gives psi(A).
 _PSI = 0.5 * np.einsum("uki,vjl->ijkluv", SIGMA, SIGMA).reshape(16, 16)
 
-# sigma_mu sigma_beta sigma_nu, rows (mu, nu) and columns (beta, i, j): the
-# product L.ravel() @ _SANDWICH lists M_beta = sum L_{mu nu} sigma_mu sigma_beta sigma_nu.
-_SANDWICH = np.einsum("mik,bkl,nlj->mnbij", SIGMA, SIGMA, SIGMA).reshape(16, 16)
-
 
 def psi(a) -> np.ndarray:
     """psi(A)_{mu,nu} = (1/2) Tr(A sigma_nu A† sigma_mu), a 4x4 real matrix."""
@@ -39,30 +35,43 @@ def _psi(a: np.ndarray) -> np.ndarray:
     return (outer @ _PSI).real.reshape(lead + (4, 4))
 
 
-# Row beta is diag psi(sigma_beta): (_TRACE_SIGNS @ diag L)_beta = |Tr(sigma_beta A)|^2, L = psi(A)
-_TRACE_SIGNS = _psi(SIGMA).diagonal(axis1=1, axis2=2).copy()
+# Row beta is s = diag psi(sigma_beta): sigma_beta sigma_nu = s_nu sigma_nu sigma_beta
+_SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
 
 
 def _psi_inv(L: np.ndarray) -> np.ndarray:
     """The preimage A of a validated nonzero 4x4 L under psi, with Tr A >= 0
     (Penrose & Rindler, Spinors and Space-Time, vol. 1, ch. 1).
 
-    psi(A) = L means sum_mu L_{mu nu} sigma_mu = A sigma_nu A†, and
-    sum_nu sigma_nu X sigma_nu = 2 Tr(X) I, so M_beta = 2 Tr(A† sigma_beta) A.
-    The beta with the largest w = |Tr(sigma_beta A)|^2, read off diag(L),
-    gives A = M_beta sqrt(1 / w) / 2 up to the phase that psi does not carry;
-    only that M_beta is formed. L is divided by its largest entry first, so
-    that nothing over- or underflows. An L outside the image of psi still
-    yields some A, so callers compare psi(A) with L.
+    psi(A) = L means sum_mu L_{mu nu} sigma_mu = A sigma_nu A†, and sum_nu sigma_nu X sigma_nu
+    = 2 Tr(X) I, so M_beta = sum L_{mu nu} sigma_mu sigma_beta sigma_nu = 2 Tr(A† sigma_beta) A.
+    With s as in _SIGNS, M_beta = (w I + c . sigma) sigma_beta, w = sum_mu s_mu L_{mu mu}
+    = |Tr(sigma_beta A)|^2, c_l = s_l L_{0l} + L_{l0} + i (s_k L_{jk} - s_j L_{kj}), (j, k, l)
+    cyclic. The beta with the largest w gives A = M_beta sqrt(1 / w) / 2 up to the phase that
+    psi does not carry. L is divided by its largest entry first, so that nothing over- or
+    underflows. An L outside the image of psi still yields some A: callers compare psi(A), L.
     """
-    ell = float(np.abs(L).max())
-    flat = L.reshape(16) / ell
-    weights = _TRACE_SIGNS @ flat[::5]
-    beta = int(weights.argmax())
-    w = float(weights[beta])
+    flat = L.ravel().tolist()
+    ell = max(map(abs, flat))
+    (l00, l01, l02, l03, l10, l11, l12, l13,
+     l20, l21, l22, l23, l30, l31, l32, l33) = [x / ell for x in flat]
+    weights = (l00 + l11 + l22 + l33, l00 + l11 - l22 - l33,
+               l00 - l11 + l22 - l33, l00 - l11 - l22 + l33)
+    w = max(weights)
     if w <= 0:
         return np.zeros((2, 2), dtype=complex)
-    m00, m01, m10, m11 = (flat @ _SANDWICH[:, 4 * beta : 4 * beta + 4]).tolist()
+    beta = weights.index(w)
+    _, s1, s2, s3 = _SIGNS[beta]
+    a1, a2, a3 = s1 * l01 + l10, s2 * l02 + l20, s3 * l03 + l30
+    b1, b2, b3 = s3 * l23 - s2 * l32, s1 * l31 - s3 * l13, s2 * l12 - s1 * l21
+    m00, m01 = complex(w + a3, b3), complex(a1 + b2, b1 - a2)
+    m10, m11 = complex(a1 - b2, b1 + a2), complex(w - a3, -b3)
+    if beta == 1:
+        m00, m01, m10, m11 = m01, m00, m11, m10
+    elif beta == 2:
+        m00, m01, m10, m11 = 1j * m01, -1j * m00, 1j * m11, -1j * m10
+    elif beta == 3:
+        m01, m11 = -m01, -m11
     tr = m00 + m11
     k = math.sqrt(ell / w) / 2 * (tr.conjugate() / abs(tr) if tr else 1)
     a00, a11 = m00 * k, m11 * k

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import _psi
-from .conemap import ETA, _minkowski, minkowski
+from .conemap import ETA, _minkowski, fourvector
 from .errors import (
     InvalidMeasurement,
     LambdaOutOfRange,
@@ -23,7 +23,7 @@ from .errors import (
     NullOrSpacelike,
     TooLarge,
 )
-from .lorentz import NULL, LorentzDecomposition, Velocity, _factor, _rotation_spinor
+from .lorentz import NULL, LorentzDecomposition, Velocity, _factor, _is_null, _rotation_spinor
 from .qmat import (
     _coords,
     _eigenvalues,
@@ -141,12 +141,11 @@ def apply_element(m, rho, tol: float = 1e-9) -> tuple[float, np.ndarray]:
 
 def element_to_lorentz(m) -> EffectGeometry:
     """Forward correspondence: psi(M) = scale * rotation * boost(velocity)."""
-    m = mat2(m)
-    vel, scale, n, d = _factor(m)
-    e_vec, v_vec = _effect_vectors(m)
+    vel, scale, n, d, e = _factor(mat2(m))
+    e_vec = np.array(e)
     return EffectGeometry(
         e_vec=e_vec,
-        v_vec=v_vec,
+        v_vec=e_vec * _HALF_ETA,
         velocity=vel,
         scale=scale,
         rotation=_psi(_unitary_factor(n, d)),
@@ -177,19 +176,20 @@ def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -
     Default lambda is lambda_max, which maximizes the element's probability
     weight; any admissible lambda yields the same transform up to scale.
     """
-    family = element_family(decomp)
+    u = _rotation_spinor(decomp.rotation)
+    lam_max = lambda_max(decomp.velocity)
     if lam is None:
-        lam = family.lambda_max
+        lam = lam_max
     lam = float(lam)
-    if not (0.0 < lam <= family.lambda_max * (1.0 + 1e-12)):
-        raise LambdaOutOfRange(f"lambda = {lam} outside (0, {family.lambda_max}]")
-    v = family.velocity.v
-    g = 0.0 if family.kind == NULL else math.sqrt(1.0 - v @ v)
+    if not (0.0 < lam <= lam_max * (1.0 + 1e-12)):
+        raise LambdaOutOfRange(f"lambda = {lam} outside (0, {lam_max}]")
+    v = decomp.velocity.v
+    g = 0.0 if decomp.velocity.kind == NULL else math.sqrt(1.0 - v @ v)
     # lam sqrt(E) = lam (E + (g/2) I) / sqrt(1 + g) for the effect E with coordinates
     # (1, -v), sqrt(det E) = g/2: the positive element of the effect lam^2 (1, -v)
     vx, vy, vz = v.tolist()
     root = np.array([[1.0 - vz + g, complex(-vx, vy)], [complex(-vx, -vy), 1.0 + vz + g]])
-    return family.rotation_u @ (lam / (2 * math.sqrt(1.0 + g)) * root)
+    return u @ (lam / (2 * math.sqrt(1.0 + g)) * root)
 
 
 def complete_to_measurement(m, tol: float = 1e-9) -> Measurement:
@@ -229,12 +229,15 @@ def prop2_invariants(meas_element, rho, tol: float = 1e-9) -> Prop2Report:
 
 
 def info_measure(v) -> float:
-    """log2 of the Minkowski self-product; additive under measurement:
-    I(rho_m) = I(V_m) + I(rho) whenever all three are timelike."""
-    n2 = minkowski(v, v)
-    if n2 <= 0:
+    """log2 of the Minkowski self-product v0^2 (1 - r)(1 + r), r = |v[1:]| / v0,
+    which neither over- nor underflows; additive under measurement:
+    I(rho_m) = I(V_m) + I(rho) whenever all three are timelike. Timelike
+    means v0 > 0 and a speed r that lorentz._is_null reads as timelike."""
+    t, x, y, z = fourvector(v).tolist()
+    r = math.hypot(x, y, z) / t if t > 0 else math.inf
+    if _is_null(r):
         raise NullOrSpacelike("information measure requires a timelike vector")
-    return float(np.log2(n2))
+    return 2 * math.log2(t) + math.log2((1 - r) * (1 + r))
 
 
 def require_valid(meas: Measurement, tol: float = COMPLETENESS_TOL) -> None:

@@ -29,7 +29,7 @@ from .errors import (
     NotTimelike,
     ZeroElement,
 )
-from .qmat import _coords, _finite, _gram, _scaled_entries, _unitary_factor
+from .qmat import _finite, _scaled_entries, _unitary_factor
 
 # Velocities with 1 - TOL_V < |v| < 1 - UNIT_ROUNDOFF are rejected as
 # ambiguous rather than silently classified: gamma overflows there. A norm
@@ -112,12 +112,8 @@ def null_boost_rescaled(vel) -> np.ndarray:
 
 def rotation4(axis, theta: float) -> np.ndarray:
     """Block rotation diag(1, R) about a unit axis, R the block of psi(su2_from_axis_angle)."""
-    axis = _vec3(axis)
-    n = float(np.linalg.norm(axis))
-    if abs(n - 1) > 1e-9:
-        raise BadAxis(f"axis norm {n} is not 1 within tolerance")
     out = np.eye(4)
-    out[1:, 1:] = _psi(su2_from_axis_angle(axis / n, theta))[1:, 1:]
+    out[1:, 1:] = _psi(su2_from_axis_angle(axis, theta))[1:, 1:]
     return out
 
 
@@ -133,11 +129,12 @@ def _is_null(speed):
     return speed >= 1 - TOL_V
 
 
-def _factor(a: np.ndarray) -> tuple[Velocity, float, list, complex]:
+def _factor(a: np.ndarray) -> tuple[Velocity, float, list, complex, list]:
     """Velocity and scale of psi(a) = scale * psi(U) * boost(velocity) for a
-    validated 2x2 a, and the _scaled_entries n, det n that U = _unitary_factor(n, det n)
-    takes. v = -(x, y, z)/t from the effect coordinates of n†n does not underflow
-    with a: timelike with scale |det a| when 1 - |v| > TOL_V, else null with Tr(a†a)/2."""
+    validated 2x2 a, the _scaled_entries n, det n that U = _unitary_factor(n, det n)
+    takes, and the effect coordinates e = phi(a†a) = mu^2 (t, x, y, z) as floats, where
+    (t, x, y, z) are those of n†n and mu = max|a|. v = -(x, y, z)/t does not underflow
+    with a: timelike with scale |det a| when 1 - |v| > TOL_V, else null with e0/2."""
     if not a.any():
         raise ZeroElement("the zero element carries no Lorentz data")
     n, d, mu = _scaled_entries(a)
@@ -145,11 +142,12 @@ def _factor(a: np.ndarray) -> tuple[Velocity, float, list, complex]:
     h01 = n00.conjugate() * n01 + n10.conjugate() * n11  # (n†n)_01 = (x - iy)/2
     p0, p1 = abs(n00) ** 2 + abs(n10) ** 2, abs(n01) ** 2 + abs(n11) ** 2
     t = p0 + p1
+    e = [mu * (mu * c) for c in (t, 2 * h01.real, -2 * h01.imag, p0 - p1)]
     v3 = (-2 * h01.real / t, 2 * h01.imag / t, (p1 - p0) / t)
     speed = math.hypot(*v3)
     if _is_null(speed):
-        return Velocity(v=np.array(v3) / speed, kind=NULL), float(_coords(_gram(a))[0] / 2), n, d
-    return Velocity(v=np.array(v3), kind=TIMELIKE), mu * mu * abs(d), n, d
+        return Velocity(v=np.array(v3) / speed, kind=NULL), e[0] / 2, n, d, e
+    return Velocity(v=np.array(v3), kind=TIMELIKE), mu * mu * abs(d), n, d, e
 
 
 def _classify(m: np.ndarray, tol: float) -> tuple[str, np.ndarray | None, tuple | None]:
@@ -161,7 +159,7 @@ def _classify(m: np.ndarray, tol: float) -> tuple[str, np.ndarray | None, tuple 
     a = _psi_inv(m)
     if not np.abs(_psi(a) - m).max() <= tol * norm:
         return OTHER, None, None
-    vel, scale, _, _ = parts = _factor(a)
+    vel, scale, *_ = parts = _factor(a)
     if vel.kind == NULL:
         return RESCALED_NULL_BOOST_PRODUCT, a, parts
     return (RESTRICTED if abs(scale - 1) <= tol else RESCALED_RESTRICTED), a, parts
@@ -190,7 +188,7 @@ def decompose(L, tol: float = 1e-9) -> LorentzDecomposition:
     if parts is None:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
-    vel, scale, n, d = parts
+    vel, scale, n, d, _ = parts
     return LorentzDecomposition(rotation=_psi(_unitary_factor(n, d)), velocity=vel, scale=scale)
 
 
@@ -223,8 +221,13 @@ def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
 
 
 def su2_from_axis_angle(axis, theta: float) -> np.ndarray:
-    """cos(theta/2) I - i sin(theta/2) (axis . sigma), a special unitary."""
-    x, y, z = _vec3(axis).tolist()
+    """cos(theta/2) I - i sin(theta/2) (axis . sigma), a special unitary, about
+    an axis of norm 1 within 1e-9 (normalised; else BadAxis)."""
+    axis = _vec3(axis)
+    n = float(np.linalg.norm(axis))
+    if abs(n - 1) > 1e-9:
+        raise BadAxis(f"axis norm {n} is not 1 within tolerance")
+    x, y, z = (axis / n).tolist()
     half = float(theta) / 2
     if not math.isfinite(half):
         raise MalformedInput(f"rotation angle must be finite, got {theta}")

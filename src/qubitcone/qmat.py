@@ -72,12 +72,11 @@ def hermitize(m) -> np.ndarray:
 def herm2(entries, tol: float = 1e-9) -> np.ndarray:
     """Validate a hermitian 2x2 matrix and enforce exact hermiticity.
 
-    Rejects inputs further than tol (scaled by the matrix magnitude) from
-    hermitian; otherwise returns the exactly hermitized matrix.
+    Rejects inputs further than tol max|m| from hermitian, a test relative
+    at every scale; otherwise returns the exactly hermitized matrix.
     """
     m = mat2(entries)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if float(np.max(np.abs(m - m.conj().T))) / 2 > tol * scale:
+    if float(np.max(np.abs(m - m.conj().T))) / 2 > tol * float(np.max(np.abs(m))):
         raise MalformedInput("matrix is not hermitian within tolerance")
     return _hermitize(m)
 

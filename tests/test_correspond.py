@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +18,7 @@ from qubitcone.adjoint import psi
 from qubitcone.conemap import minkowski, phi, phi_inv
 from qubitcone.correspond import (
     ElementFamily,
+    _effect_vectors,
     apply_element,
     complete_to_measurement,
     element_family,
@@ -301,6 +304,20 @@ def test_info_measure():
         info_measure([0, 0, 0, 1])
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_info_measure_reads_the_null_rule(scale):
+    """Pure states are null, however round-off falls; states of Bloch radius
+    up to 0.99 are timelike, at scales 1e-150 to 1e150."""
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        psi_ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        with pytest.raises(NullOrSpacelike):
+            info_measure(scale * phi(np.outer(psi_ket, psi_ket.conj())))
+        r = 0.99 * rng.uniform()
+        got = info_measure(scale * np.concatenate([[1.0], r * rand_unit3(rng)]))
+        assert got == pytest.approx(2 * math.log2(scale) + math.log2(1 - r * r), rel=1e-14, abs=1e-13)
+
+
 def test_information_conservation():
     m = np.diag([np.sqrt(3) / 2, 1 / 2]).astype(complex)
     rho = I2 / 2
@@ -342,6 +359,25 @@ def test_element_to_lorentz_inside_the_old_polar_band():
     assert np.max(np.abs(r3.T @ r3 - np.eye(3))) <= 1e-14
     recon = geom.scale * geom.rotation @ null_boost_rescaled(geom.velocity)
     assert np.max(np.abs(recon - psi(m))) <= 1e-4  # the ratio's order
+
+
+@settings(max_examples=300, deadline=None)
+@given(swept_elements)
+@example(CORNERS[0])
+@example(CORNERS[1])
+@example(CORNERS[2])
+def test_effect_vectors_from_the_factorisation(case):
+    """element_to_lorentz reads e_vec, v_vec and the null scale off the scaled
+    entries of its factorisation, not off M†M: they equal _effect_vectors(M)
+    and Tr(M†M)/2 within 4 eps max|e_vec|, at element scales 1e-150 to 1e150."""
+    m, _ = case
+    geom = element_to_lorentz(m)
+    e_vec, v_vec = _effect_vectors(m)
+    bound = 4 * np.finfo(float).eps * np.max(np.abs(e_vec))
+    assert np.max(np.abs(geom.e_vec - e_vec)) <= bound
+    assert np.max(np.abs(geom.v_vec - v_vec)) <= bound
+    if geom.kind == NULL:
+        assert abs(geom.scale - np.trace(m.conj().T @ m).real / 2) <= bound
 
 
 def test_element_to_lorentz_tiny_element():

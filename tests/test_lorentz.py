@@ -288,6 +288,21 @@ def test_su2_from_axis_angle_is_special_unitary():
         assert d == pytest.approx(1, abs=1e-13)
 
 
+@pytest.mark.parametrize("axis", [[0, 0, 2], [0.5, 0, 0], [1, 1, 0], [0, 0, 0]])
+def test_su2_from_axis_angle_rejects_a_non_unit_axis(axis):
+    with pytest.raises(BadAxis):
+        su2_from_axis_angle(axis, 1.0)
+
+
+def test_su2_from_axis_angle_normalises_a_near_unit_axis():
+    """An axis of norm 1 within 1e-9 is normalised, so the spinor is unitary to
+    round-off; rotation4 is psi of that spinor."""
+    axis = (1 + 5e-10) * np.array([0.36, 0.48, 0.8])
+    u = su2_from_axis_angle(axis, 1.0)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 4 * np.finfo(float).eps
+    assert np.array_equal(rotation4(axis, 1.0)[1:, 1:], psi(u)[1:, 1:])
+
+
 def test_null_boost_is_limit_of_pure_boosts():
     vhat = np.array([0.6, 0.0, 0.8])
     n = null_boost_rescaled(Velocity(v=vhat, kind=NULL))

@@ -11,11 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORNERS, directions, rand_element, rand_null_element, rand_unit3, swept_elements, unitaries
-from qubitcone.adjoint import _psi_inv, psi
+from qubitcone import lorentz
+from qubitcone.adjoint import _psi, _psi_inv, psi
 from qubitcone.correspond import element_family, element_to_lorentz, lambda_max, lorentz_to_element
-from qubitcone.errors import NotRestricted
+from qubitcone.errors import NotDecomposable, NotRestricted
 from qubitcone.lorentz import (
     NULL,
+    OTHER,
     RESCALED_NULL_BOOST_PRODUCT,
     RESCALED_RESTRICTED,
     RESTRICTED,
@@ -60,11 +62,30 @@ def max_abs(x):
     return float(np.max(np.abs(x)))
 
 
+# s (sigma_beta + sigma_{beta+1} e^{0.7i} / 4): |Tr(sigma_beta A)|^2 has the largest
+# weight, so _psi_inv builds A from M_beta, for each beta at scales 1e-150 and 1e150
+BRANCH_CORNERS = [
+    (s * (SIGMA[b] + np.exp(0.7j) * SIGMA[(b + 1) % 4] / 4), 1.0) for b in range(4) for s in (1e-150, 1e150)
+]
+
+
+def test_branch_corners_reach_every_beta():
+    weights = [[abs(np.trace(SIGMA[b] @ m)) for b in range(4)] for m, _ in BRANCH_CORNERS]
+    assert [int(np.argmax(w)) for w in weights] == [0, 0, 1, 1, 2, 2, 3, 3]
+
+
+def branch_examples(test):
+    for case in BRANCH_CORNERS:
+        test = example(case)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(swept_elements)
 @example(CORNERS[0])
 @example(CORNERS[1])
 @example(CORNERS[2])
+@branch_examples
 def test_psi_inv_is_a_preimage(case):
     m, _ = case
     L = psi(m)
@@ -259,3 +280,61 @@ def test_class_tests_agree_at_the_tol_v_boundary():
             lifted = False
         assert lifted == (kind == RESTRICTED)
     assert set(kinds) == {RESTRICTED, RESCALED_NULL_BOOST_PRODUCT}
+
+
+# The earlier psi inverse, through two constant tensors: the oracle of the subnormal sweep.
+SANDWICH = np.einsum("mik,bkl,nlj->mnbij", SIGMA, SIGMA, SIGMA).reshape(16, 16)
+TRACE_SIGNS = _psi(SIGMA).diagonal(axis1=1, axis2=2).copy()
+
+
+def tensor_psi_inv(L):
+    ell = float(np.abs(L).max())
+    flat = L.reshape(16) / ell
+    weights = TRACE_SIGNS @ flat[::5]
+    beta = int(weights.argmax())
+    w = float(weights[beta])
+    if w <= 0:
+        return np.zeros((2, 2), dtype=complex)
+    m00, m01, m10, m11 = (flat @ SANDWICH[:, 4 * beta : 4 * beta + 4]).tolist()
+    tr = m00 + m11
+    k = math.sqrt(ell / w) / 2 * (tr.conjugate() / abs(tr) if tr else 1)
+    a00, a11 = m00 * k, m11 * k
+    return np.array([[a00, m01 * k], [m10 * k, complex(a11.real, -a00.imag) if tr else a11]])
+
+
+def classes_and_errors(transforms):
+    """classify of each L, and |scale R B(v) - L| of decompose(L) (None when it raises)."""
+    out = []
+    for L in transforms:
+        try:
+            d = decompose(L)
+        except NotDecomposable:
+            out.append((classify(L), None))
+            continue
+        boost = null_boost_rescaled(d.velocity) if d.velocity.kind == NULL else pure_boost(d.velocity)
+        out.append((classify(L), max_abs(d.scale * d.rotation @ boost - L)))
+    return out
+
+
+SUBNORMAL = 4.9e-324
+
+
+def test_classify_and_decompose_of_subnormal_transforms(monkeypatch):
+    """L = s psi(U diag(1, r)), s log-uniform in [1e-323, 1e-290], r = 0 or
+    log-uniform in [1e-3, 1]: the closed-form psi inverse gives the class the
+    tensor oracle gives, and a reconstruction within the oracle's plus
+    512 (4.9e-324 + eps max|L|), with no warning."""
+    rng = np.random.default_rng(31)
+    transforms = []
+    for _ in range(3000):
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        r = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-3, 0)
+        transforms.append(10.0 ** rng.uniform(-323, -290) * psi(u @ np.diag([1.0, r])))
+    got = classes_and_errors(transforms)
+    monkeypatch.setattr(lorentz, "_psi_inv", tensor_psi_inv)
+    want = classes_and_errors(transforms)
+    assert {kind for kind, _ in want} - {OTHER}
+    for L, (kind, err), (want_kind, want_err) in zip(transforms, got, want):
+        assert kind == want_kind
+        if want_err is not None:
+            assert err <= want_err + 512 * (SUBNORMAL + EPS * max_abs(L))

@@ -202,6 +202,25 @@ def test_herm2_enforces_exact_invariants():
         herm2([[0, 1], [2, 0]])
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-12, 1.0, 1e150])
+def test_herm2_tolerance_is_relative_at_every_scale(scale):
+    """herm2 accepts a hermitian matrix plus a 1e-11 relative skew part and
+    rejects a 1e-7 one, at element scales 1e-150 to 1e150."""
+    rng = np.random.default_rng(21)
+    skew = scale * np.array([[0, 1], [-1, 0]])
+    for _ in range(50):
+        h = rand_herm(rng, scale)
+        assert np.allclose(herm2(h + 1e-11 * skew), h, rtol=0, atol=1e-10 * scale)
+        with pytest.raises(MalformedInput):
+            herm2(h + 1e-7 * skew)
+
+
+def test_herm2_below_unit_scale():
+    with pytest.raises(MalformedInput):
+        herm2([[1e-12, 1e-11], [0, 1e-12]])
+    assert not herm2(np.zeros((2, 2))).any()
+
+
 def test_hermitize_is_projection():
     rng = np.random.default_rng(7)
     m = rand_complex(rng)

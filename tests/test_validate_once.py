@@ -79,6 +79,16 @@ def test_correspondence_validates_once(validator_calls, make):
         assert validator_calls == {"mat4": 1}
 
 
+@pytest.mark.parametrize("make", [rand_element, rand_null_element])
+def test_forward_map_forms_no_effect(monkeypatch, make):
+    """element_to_lorentz reads the effect coordinates off its factorisation:
+    it forms M†M (qmat._gram) for neither a timelike nor a null element."""
+    m = make(np.random.default_rng(16))
+    calls = count_calls(monkeypatch, ["_gram"])
+    element_to_lorentz(m)
+    assert calls["_gram"] == 0
+
+
 OBSERVER = observer_boost([0.1, 0.2, 0.3])
 ENGINES = {
     "completeness_deviation": lambda meas, rho: completeness_deviation(meas),
