@@ -15,8 +15,6 @@ import numpy as np
 from . import serialize
 from .correspond import (
     LorentzDecomposition,
-    _post_state,
-    _probabilities,
     _state,
     element_to_lorentz,
     lorentz_to_element,
@@ -24,7 +22,7 @@ from .correspond import (
 )
 from .errors import DomainError, InvalidMeasurement, MalformedInput, TooLarge
 from .lorentz import rotation4, velocity
-from .qmat import _coords, _gram, herm2
+from .qmat import _coords, _from_coords, _gram, herm2
 from .sim import boosted_probabilities, observer_boost, report_invariants, scenario1_sample
 
 EXIT_OK = 0
@@ -110,10 +108,8 @@ def cmd_to_element(args) -> int:
 def cmd_apply(args) -> int:
     meas = _load_measurement(args.measurement)
     rho = _state(_load_state(args.state))
-    posts = _post_state(meas.elements, rho)
-    columns = zip(
-        _probabilities(meas.elements, rho).tolist(), serialize.mat2_to_json(posts), _coords(posts).tolist()
-    )
+    posts = meas.transforms @ _coords(rho)
+    columns = zip(posts[:, 0].tolist(), serialize.mat2_to_json(_from_coords(posts)), posts.tolist())
     outcomes = [
         {"index": i, "p": p, "post_state": post, "post_vector": vec}
         for i, (p, post, vec) in enumerate(columns)

@@ -38,7 +38,7 @@ def phi(h) -> np.ndarray:
 
 def phi_inv(v) -> np.ndarray:
     """Inverse of phi: (1/2) sum_mu v_mu sigma_mu, exactly hermitian."""
-    return _from_coords(*fourvector(v))
+    return _from_coords(fourvector(v))
 
 
 def minkowski(u, v) -> float:

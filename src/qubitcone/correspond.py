@@ -6,6 +6,10 @@ transform (or rescaled null boost when the effect M†M is projective).
 Backward: a decomposed transform yields a one-parameter family of
 admissible measurement elements M(lambda). The mixedness and probability
 identities tying the two pictures together live here as well.
+
+A measurement keeps its psi(M) stack: the post vector phi(M rho M†) is
+psi(M) phi(rho), its time component the probability Tr(M†M rho), and row 0
+of psi(M) is phi(M†M)/2. Only prop2_invariants forms Tr(M†M rho) directly.
 """
 from __future__ import annotations
 
@@ -28,8 +32,8 @@ from .qmat import (
     _coords,
     _eigenvalues,
     _finite,
+    _from_coords,
     _gram,
-    _hermitize,
     _is_positive,
     _sqrt_psd,
     _unitary_factor,
@@ -42,7 +46,6 @@ COMPLETENESS_TOL = 1e-9
 _HALF_ETA = 0.5 * ETA.diagonal()
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _completeness(elements: np.ndarray) -> float:
     """max |sum M†M - I| over the entries, of a (K, 2, 2) element array;
     inf or nan when an effect overflows."""
@@ -54,9 +57,13 @@ def _completeness(elements: np.ndarray) -> float:
 class Measurement:
     elements: np.ndarray  # (K, 2, 2) complex, K >= 1
     deviation: float = field(init=False)  # _completeness(elements), formed once
+    transforms: np.ndarray = field(init=False)  # _psi(elements), (K, 4, 4), formed once
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         object.__setattr__(self, "deviation", _completeness(self.elements))
+        object.__setattr__(self, "transforms", _psi(self.elements))
+        self.transforms.flags.writeable = False  # engines hand out its rows
 
 
 def measurement(elements) -> Measurement:
@@ -104,27 +111,6 @@ def effect(m) -> np.ndarray:
     return _gram(mat2(m))
 
 
-def _effect_vectors(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Four-vectors of the effects of validated (..., 2, 2) elements:
-    e_vec = phi(M†M) and its index-lowered half v_vec = eta e_vec / 2."""
-    e_vec = _coords(_gram(m))
-    return e_vec, e_vec * _HALF_ETA
-
-
-def _probabilities(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Tr(M†M rho) of validated (..., 2, 2) elements m and state rho."""
-    return np.real(np.trace(_gram(m) @ rho, axis1=-2, axis2=-1))
-
-
-def _post_state(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Unrescaled post-measurement states M rho M† of validated m and rho."""
-    return _hermitize(m @ rho @ m.conj().swapaxes(-1, -2))
-
-
-def _post_vector(m: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return _coords(_post_state(m, rho))
-
-
 def _state(rho, tol: float = 1e-9) -> np.ndarray:
     """Validate a positive state."""
     rho = mat2(rho)
@@ -134,9 +120,10 @@ def _state(rho, tol: float = 1e-9) -> np.ndarray:
 
 
 def apply_element(m, rho, tol: float = 1e-9) -> tuple[float, np.ndarray]:
-    """Outcome probability Tr(M†M rho) and unrescaled post state M rho M†."""
+    """Outcome probability Tr(M†M rho) and unrescaled post state M rho M†, from psi(M) phi(rho)."""
     m, rho = mat2(m), _state(rho, tol)
-    return float(_probabilities(m, rho)), _post_state(m, rho)
+    post = _psi(m) @ _coords(rho)
+    return float(post[0]), _from_coords(post)
 
 
 def element_to_lorentz(m) -> EffectGeometry:
@@ -214,30 +201,41 @@ def prop2_invariants(meas_element, rho, tol: float = 1e-9) -> Prop2Report:
 
     lhs_norm and rhs_norm are the two sides of
     eta(rho_m, rho_m) = eta(V, V) eta(rho, rho); the two p values are the
-    invariant-probability form eta(V, rho) and the direct Tr(E rho).
+    invariant-probability form eta(V, rho), V = eta psi(M)[0], and the direct Tr(E rho).
     """
     m, rho = mat2(meas_element), _state(rho, tol)
     rho_vec = _coords(rho)
-    _, v_vec = _effect_vectors(m)
-    post_vec = _post_vector(m, rho)
+    t = _psi(m)
+    v_vec = 2 * t[0] * _HALF_ETA
+    post_vec = t @ rho_vec
     return Prop2Report(
         lhs_norm=float(_minkowski(post_vec, post_vec)),
         rhs_norm=float(_minkowski(v_vec, v_vec) * _minkowski(rho_vec, rho_vec)),
         p_from_minkowski=float(_minkowski(v_vec, rho_vec)),
-        p_direct=float(_probabilities(m, rho)),
+        p_direct=float(np.trace(_gram(m) @ rho).real),
     )
 
 
+@np.errstate(all="ignore")  # a vector that is not timelike reads NaN, whatever its entries give
+def _information(vecs: np.ndarray) -> np.ndarray:
+    """log2 of the Minkowski self-products of the four-vectors v along the last
+    axis, formed on v / 2^k with 1/2 <= v0 / 2^k < 1 so that no square over- or
+    underflows; NaN unless v is timelike: v0 > 0 and a speed |v[1:]| / v0 that
+    lorentz._is_null reads as timelike, so that round-off of a null v never decides."""
+    t = vecs[..., 0]
+    live = (t > 0) & ~_is_null(np.hypot(np.hypot(vecs[..., 1], vecs[..., 2]), vecs[..., 3]) / t)
+    k = np.frexp(t)[1]
+    w = np.ldexp(vecs, -k[..., None])
+    return 2 * k + np.log2(_minkowski(w, w), out=np.full_like(t, np.nan), where=live)
+
+
 def info_measure(v) -> float:
-    """log2 of the Minkowski self-product v0^2 (1 - r)(1 + r), r = |v[1:]| / v0,
-    which neither over- nor underflows; additive under measurement:
-    I(rho_m) = I(V_m) + I(rho) whenever all three are timelike. Timelike
-    means v0 > 0 and a speed r that lorentz._is_null reads as timelike."""
-    t, x, y, z = fourvector(v).tolist()
-    r = math.hypot(x, y, z) / t if t > 0 else math.inf
-    if _is_null(r):
+    """_information of one four-vector, additive under measurement:
+    I(rho_m) = I(V_m) + I(rho) whenever all three are timelike."""
+    info = float(_information(fourvector(v)))
+    if math.isnan(info):
         raise NullOrSpacelike("information measure requires a timelike vector")
-    return 2 * math.log2(t) + math.log2((1 - r) * (1 + r))
+    return info
 
 
 def require_valid(meas: Measurement, tol: float = COMPLETENESS_TOL) -> None:

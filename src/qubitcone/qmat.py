@@ -5,8 +5,9 @@ correspondence) reduces to a handful of primitives on 2x2 matrices:
 hermiticity, positivity, closed-form eigenvalues, the positive square root
 and the polar decomposition. All functions are pure. Public functions
 validate a (2, 2) complex128 array with mat2; the underscored kernels take
-validated arrays: _hermitize, _gram and _coords broadcast over leading axes,
-and the scalar-only polar factor works on four Python complex numbers.
+validated arrays: _hermitize, _gram, _coords and its inverse _from_coords
+broadcast over leading axes, and the scalar-only polar factor works on four
+Python complex numbers.
 Roots and polar factors are Cayley–Hamilton closed forms.
 """
 from __future__ import annotations
@@ -72,11 +73,13 @@ def hermitize(m) -> np.ndarray:
 def herm2(entries, tol: float = 1e-9) -> np.ndarray:
     """Validate a hermitian 2x2 matrix and enforce exact hermiticity.
 
-    Rejects inputs further than tol max|m| from hermitian, a test relative
-    at every scale; otherwise returns the exactly hermitized matrix.
+    Rejects inputs further than tol max|m| from hermitian, a test relative at
+    every scale made on m over its largest real or imaginary part, so that
+    nothing overflows; otherwise returns the exactly hermitized matrix.
     """
     m = mat2(entries)
-    if float(np.max(np.abs(m - m.conj().T))) / 2 > tol * float(np.max(np.abs(m))):
+    n = m / (max(np.abs(m.real).max(), np.abs(m.imag).max()) or 1.0)
+    if float(np.max(np.abs(n - n.conj().T))) / 2 > tol * float(np.max(np.abs(n))):
         raise MalformedInput("matrix is not hermitian within tolerance")
     return _hermitize(m)
 
@@ -111,12 +114,10 @@ def _coords(h: np.ndarray) -> np.ndarray:
     return (h.reshape(h.shape[:-2] + (4,)) @ _PAULI_COLUMNS).real
 
 
-def _from_coords(a, x, y, z) -> np.ndarray:
-    """The hermitian matrix (1/2) sum_mu c_mu sigma_mu with coordinates c."""
-    return np.array(
-        [[(a + z) / 2, (x - 1j * y) / 2], [(x + 1j * y) / 2, (a - z) / 2]],
-        dtype=complex,
-    )
+def _from_coords(c: np.ndarray) -> np.ndarray:
+    """The hermitian matrices (1/2) sum_mu c_mu sigma_mu of coordinates c along
+    the last axis: the inverse of _coords, broadcast over leading axes."""
+    return (c @ SIGMA.reshape(4, 4)).reshape(c.shape[:-1] + (2, 2)) / 2
 
 
 def eigenvalues(h) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 """Scenario engines: measurement as a randomized boost, and the view of a
-boosted observer, each run on the whole (K, 2, 2) element array at once.
+boosted observer, each run at once on the psi(M) stack that a measurement
+keeps: post vectors are psi(M) phi(rho) and probabilities their time parts.
 
 Sampling is a bit-reproducible inverse CDF over the element index in listed
 order, from a numpy PCG64 generator seeded with the caller's 64-bit seed.
@@ -7,7 +8,8 @@ A draw u lands in bin k exactly when cum_{k-1} <= u < cum_k, so sorting the
 draws and counting those below each edge cum_k gives the tallies of a
 per-draw search, by the same comparisons. Draws in a bin of probability at
 most ZERO_PROB go to the next live bin, and draws past the last live edge
-to the last live bin.
+to the last live bin. Both scenario1_sample and report_invariants report
+the post vector of a probability at most ZERO_PROB Tr(rho) as 0.
 """
 from __future__ import annotations
 
@@ -16,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _psi
 from .conemap import _minkowski
-from .correspond import Measurement, _effect_vectors, _post_vector, _probabilities, _state, require_valid
+from .correspond import _HALF_ETA, Measurement, _information, _state, require_valid
 from .errors import NotNormalized, NotTimelike, TooLarge
-from .lorentz import TIMELIKE, Velocity, _as_velocity, _is_null, pure_boost
+from .lorentz import TIMELIKE, Velocity, _as_velocity, pure_boost
 from .qmat import _coords
 
 # Outcomes at or below this probability are never sampled and their post
@@ -61,7 +62,14 @@ def _checked_state(rho, require_unit_trace: bool) -> np.ndarray:
 
 
 def outcome_probabilities(meas: Measurement, rho) -> np.ndarray:
-    return np.maximum(_probabilities(meas.elements, rho), 0.0)
+    return np.maximum((meas.transforms @ _coords(np.asarray(rho, dtype=complex)))[:, 0], 0.0)
+
+
+def _outcomes(meas: Measurement, rho_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and post vectors psi(M) phi(rho); the post vector of a
+    probability at most ZERO_PROB Tr(rho) is 0."""
+    posts = meas.transforms @ rho_vec
+    return posts[:, 0], np.where(posts[:, :1] > ZERO_PROB * rho_vec[0], posts, 0.0)
 
 
 def _tallies(probs: np.ndarray, seed: int, n: int) -> np.ndarray:
@@ -87,10 +95,9 @@ def scenario1_sample(meas: Measurement, rho, seed: int, n: int) -> list[Scenario
     rho = _checked_state(rho, require_unit_trace=True)
     if n < 0:
         raise ValueError("sample count must be non-negative")
-    probs = outcome_probabilities(meas, rho)
-    transforms = _psi(meas.elements)
-    post_vecs = np.where((probs > ZERO_PROB)[:, None], transforms @ _coords(rho), 0.0)
-    columns = zip(probs.tolist(), _tallies(probs, seed, n).tolist(), post_vecs, transforms)
+    probs, post_vecs = _outcomes(meas, _coords(rho))
+    probs = np.maximum(probs, 0.0)
+    columns = zip(probs.tolist(), _tallies(probs, seed, n).tolist(), post_vecs, meas.transforms)
     return [ScenarioOutcome(i, *column) for i, column in enumerate(columns)]
 
 
@@ -107,13 +114,8 @@ def boosted_probabilities(meas: Measurement, rho, obs: ObserverBoost) -> list[fl
     v = obs.velocity.v
     rho_vec = _coords(rho)
     denom = rho_vec[0] - float(v @ rho_vec[1:])
-    w = _post_vector(meas.elements, rho)
+    w = meas.transforms @ rho_vec
     return ((w[:, 0] - w[:, 1:] @ v) / denom).tolist()
-
-
-def _log2(x: np.ndarray) -> np.ndarray:
-    """log2 of the positive entries of x, NaN elsewhere."""
-    return np.log2(x, out=np.full_like(x, np.nan), where=x > 0)
 
 
 def _numbers(x: np.ndarray) -> list:
@@ -124,25 +126,26 @@ def _numbers(x: np.ndarray) -> list:
 def report_invariants(meas: Measurement, rho) -> dict:
     """Machine-readable per-element report of the correspondence invariants:
     probability, mixedness before/after, eta(V,V), information values and
-    the conservation residual (only when every term is timelike)."""
+    the conservation residual. An information value is present for a timelike
+    vector only (correspond._information), the residual when all three are;
+    an element is null when its information_effect is absent."""
     require_valid(meas)
     rho = _checked_state(rho, require_unit_trace=False)
     rho_vec = _coords(rho)
     mix_before = _minkowski(rho_vec, rho_vec)
-    info_rho = _log2(mix_before)
-    e_vecs, v_vecs = _effect_vectors(meas.elements)
+    e_vecs = 2 * meas.transforms[:, 0]  # row 0 of psi(M) is phi(M†M) / 2
+    v_vecs = e_vecs * _HALF_ETA
     eta_vv = _minkowski(v_vecs, v_vecs)
-    post_vecs = _post_vector(meas.elements, rho)
-    mix_after = _minkowski(post_vecs, post_vecs)
-    info_effect, info_post = _log2(eta_vv), _log2(mix_after)
-    e0, e3 = e_vecs[:, 0], np.hypot(np.hypot(e_vecs[:, 1], e_vecs[:, 2]), e_vecs[:, 3])
-    speed = np.divide(e3, e0, out=np.ones_like(e0), where=e0 > 0)  # a zero effect is null
+    probs, posts = _outcomes(meas, rho_vec)
+    mix_after = _minkowski(posts, posts)
+    info = _information(np.vstack([v_vecs, posts, rho_vec]))
+    info_effect, info_post, info_rho = info[: len(posts)], info[len(posts) : -1], info[-1]
     columns = {
-        "probability": _minkowski(v_vecs, rho_vec).tolist(),
+        "probability": probs.tolist(),
         "e_vec": e_vecs.tolist(),
         "v_vec": v_vecs.tolist(),
         "eta_vv": eta_vv.tolist(),
-        "kind": np.where(_is_null(speed), "null", "timelike").tolist(),
+        "kind": np.where(np.isnan(info_effect), "null", "timelike").tolist(),
         "mixedness_after": mix_after.tolist(),
         "information_effect": _numbers(info_effect),
         "information_post": _numbers(info_post),

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_state
 from qubitcone.adjoint import _psi
-from qubitcone.correspond import _post_vector, completeness_deviation, measurement
+from qubitcone.correspond import completeness_deviation, measurement
 from qubitcone.qmat import _coords, _gram
 
 
@@ -22,7 +22,7 @@ def random_stack(k, seed):
 def test_batched_kernels_equal_stacked_scalar_calls(k, seed):
     stack, rng = random_stack(k, seed)
     rho = rand_state(rng)
-    for kernel in [_coords, _gram, _psi, lambda m: _post_vector(m, rho)]:
+    for kernel in [_coords, _gram, _psi, lambda m: _psi(m) @ _coords(rho)]:
         batched = kernel(stack)
         assert batched.shape[0] == k
         for i in range(k):

@@ -18,7 +18,6 @@ from qubitcone.adjoint import psi
 from qubitcone.conemap import minkowski, phi, phi_inv
 from qubitcone.correspond import (
     ElementFamily,
-    _effect_vectors,
     apply_element,
     complete_to_measurement,
     element_family,
@@ -368,11 +367,12 @@ def test_element_to_lorentz_inside_the_old_polar_band():
 @example(CORNERS[2])
 def test_effect_vectors_from_the_factorisation(case):
     """element_to_lorentz reads e_vec, v_vec and the null scale off the scaled
-    entries of its factorisation, not off M†M: they equal _effect_vectors(M)
+    entries of its factorisation, not off M†M: they equal phi(M†M), eta phi(M†M)/2
     and Tr(M†M)/2 within 4 eps max|e_vec|, at element scales 1e-150 to 1e150."""
     m, _ = case
     geom = element_to_lorentz(m)
-    e_vec, v_vec = _effect_vectors(m)
+    e_vec = phi(m.conj().T @ m)
+    v_vec = e_vec * np.array([0.5, -0.5, -0.5, -0.5])
     bound = 4 * np.finfo(float).eps * np.max(np.abs(e_vec))
     assert np.max(np.abs(geom.e_vec - e_vec)) <= bound
     assert np.max(np.abs(geom.v_vec - v_vec)) <= bound

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -213,6 +215,16 @@ def test_herm2_tolerance_is_relative_at_every_scale(scale):
         assert np.allclose(herm2(h + 1e-11 * skew), h, rtol=0, atol=1e-10 * scale)
         with pytest.raises(MalformedInput):
             herm2(h + 1e-7 * skew)
+
+
+def test_herm2_rejects_a_huge_skew_part_without_overflow():
+    """The hermiticity test runs on m / max|m|: m - m† would overflow here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedInput):
+            herm2([[1, 1e308], [-1e308, 1]])
+        with pytest.raises(MalformedInput):
+            herm2([[1.5e308 + 1.5e308j, 0], [0, 1]])
 
 
 def test_herm2_below_unit_scale():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_state, unitaries
+from conftest import rand_state, unitaries, unitary
 from qubitcone.adjoint import psi
 from qubitcone.conemap import cone_membership, minkowski, mixedness, phi
 from qubitcone.correspond import complete_to_measurement, element_to_lorentz, measurement
@@ -209,6 +209,43 @@ def test_minkowski_norm_of_probability():
             assert el["probability"] == pytest.approx(
                 minkowski(el["v_vec"], phi(rho)), abs=1e-12
             )
+
+
+def haar_projector(rng):
+    ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_report_invariants_presence_reads_the_null_rule(scale):
+    """Every element of {P, I - P} and {U P, I - P} is null and every post
+    state pure, so no information_effect, information_post or conservation
+    residual is present, however round-off falls; the mixed state's own
+    information is. A rule on the sign of the Minkowski square left about
+    750 residuals, 1,660 effect and 1,800 post informations on these draws."""
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        p, u = haar_projector(rng), unitary(*rng.uniform(0, 2 * np.pi, size=4))
+        for elements, rho in [([p, I2 - p], np.diag([0.7, 0.3])), ([u @ p, I2 - p], I2 / 2)]:
+            rep = report_invariants(measurement(elements), scale * rho)
+            assert rep["state"]["information"] is not None
+            for el in rep["elements"]:
+                assert el["kind"] == "null"
+                assert el["information_effect"] is None
+                assert el["information_post"] is None
+                assert el["conservation_residual"] is None
+
+
+def test_report_invariants_zeroes_an_impossible_outcome():
+    """The post vector of an outcome of probability at most ZERO_PROB Tr(rho)
+    is 0, as scenario1_sample reports it, not round-off of M rho M† = 0."""
+    rng = np.random.default_rng(18)
+    for scale in [1e-150, 1.0, 1e150]:
+        for _ in range(100):
+            p = haar_projector(rng)
+            el = report_invariants(measurement([p, I2 - p]), scale * (I2 - p))["elements"][0]
+            assert abs(el["probability"]) <= ZERO_PROB * scale
+            assert el["mixedness_after"] == 0.0 and el["information_post"] is None
 
 
 def inverse_cdf_tallies(probs, seed, n):

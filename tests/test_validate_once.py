@@ -141,6 +141,19 @@ def test_completeness_is_formed_once_per_measurement(monkeypatch):
     assert calls["_completeness"] == 1
 
 
+@pytest.mark.parametrize("k", [2, 16])
+def test_psi_is_formed_once_per_measurement(monkeypatch, k):
+    """The psi(M) stack is formed when a measurement is built, and every
+    engine reads it: no engine forms psi again, nor M†M as a 2x2 product."""
+    rng = np.random.default_rng(17)
+    rho = rand_state(rng)
+    calls = count_calls(monkeypatch, ["_psi", "_gram"])
+    meas = measurement(unitary_mixture(k, rng))
+    for engine in ENGINES.values():
+        engine(meas, rho)
+    assert calls == {"_psi": 1}
+
+
 def test_invalid_measurement_error_reads_the_stored_deviation(monkeypatch):
     calls = count_calls(monkeypatch, ["_completeness"])
     meas = measurement([0.9 * np.eye(2)])
