@@ -4,8 +4,11 @@ psi(A) is the 4x4 real matrix taking the coordinate vector of rho to the
 coordinate vector of A rho A†. It is multiplicative, sends unitaries to
 block rotations of the Bloch part, and sends positive square roots to
 (scaled) pure boosts, multiples of the one boost formula _boost; psi_of_sqrt
-exposes two closed forms of the latter for cross-checking. _psi_inv
-inverts psi up to the global phase psi cannot see.
+exposes two closed forms of the latter for cross-checking. _preimage
+inverts psi up to the global phase psi cannot see: it takes the 16 entries
+of L as Python floats and returns the four entries of A as Python complex
+numbers, which lorentz._unit_det and lorentz._factor take as they are;
+_psi_inv is its array form.
 """
 from __future__ import annotations
 
@@ -40,8 +43,15 @@ _SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
 
 
 def _psi_inv(L: np.ndarray) -> np.ndarray:
-    """The preimage A of a validated nonzero 4x4 L under psi, with Tr A >= 0
-    (Penrose & Rindler, Spinors and Space-Time, vol. 1, ch. 1).
+    """_preimage of a validated nonzero 4x4 L, as a 2x2 array."""
+    flat = L.ravel().tolist()
+    return np.array(_preimage(flat, max(map(abs, flat)))).reshape(2, 2)
+
+
+def _preimage(flat: list, ell: float) -> list:
+    """The entries a00, a01, a10, a11 of the preimage A under psi, with Tr A >= 0, of the
+    4x4 L with row-major entries flat and max|L| = ell > 0 (Penrose & Rindler, Spinors
+    and Space-Time, vol. 1, ch. 1).
 
     psi(A) = L means sum_mu L_{mu nu} sigma_mu = A sigma_nu A†, and sum_nu sigma_nu X sigma_nu
     = 2 Tr(X) I, so M_beta = sum L_{mu nu} sigma_mu sigma_beta sigma_nu = 2 Tr(A† sigma_beta) A.
@@ -51,15 +61,13 @@ def _psi_inv(L: np.ndarray) -> np.ndarray:
     psi does not carry. L is divided by its largest entry first, so that nothing over- or
     underflows. An L outside the image of psi still yields some A: callers compare psi(A), L.
     """
-    flat = L.ravel().tolist()
-    ell = max(map(abs, flat))
     (l00, l01, l02, l03, l10, l11, l12, l13,
      l20, l21, l22, l23, l30, l31, l32, l33) = [x / ell for x in flat]
     weights = (l00 + l11 + l22 + l33, l00 + l11 - l22 - l33,
                l00 - l11 + l22 - l33, l00 - l11 - l22 + l33)
     w = max(weights)
     if w <= 0:
-        return np.zeros((2, 2), dtype=complex)
+        return [0j, 0j, 0j, 0j]
     beta = weights.index(w)
     _, s1, s2, s3 = _SIGNS[beta]
     a1, a2, a3 = s1 * l01 + l10, s2 * l02 + l20, s3 * l03 + l30
@@ -76,7 +84,7 @@ def _psi_inv(L: np.ndarray) -> np.ndarray:
     k = math.sqrt(ell / w) / 2 * (tr.conjugate() / abs(tr) if tr else 1)
     a00, a11 = m00 * k, m11 * k
     # Im Tr A is otherwise round-off of max|A|, not of |Tr A|
-    return np.array([[a00, m01 * k], [m10 * k, complex(a11.real, -a00.imag) if tr else a11]])
+    return [a00, m01 * k, m10 * k, complex(a11.real, -a00.imag) if tr else a11]
 
 
 def _boost(v: np.ndarray, g: float) -> np.ndarray:

@@ -55,12 +55,15 @@ def _completeness(elements: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    elements: np.ndarray  # (K, 2, 2) complex, K >= 1
+    elements: np.ndarray  # (K, 2, 2) complex, K >= 1, a read-only copy of the input
     deviation: float = field(init=False)  # _completeness(elements), formed once
     transforms: np.ndarray = field(init=False)  # _psi(elements), (K, 4, 4), formed once
 
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
+        # a copy, so that no later change to the caller's array makes the fields below stale
+        object.__setattr__(self, "elements", np.array(self.elements, dtype=complex))
+        self.elements.flags.writeable = False
         object.__setattr__(self, "deviation", _completeness(self.elements))
         object.__setattr__(self, "transforms", _psi(self.elements))
         self.transforms.flags.writeable = False  # engines hand out its rows
@@ -128,7 +131,8 @@ def apply_element(m, rho, tol: float = 1e-9) -> tuple[float, np.ndarray]:
 
 def element_to_lorentz(m) -> EffectGeometry:
     """Forward correspondence: psi(M) = scale * rotation * boost(velocity)."""
-    vel, scale, n, d, e = _factor(mat2(m))
+    m = mat2(m)
+    vel, scale, n, d, e = _factor(m.ravel().tolist(), float(np.abs(m).max()))
     e_vec = np.array(e)
     return EffectGeometry(
         e_vec=e_vec,
@@ -150,7 +154,7 @@ def lambda_max(vel: Velocity) -> float:
 def element_family(decomp: LorentzDecomposition) -> ElementFamily:
     """The lambda-family of elements equivalent (up to scale) to a transform."""
     return ElementFamily(
-        rotation_u=_rotation_spinor(decomp.rotation),
+        rotation_u=np.array(_rotation_spinor(decomp.rotation)).reshape(2, 2),
         velocity=decomp.velocity,
         lambda_max=lambda_max(decomp.velocity),
         kind=decomp.velocity.kind,
@@ -163,7 +167,7 @@ def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -
     Default lambda is lambda_max, which maximizes the element's probability
     weight; any admissible lambda yields the same transform up to scale.
     """
-    u = _rotation_spinor(decomp.rotation)
+    u00, u01, u10, u11 = _rotation_spinor(decomp.rotation)
     lam_max = lambda_max(decomp.velocity)
     if lam is None:
         lam = lam_max
@@ -175,8 +179,10 @@ def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -
     # lam sqrt(E) = lam (E + (g/2) I) / sqrt(1 + g) for the effect E with coordinates
     # (1, -v), sqrt(det E) = g/2: the positive element of the effect lam^2 (1, -v)
     vx, vy, vz = v.tolist()
-    root = np.array([[1.0 - vz + g, complex(-vx, vy)], [complex(-vx, -vy), 1.0 + vz + g]])
-    return u @ (lam / (2 * math.sqrt(1.0 + g)) * root)
+    k = lam / (2 * math.sqrt(1.0 + g))
+    r00, r01, r10, r11 = k * (1.0 - vz + g), k * complex(-vx, vy), k * complex(-vx, -vy), k * (1.0 + vz + g)
+    return np.array([[u00 * r00 + u01 * r10, u00 * r01 + u01 * r11],
+                     [u10 * r00 + u11 * r10, u10 * r01 + u11 * r11]])
 
 
 def complete_to_measurement(m, tol: float = 1e-9) -> Measurement:

@@ -6,19 +6,22 @@ formula; Bloch-block rotations, the psi images of SU(2) spinors and read
 back through the same lift; classification of a 4x4 matrix against those
 families, the rotation-times-boost decomposition, and the two-to-one spinor
 lift back to unit-determinant 2x2 complex matrices. Classification,
-decomposition and lift all read the one psi preimage A = _psi_inv(L) and
+decomposition and lift all read the one psi preimage A = _preimage(L) and
 factor it with _factor, as element_to_lorentz does; only decompose forms
-the polar factor.
+the polar factor. The chain is scalar: L's entries are listed once, and
+_preimage, _unit_det and _factor pass A as four Python complex numbers, so
+that arrays are formed only for the one psi residual and the returned result.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _boost, _psi, _psi_inv
+from .adjoint import _boost, _preimage, _psi
 from .errors import (
     BadAxis,
     DomainError,
@@ -29,7 +32,7 @@ from .errors import (
     NotTimelike,
     ZeroElement,
 )
-from .qmat import _finite, _scaled_entries, _unitary_factor
+from .qmat import _finite, _gram_entries, _scaled_entries, _unitary_factor
 
 # Velocities with 1 - TOL_V < |v| < 1 - UNIT_ROUNDOFF are rejected as
 # ambiguous rather than silently classified: gamma overflows there. A norm
@@ -129,18 +132,17 @@ def _is_null(speed):
     return speed >= 1 - TOL_V
 
 
-def _factor(a: np.ndarray) -> tuple[Velocity, float, list, complex, list]:
-    """Velocity and scale of psi(a) = scale * psi(U) * boost(velocity) for a
-    validated 2x2 a, the _scaled_entries n, det n that U = _unitary_factor(n, det n)
-    takes, and the effect coordinates e = phi(a†a) = mu^2 (t, x, y, z) as floats, where
-    (t, x, y, z) are those of n†n and mu = max|a|. v = -(x, y, z)/t does not underflow
-    with a: timelike with scale |det a| when 1 - |v| > TOL_V, else null with e0/2."""
-    if not a.any():
+def _factor(a: list, mu: float) -> tuple[Velocity, float, list, complex, list]:
+    """Velocity and scale of psi(a) = scale * psi(U) * boost(velocity) for the entries
+    a00, a01, a10, a11 of a 2x2 a as Python complex numbers and mu = max|a|, the
+    _scaled_entries n, det n that U = _unitary_factor(n, det n) takes, and the effect
+    coordinates e = phi(a†a) = mu^2 (t, x, y, z) as floats, where (t, x, y, z) are those
+    of n†n. v = -(x, y, z)/t does not underflow with a: timelike with scale |det a|
+    when 1 - |v| > TOL_V, else null with e0/2."""
+    if not mu:
         raise ZeroElement("the zero element carries no Lorentz data")
-    n, d, mu = _scaled_entries(a)
-    n00, n01, n10, n11 = n
-    h01 = n00.conjugate() * n01 + n10.conjugate() * n11  # (n†n)_01 = (x - iy)/2
-    p0, p1 = abs(n00) ** 2 + abs(n10) ** 2, abs(n01) ** 2 + abs(n11) ** 2
+    n, d = _scaled_entries(a, mu)
+    p0, p1, h01 = _gram_entries(n)  # h01 = (n†n)_01 = (x - iy)/2
     t = p0 + p1
     e = [mu * (mu * c) for c in (t, 2 * h01.real, -2 * h01.imag, p0 - p1)]
     v3 = (-2 * h01.real / t, 2 * h01.imag / t, (p1 - p0) / t)
@@ -150,16 +152,24 @@ def _factor(a: np.ndarray) -> tuple[Velocity, float, list, complex, list]:
     return Velocity(v=np.array(v3), kind=TIMELIKE), mu * mu * abs(d), n, d, e
 
 
-def _classify(m: np.ndarray, tol: float) -> tuple[str, np.ndarray | None, tuple | None]:
-    """The class of a validated m, with its psi preimage A (Tr A >= 0) and
-    _factor(A); both None when m is not in the image of psi."""
-    norm = float(np.abs(m).max())
+def _fits(a: list, flat: list, tol: float) -> bool:
+    """|psi(A) - L| <= tol entrywise (a NaN fails), for the entries of A and the
+    row-major entries of L."""
+    psi_a = _psi(np.array(a).reshape(2, 2)).ravel().tolist()
+    return all(x <= tol for x in map(abs, map(operator.sub, psi_a, flat)))
+
+
+def _classify(m: np.ndarray, tol: float) -> tuple[str, list | None, tuple | None]:
+    """The class of a validated m, with the entries of its psi preimage A (Tr A >= 0)
+    and _factor(A); both None when m is not in the image of psi."""
+    flat = m.ravel().tolist()
+    norm = max(map(abs, flat))
     if norm == 0:
         return OTHER, None, None
-    a = _psi_inv(m)
-    if not np.abs(_psi(a) - m).max() <= tol * norm:
+    a = _preimage(flat, norm)
+    if not _fits(a, flat, tol * norm):
         return OTHER, None, None
-    vel, scale, *_ = parts = _factor(a)
+    vel, scale, *_ = parts = _factor(a, max(map(abs, a)))
     if vel.kind == NULL:
         return RESCALED_NULL_BOOST_PRODUCT, a, parts
     return (RESTRICTED if abs(scale - 1) <= tol else RESCALED_RESTRICTED), a, parts
@@ -192,15 +202,15 @@ def decompose(L, tol: float = 1e-9) -> LorentzDecomposition:
     return LorentzDecomposition(rotation=_psi(_unitary_factor(n, d)), velocity=vel, scale=scale)
 
 
-def _rotation_spinor(rot, tol: float = 1e-9) -> np.ndarray:
-    """The U with det U = 1, signed as _unit_det describes, and psi(U) = rot
+def _rotation_spinor(rot, tol: float = 1e-9) -> list:
+    """The entries of the U with det U = 1, signed as _unit_det describes, and psi(U) = rot
     within tol for a proper block rotation rot = diag(1, R); else NotDecomposable."""
-    rot = mat4(rot)
-    edge = rot[0].tolist() + rot[1:, 0].tolist()
+    flat = mat4(rot).ravel().tolist()
+    edge = flat[:4] + flat[4::4]  # row 0 and column 0
     if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > tol:
         raise NotDecomposable("rotation is not a Bloch-block rotation")
-    u = _unit_det(_psi_inv(rot))
-    if not np.abs(_psi(u) - rot).max() <= tol:
+    u = _unit_det(_preimage(flat, max(map(abs, flat))))
+    if not _fits(u, flat, tol):
         raise NotDecomposable("rotation block is not a proper rotation")
     return u
 
@@ -212,7 +222,7 @@ def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
     proper rotation within 1e-9."""
     rot = np.eye(4)
     rot[1:, 1:] = _finite(r3, (3, 3), float, "3x3 rotation matrix")
-    (u00, u01), (u10, u11) = _rotation_spinor(rot).tolist()
+    u00, u01, u10, u11 = _rotation_spinor(rot)
     s = (-(u01 + u10).imag / 2, (u10 - u01).real / 2, (u11 - u00).imag / 2)
     sin_half = math.hypot(*s)
     if sin_half == 0:
@@ -236,14 +246,15 @@ def su2_from_axis_angle(axis, theta: float) -> np.ndarray:
                      [complex(s * y, -s * x), complex(c, s * z)]])
 
 
-def _unit_det(a: np.ndarray) -> np.ndarray:
-    """a / sqrt(det a), signed so that its polar factor u has Re(u00) >= 0,
-    ties to Im(u00) >= 0; u00 is a positive multiple of a00 + conj(a11)."""
-    a00, a01, a10, a11 = a.ravel().tolist()
+def _unit_det(a: list) -> list:
+    """The entries of a / sqrt(det a) for the entries of a, signed so that its polar
+    factor u has Re(u00) >= 0, ties to Im(u00) >= 0; u00 is a positive multiple of
+    a00 + conj(a11)."""
+    a00, a01, a10, a11 = a
     r = cmath.sqrt(a00 * a11 - a01 * a10)
     s = a00 / r + (a11 / r).conjugate()
     r = -r if s.real < 0 or (s.real == 0 and s.imag < 0) else r
-    return np.array([[a00 / r, a01 / r], [a10 / r, a11 / r]])
+    return [a00 / r, a01 / r, a10 / r, a11 / r]
 
 
 def spinor_lift(L, tol: float = 1e-9) -> np.ndarray:
@@ -253,4 +264,4 @@ def spinor_lift(L, tol: float = 1e-9) -> np.ndarray:
     kind, a, _ = _classify(mat4(L), tol)
     if kind != RESTRICTED:
         raise NotRestricted("spinor_lift requires a restricted Lorentz transform")
-    return _unit_det(a)
+    return np.array(_unit_det(a)).reshape(2, 2)

@@ -6,8 +6,9 @@ hermiticity, positivity, closed-form eigenvalues, the positive square root
 and the polar decomposition. All functions are pure. Public functions
 validate a (2, 2) complex128 array with mat2; the underscored kernels take
 validated arrays: _hermitize, _gram, _coords and its inverse _from_coords
-broadcast over leading axes, and the scalar-only polar factor works on four
-Python complex numbers.
+broadcast over leading axes. The scalar kernels _scaled_entries,
+_gram_entries and _unitary_factor take the four entries of one matrix as
+Python complex numbers, with max|m| formed once by the caller.
 Roots and polar factors are Cayley–Hamilton closed forms.
 """
 from __future__ import annotations
@@ -58,7 +59,8 @@ def mat2(entries) -> np.ndarray:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    """m/2 + m†/2: (m + m†)/2 for normal entries, without overflowing near the float limit."""
+    return m / 2 + m.conj().swapaxes(-1, -2) / 2
 
 
 def hermitize(m) -> np.ndarray:
@@ -148,12 +150,6 @@ def _is_positive(h: np.ndarray, tol: float) -> bool:
     return bool(lm >= -tol * (lp + lm))
 
 
-def _psd_root(e: np.ndarray, sqrt_det: float) -> np.ndarray:
-    """sqrt(E) = (E + sqrt(det E) I) / sqrt(Tr E + 2 sqrt(det E)) for a
-    hermitian E >= 0; callers that know sqrt(det E) exactly pass it in."""
-    return (e + sqrt_det * SIGMA0) / math.sqrt((e[0, 0] + e[1, 1]).real + 2 * sqrt_det)
-
-
 def sqrt_psd(e, tol: float = POSITIVITY_TOL) -> np.ndarray:
     """Positive square root of a positive hermitian matrix, exactly hermitian."""
     e = mat2(e)
@@ -163,14 +159,15 @@ def sqrt_psd(e, tol: float = POSITIVITY_TOL) -> np.ndarray:
 
 
 def _sqrt_psd(e: np.ndarray) -> np.ndarray:
-    """sqrt of a hermitian e that is positive up to round-off; a trace <= 0
-    returns 0. det e is taken from the Pauli coordinates divided by the
-    trace, so that no square over- or underflows."""
+    """sqrt(e) = (e + sqrt(det e) I) / sqrt(Tr e + 2 sqrt(det e)) of a hermitian e that
+    is positive up to round-off; a trace <= 0 returns 0. det e is taken from the Pauli
+    coordinates divided by the trace, so that no square over- or underflows."""
     a, x, y, z = _coords(e).tolist()
     if a <= 0:
         # positivity forces e = 0 when the trace vanishes
         return np.zeros((2, 2), dtype=complex)
-    return _psd_root(e, _sqrt_det(a, x, y, z))
+    sqrt_det = _sqrt_det(a, x, y, z)
+    return (e + sqrt_det * SIGMA0) / math.sqrt((e[0, 0] + e[1, 1]).real + 2 * sqrt_det)
 
 
 def _sqrt_det(a, x, y, z) -> float:
@@ -180,12 +177,24 @@ def _sqrt_det(a, x, y, z) -> float:
     return a * math.sqrt(max((1 - r) * (1 + r), 0.0)) / 2
 
 
-def _scaled_entries(m: np.ndarray) -> tuple[list, complex, float]:
-    """Entries n00, n01, n10, n11 of n = m / max|m| as Python complex numbers, det n
-    and max|m| of a nonzero m: no product of entries of n over- or underflows."""
-    mu = float(np.abs(m).max())
-    n00, n01, n10, n11 = n = (m / mu).ravel().tolist()
-    return n, n00 * n11 - n01 * n10, mu
+def _scaled_entries(m: list, mu: float) -> tuple[list, complex]:
+    """Entries n00, n01, n10, n11 of n = m / mu and det n, for the entries m of a nonzero
+    matrix as Python complex numbers and mu = max|m|: no product of entries of n over- or
+    underflows. n = m * (1/mu), which is how numpy rounds m / mu. 1/mu overflows below
+    2^-1024, so a subnormal mu is first lifted, with m, by the exact power of two 2^1000."""
+    if mu < 2.0**-1022:
+        m = [x * 2.0**1000 for x in m]
+        mu = float(np.abs(m).max())
+    r = 1.0 / mu
+    n00, n01, n10, n11 = n = [x * r for x in m]
+    return n, n00 * n11 - n01 * n10
+
+
+def _gram_entries(n: list) -> tuple[float, float, complex]:
+    """(n†n)_00, (n†n)_11 and (n†n)_01 of the entries n00, n01, n10, n11 of n."""
+    n00, n01, n10, n11 = n
+    p0, p1 = abs(n00) ** 2 + abs(n10) ** 2, abs(n01) ** 2 + abs(n11) ** 2
+    return p0, p1, n00.conjugate() * n01 + n10.conjugate() * n11
 
 
 def _unitary_factor(n: list, d: complex) -> np.ndarray:
@@ -208,10 +217,17 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     s = Tr p = sqrt(||m||_F^2 + 2|det m|),
         u = (m + e^{i arg det m} adj(m)†) / s,   p = (m† m + |det m| I) / s,
     so det u = e^{i arg det m}; singular m takes the phase 1, i.e. det u = 1.
-    m = 0 returns (identity, 0).
+    Both are formed on n = m / max|m|, p as max|m| (n†n + |det n| I) / s_n with
+    s_n^2 = Tr(n†n) + 2|det n|, so that nothing over- or underflows. m = 0 returns
+    (identity, 0).
     """
     m = mat2(m)
-    if not m.any():
+    mu = float(np.abs(m).max())
+    if not mu:
         return np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-    n, d, mu = _scaled_entries(m)
-    return _unitary_factor(n, d), _psd_root(_gram(m), mu * mu * abs(d))
+    n, d = _scaled_entries(m.ravel().tolist(), mu)
+    p0, p1, h01 = _gram_entries(n)
+    abs_det = abs(d)
+    k = mu / math.sqrt(p0 + p1 + 2 * abs_det)
+    return _unitary_factor(n, d), np.array([[k * (p0 + abs_det), k * h01],
+                                            [k * h01.conjugate(), k * (p1 + abs_det)]])

@@ -80,6 +80,17 @@ def test_to_lorentz(tmp_path, capsys):
     assert geom["scale"] == pytest.approx(np.sqrt(3) / 4, abs=1e-12)
 
 
+def test_to_lorentz_of_a_subnormal_element(tmp_path, capsys):
+    """Only M = 0 carries no Lorentz data: entries below 2^-1022 give the
+    kind and velocity of M scaled up."""
+    elem = write_json(tmp_path, "tiny.json", serialize.mat2_to_json(1e-310 * np.diag([np.sqrt(3) / 2, 1 / 2])))
+    code, out = run(capsys, ["to-lorentz", "--element", elem])
+    assert code == EXIT_OK
+    geom = serialize.loads(out)
+    assert geom["kind"] == "timelike"
+    assert np.allclose(geom["velocity"]["v"], [0, 0, -0.5], atol=1e-12)
+
+
 def test_to_lorentz_zero_element_is_domain_error(tmp_path, capsys):
     elem = write_json(tmp_path, "zero.json", serialize.mat2_to_json(np.zeros((2, 2))))
     assert main(["to-lorentz", "--element", elem]) == EXIT_DOMAIN

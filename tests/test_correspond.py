@@ -405,6 +405,43 @@ def test_element_to_lorentz_at_tiny_element_scales(base, k):
     assert np.max(np.abs(geom.rotation - ref.rotation)) <= 1e-14
 
 
+# 2^1060 as two exact factors: 2.0**1060 is beyond the float range
+LIFT_HALF = 2.0**530
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_element_to_lorentz_of_subnormal_elements(rank):
+    """max|M| below 2^-1022, where 1/max|M| overflows: the kind, velocity and
+    rotation are those of the exactly lifted 2^1060 M, with no warning, and the
+    effect and scale underflow to finite values."""
+    rng = np.random.default_rng(40 + rank)
+    for _ in range(500):
+        base = rand_element(rng) if rank == 2 else rand_null_element(rng)
+        m = 10.0 ** rng.uniform(-323, -308) * base
+        if not m.any():
+            continue
+        geom = element_to_lorentz(m)
+        ref = element_to_lorentz(m * LIFT_HALF * LIFT_HALF)
+        assert geom.kind == ref.kind
+        assert np.array_equal(geom.velocity.v, ref.velocity.v)
+        assert np.array_equal(geom.rotation, ref.rotation)
+        assert np.isfinite(geom.e_vec).all() and np.isfinite(geom.scale)
+
+
+def test_measurement_keeps_its_own_elements():
+    """measurement copies a complex (K, 2, 2) array it is given and stores it
+    read-only: changing the caller's array afterwards changes nothing."""
+    arr = np.array([PROJ0, PROJ1], dtype=complex)
+    meas = measurement(arr)
+    transforms = meas.transforms.copy()
+    arr[0] = 0
+    assert np.array_equal(meas.elements, [PROJ0, PROJ1])
+    assert validate(meas) and meas.deviation == 0.0
+    assert np.array_equal(meas.transforms, transforms)
+    with pytest.raises(ValueError):
+        meas.elements[0] = 0
+
+
 ROTATION = rotation4([0.36, 0.48, 0.8], 1.1)
 
 

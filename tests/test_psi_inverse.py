@@ -331,8 +331,16 @@ def test_classify_and_decompose_of_subnormal_transforms(monkeypatch):
         r = 0.0 if rng.random() < 0.5 else 10.0 ** rng.uniform(-3, 0)
         transforms.append(10.0 ** rng.uniform(-323, -290) * psi(u @ np.diag([1.0, r])))
     got = classes_and_errors(transforms)
-    monkeypatch.setattr(lorentz, "_psi_inv", tensor_psi_inv)
+    oracle_calls = []
+
+    def tensor_preimage(flat, ell):
+        oracle_calls.append(ell)
+        return tensor_psi_inv(np.array(flat).reshape(4, 4)).ravel().tolist()
+
+    monkeypatch.setattr(lorentz, "_preimage", tensor_preimage)
     want = classes_and_errors(transforms)
+    # classify and decompose each read the preimage once per transform
+    assert len(oracle_calls) == 2 * len(transforms)
     assert {kind for kind, _ in want} - {OTHER}
     for L, (kind, err), (want_kind, want_err) in zip(transforms, got, want):
         assert kind == want_kind

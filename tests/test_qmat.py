@@ -227,6 +227,14 @@ def test_herm2_rejects_a_huge_skew_part_without_overflow():
             herm2([[1.5e308 + 1.5e308j, 0], [0, 1]])
 
 
+def test_herm2_of_a_huge_hermitian_matrix_without_overflow():
+    """The hermitian part is m/2 + m†/2: m + m† would overflow here."""
+    m = [[1, 1e308], [1e308, 1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(herm2(m), m)
+
+
 def test_herm2_below_unit_scale():
     with pytest.raises(MalformedInput):
         herm2([[1e-12, 1e-11], [0, 1e-12]])
@@ -266,6 +274,31 @@ def test_polar_domain_sweep(case):
     if ratio == 0:
         # round-off branch: the phase convention pins det u to 1
         assert abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1) <= 1e-14
+
+
+def haar_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
+
+
+def test_polar_off_scale_sweep():
+    """m = s U diag(1, r) V†, s from 1e-300 to 1e300 (1e-170, 1e-160 and 1e160
+    among them), r = 0 or down to 1e-8: ||u p - m|| <= 8 eps ||m||, u unitary,
+    and p exactly hermitian and positive. The residual is formed on m and p
+    times the same power of two, which is exact, so that it does not
+    underflow itself."""
+    rng = np.random.default_rng(22)
+    eps = np.finfo(float).eps
+    scales = [1e-170, 1e-160, 1e160] + list(10.0 ** rng.uniform(-300, 300, size=2000))
+    for s in scales:
+        r = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-8, 0)
+        m = s * haar_unitary(rng) @ np.diag([1.0, r]) @ haar_unitary(rng).conj().T
+        u, p = polar_decompose(m)
+        c = np.ldexp(1.0, -np.frexp(np.abs(m).max())[1])
+        assert np.linalg.norm(u @ (c * p) - c * m) <= 8 * eps * np.linalg.norm(c * m)
+        assert np.linalg.norm(u.conj().T @ u - I2) <= 1e-14
+        assert np.array_equal(p, p.conj().T)
+        assert is_positive(p)
 
 
 def test_eigenvalues_scale_range():

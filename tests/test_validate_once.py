@@ -89,6 +89,68 @@ def test_forward_map_forms_no_effect(monkeypatch, make):
     assert calls["_gram"] == 0
 
 
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """Counts psi, the psi preimage in both forms and np.abs, and records the
+    type of the first argument of every _unit_det and _factor call."""
+    calls = count_calls(monkeypatch, ["_psi", "_preimage", "_psi_inv"])
+    abs_calls = []
+    real_abs = np.abs
+
+    def counting_abs(*args, **kwargs):
+        abs_calls.append(1)
+        return real_abs(*args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counting_abs)
+    arg_types = []
+    for mod in MODULES:
+        for name in ("_unit_det", "_factor"):
+            if hasattr(mod, name):
+                fn = getattr(mod, name)
+
+                def recording(a, *args, _fn=fn, **kwargs):
+                    arg_types.append(type(a))
+                    return _fn(a, *args, **kwargs)
+
+                monkeypatch.setattr(mod, name, recording)
+
+    def reset():
+        calls.clear()
+        abs_calls.clear()
+        arg_types.clear()
+
+    def read():
+        return dict(calls), len(abs_calls), set(arg_types)
+
+    return reset, read
+
+
+@pytest.mark.parametrize("make", [rand_element, rand_null_element])
+def test_single_element_chain_is_scalar(chain_calls, make):
+    """element_to_lorentz, lorentz_to_element and spinor_lift each form psi once
+    and the psi preimage at most once, as four numbers: the lift path calls
+    np.abs at most once, and _unit_det and _factor take Python lists."""
+    reset, read = chain_calls
+    m = make(np.random.default_rng(18))
+    reset()
+    geom = element_to_lorentz(m)
+    calls, n_abs, types = read()
+    assert calls == {"_psi": 1} and n_abs <= 1 and types == {list}
+
+    decomp = LorentzDecomposition(rotation=geom.rotation, velocity=geom.velocity, scale=geom.scale)
+    reset()
+    lorentz_to_element(decomp)
+    calls, n_abs, types = read()
+    assert calls == {"_psi": 1, "_preimage": 1} and n_abs <= 1 and types == {list}
+
+    if geom.kind == "timelike":
+        rb = geom.rotation @ pure_boost(geom.velocity)
+        reset()
+        spinor_lift(rb)
+        calls, n_abs, types = read()
+        assert calls == {"_psi": 1, "_preimage": 1} and n_abs <= 1 and types == {list}
+
+
 OBSERVER = observer_boost([0.1, 0.2, 0.3])
 ENGINES = {
     "completeness_deviation": lambda meas, rho: completeness_deviation(meas),
