@@ -7,8 +7,7 @@ block rotations of the Bloch part, and sends positive square roots to
 exposes two closed forms of the latter for cross-checking. _preimage
 inverts psi up to the global phase psi cannot see: it takes the 16 entries
 of L as Python floats and returns the four entries of A as Python complex
-numbers, which lorentz._unit_det and lorentz._factor take as they are;
-_psi_inv is its array form.
+numbers, which lorentz._unit_det and lorentz._factor take as they are.
 """
 from __future__ import annotations
 
@@ -40,12 +39,6 @@ def _psi(a: np.ndarray) -> np.ndarray:
 
 # Row beta is s = diag psi(sigma_beta): sigma_beta sigma_nu = s_nu sigma_nu sigma_beta
 _SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
-
-
-def _psi_inv(L: np.ndarray) -> np.ndarray:
-    """_preimage of a validated nonzero 4x4 L, as a 2x2 array."""
-    flat = L.ravel().tolist()
-    return np.array(_preimage(flat, max(map(abs, flat)))).reshape(2, 2)
 
 
 def _preimage(flat: list, ell: float) -> list:

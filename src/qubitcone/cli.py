@@ -15,14 +15,14 @@ import numpy as np
 from . import serialize
 from .correspond import (
     LorentzDecomposition,
-    _state,
+    _state_vector,
     element_to_lorentz,
     lorentz_to_element,
     validate,
 )
 from .errors import DomainError, InvalidMeasurement, MalformedInput, TooLarge
 from .lorentz import rotation4, velocity
-from .qmat import _coords, _from_coords, _gram, herm2
+from .qmat import _from_coords, _gram, herm2
 from .sim import boosted_probabilities, observer_boost, report_invariants, scenario1_sample
 
 EXIT_OK = 0
@@ -107,8 +107,7 @@ def cmd_to_element(args) -> int:
 
 def cmd_apply(args) -> int:
     meas = _load_measurement(args.measurement)
-    rho = _state(_load_state(args.state))
-    posts = meas.transforms @ _coords(rho)
+    posts = meas.transforms @ _state_vector(_load_state(args.state))
     columns = zip(posts[:, 0].tolist(), serialize.mat2_to_json(_from_coords(posts)), posts.tolist())
     outcomes = [
         {"index": i, "p": p, "post_state": post, "post_vector": vec}

@@ -10,6 +10,8 @@ identities tying the two pictures together live here as well.
 A measurement keeps its psi(M) stack: the post vector phi(M rho M†) is
 psi(M) phi(rho), its time component the probability Tr(M†M rho), and row 0
 of psi(M) is phi(M†M)/2. Only prop2_invariants forms Tr(M†M rho) directly.
+A state is validated once, into its cone vector: _state_vector forms phi(rho)
+and reads positivity and the trace off those four coordinates.
 """
 from __future__ import annotations
 
@@ -23,6 +25,7 @@ from .conemap import ETA, _minkowski, fourvector
 from .errors import (
     InvalidMeasurement,
     LambdaOutOfRange,
+    NotNormalized,
     NotPositive,
     NullOrSpacelike,
     TooLarge,
@@ -34,13 +37,15 @@ from .qmat import (
     _finite,
     _from_coords,
     _gram,
-    _is_positive,
+    _positive,
     _sqrt_psd,
     _unitary_factor,
     mat2,
 )
 
 COMPLETENESS_TOL = 1e-9
+
+NORMALIZATION_TOL = 1e-9
 
 # V = eta phi(M†M) / 2 of an effect four-vector phi(M†M)
 _HALF_ETA = 0.5 * ETA.diagonal()
@@ -114,18 +119,22 @@ def effect(m) -> np.ndarray:
     return _gram(mat2(m))
 
 
-def _state(rho, tol: float = 1e-9) -> np.ndarray:
-    """Validate a positive state."""
-    rho = mat2(rho)
-    if not _is_positive(rho, tol):
+def _state_vector(rho: np.ndarray, tol: float = 1e-9, unit_trace: bool = False) -> np.ndarray:
+    """phi(rho) of a 2x2 array rho that passes mat2, validated on those coordinates:
+    positive by qmat._positive, and of trace phi(rho)[0] within NORMALIZATION_TOL of 1
+    when unit_trace is set."""
+    rho_vec = _coords(rho)
+    if not _positive(rho_vec, tol):
         raise NotPositive("state is not positive")
-    return rho
+    if unit_trace and abs(rho_vec[0] - 1.0) > NORMALIZATION_TOL:
+        raise NotNormalized("state must have unit trace")
+    return rho_vec
 
 
 def apply_element(m, rho, tol: float = 1e-9) -> tuple[float, np.ndarray]:
     """Outcome probability Tr(M†M rho) and unrescaled post state M rho M†, from psi(M) phi(rho)."""
-    m, rho = mat2(m), _state(rho, tol)
-    post = _psi(m) @ _coords(rho)
+    m, rho_vec = mat2(m), _state_vector(mat2(rho), tol)
+    post = _psi(m) @ rho_vec
     return float(post[0]), _from_coords(post)
 
 
@@ -209,8 +218,8 @@ def prop2_invariants(meas_element, rho, tol: float = 1e-9) -> Prop2Report:
     eta(rho_m, rho_m) = eta(V, V) eta(rho, rho); the two p values are the
     invariant-probability form eta(V, rho), V = eta psi(M)[0], and the direct Tr(E rho).
     """
-    m, rho = mat2(meas_element), _state(rho, tol)
-    rho_vec = _coords(rho)
+    m, rho = mat2(meas_element), mat2(rho)
+    rho_vec = _state_vector(rho, tol)
     t = _psi(m)
     v_vec = 2 * t[0] * _HALF_ETA
     post_vec = t @ rho_vec

@@ -132,7 +132,12 @@ def eigenvalues(h) -> tuple[float, float]:
 
 
 def _eigenvalues(h: np.ndarray) -> tuple[float, float]:
-    a, x, y, z = _coords(h).tolist()
+    return _spectrum(_coords(h))
+
+
+def _spectrum(c: np.ndarray) -> tuple[float, float]:
+    """lam_plus >= lam_minus of the hermitian matrix with Pauli coordinates c."""
+    a, x, y, z = c.tolist()
     r = math.hypot(x, y, z)
     return (a + r) / 2, (a - r) / 2
 
@@ -140,20 +145,21 @@ def _eigenvalues(h: np.ndarray) -> tuple[float, float]:
 def is_positive(h, tol: float = POSITIVITY_TOL) -> bool:
     """True iff the smallest eigenvalue is >= -tol Tr(h): tol is relative to
     the size of h, so that round-off at any scale passes."""
-    return _is_positive(mat2(h), tol)
+    return _positive(_coords(mat2(h)), tol)
 
 
-def _is_positive(h: np.ndarray, tol: float) -> bool:
+def _positive(c: np.ndarray, tol: float) -> bool:
+    """is_positive of the hermitian matrix with Pauli coordinates c."""
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    lp, lm = _eigenvalues(h)
+    lp, lm = _spectrum(c)
     return bool(lm >= -tol * (lp + lm))
 
 
 def sqrt_psd(e, tol: float = POSITIVITY_TOL) -> np.ndarray:
     """Positive square root of a positive hermitian matrix, exactly hermitian."""
     e = mat2(e)
-    if not _is_positive(e, tol):
+    if not _positive(_coords(e), tol):
         raise NotPositive("matrix is not positive semidefinite")
     return _sqrt_psd(_hermitize(e))
 

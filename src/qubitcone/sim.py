@@ -1,6 +1,8 @@
 """Scenario engines: measurement as a randomized boost, and the view of a
 boosted observer, each run at once on the psi(M) stack that a measurement
 keeps: post vectors are psi(M) phi(rho) and probabilities their time parts.
+Each engine validates the state once, on phi(rho) itself
+(correspond._state_vector), and forms every other quantity once per call.
 
 Sampling is a bit-reproducible inverse CDF over the element index in listed
 order, from a numpy PCG64 generator seeded with the caller's 64-bit seed.
@@ -15,24 +17,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .conemap import _minkowski
-from .correspond import _HALF_ETA, Measurement, _information, _state, require_valid
-from .errors import NotNormalized, NotTimelike, TooLarge
+from .correspond import _HALF_ETA, Measurement, _information, _state_vector, require_valid
+from .errors import NotTimelike, TooLarge
 from .lorentz import TIMELIKE, Velocity, _as_velocity, pure_boost
-from .qmat import _coords
+from .qmat import _coords, mat2
 
 # Outcomes at or below this probability are never sampled and their post
 # state is reported as the zero vector (exact arithmetic gives M rho M† = 0).
 ZERO_PROB = 1e-15
 
-NORMALIZATION_TOL = 1e-9
 
+class ScenarioOutcome(NamedTuple):
+    """One outcome of scenario1_sample: immutable, compared as a tuple."""
 
-@dataclass(frozen=True, eq=False)
-class ScenarioOutcome:
     index: int
     probability: float
     tally: int
@@ -52,13 +54,6 @@ def observer_boost(v) -> ObserverBoost:
     if vel.kind != TIMELIKE:
         raise NotTimelike("observer boosts must be timelike")
     return ObserverBoost(velocity=vel, transform=pure_boost(vel))
-
-
-def _checked_state(rho, require_unit_trace: bool) -> np.ndarray:
-    rho = _state(rho)
-    if require_unit_trace and abs(np.real(np.trace(rho)) - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalized("state must have unit trace")
-    return rho
 
 
 def outcome_probabilities(meas: Measurement, rho) -> np.ndarray:
@@ -84,7 +79,8 @@ def _tallies(probs: np.ndarray, seed: int, n: int) -> np.ndarray:
     below = np.searchsorted(draws, np.cumsum(probs)[live], side="left")
     below[-1] = n  # draws at or past the last live edge
     tallies = np.zeros(len(probs), dtype=int)
-    tallies[live] = np.diff(below, prepend=0)
+    tallies[live] = below
+    tallies[live[1:]] -= below[:-1]  # each live bin counts the draws from the previous live edge
     return tallies
 
 
@@ -92,13 +88,14 @@ def scenario1_sample(meas: Measurement, rho, seed: int, n: int) -> list[Scenario
     """Sample n outcomes of the measurement, reporting per-outcome tallies
     together with the transform and post vector of each outcome."""
     require_valid(meas)
-    rho = _checked_state(rho, require_unit_trace=True)
+    rho_vec = _state_vector(mat2(rho), unit_trace=True)
     if n < 0:
         raise ValueError("sample count must be non-negative")
-    probs, post_vecs = _outcomes(meas, _coords(rho))
+    probs, post_vecs = _outcomes(meas, rho_vec)
     probs = np.maximum(probs, 0.0)
-    columns = zip(probs.tolist(), _tallies(probs, seed, n).tolist(), post_vecs, meas.transforms)
-    return [ScenarioOutcome(i, *column) for i, column in enumerate(columns)]
+    tallies = _tallies(probs, seed, n).tolist()
+    columns = zip(range(len(tallies)), probs.tolist(), tallies, post_vecs, meas.transforms)
+    return list(map(ScenarioOutcome._make, columns))
 
 
 def boosted_probabilities(meas: Measurement, rho, obs: ObserverBoost) -> list[float]:
@@ -108,11 +105,10 @@ def boosted_probabilities(meas: Measurement, rho, obs: ObserverBoost) -> list[fl
     Their sum is reported as-is; it need not equal 1.
     """
     require_valid(meas)
-    rho = _checked_state(rho, require_unit_trace=True)
+    rho_vec = _state_vector(mat2(rho), unit_trace=True)
     if obs.velocity.kind != TIMELIKE:
         raise NotTimelike("observer boosts must be timelike")
     v = obs.velocity.v
-    rho_vec = _coords(rho)
     denom = rho_vec[0] - float(v @ rho_vec[1:])
     w = meas.transforms @ rho_vec
     return ((w[:, 0] - w[:, 1:] @ v) / denom).tolist()
@@ -120,7 +116,7 @@ def boosted_probabilities(meas: Measurement, rho, obs: ObserverBoost) -> list[fl
 
 def _numbers(x: np.ndarray) -> list:
     """The entries of x as floats, None for NaN."""
-    return [None if math.isnan(v) else v for v in np.atleast_1d(x).tolist()]
+    return [None if math.isnan(v) else v for v in x.tolist()]
 
 
 def report_invariants(meas: Measurement, rho) -> dict:
@@ -128,37 +124,27 @@ def report_invariants(meas: Measurement, rho) -> dict:
     probability, mixedness before/after, eta(V,V), information values and
     the conservation residual. An information value is present for a timelike
     vector only (correspond._information), the residual when all three are;
-    an element is null when its information_effect is absent."""
+    an element is null when its information_effect is absent. The Minkowski
+    products and information values are formed once each, on the (2K+1, 4)
+    stack of the V vectors, the post vectors and phi(rho)."""
     require_valid(meas)
-    rho = _checked_state(rho, require_unit_trace=False)
-    rho_vec = _coords(rho)
-    mix_before = _minkowski(rho_vec, rho_vec)
+    rho_vec = _state_vector(mat2(rho))
+    k = len(meas.transforms)
     e_vecs = 2 * meas.transforms[:, 0]  # row 0 of psi(M) is phi(M†M) / 2
     v_vecs = e_vecs * _HALF_ETA
-    eta_vv = _minkowski(v_vecs, v_vecs)
     probs, posts = _outcomes(meas, rho_vec)
-    mix_after = _minkowski(posts, posts)
-    info = _information(np.vstack([v_vecs, posts, rho_vec]))
-    info_effect, info_post, info_rho = info[: len(posts)], info[len(posts) : -1], info[-1]
-    columns = {
-        "probability": probs.tolist(),
-        "e_vec": e_vecs.tolist(),
-        "v_vec": v_vecs.tolist(),
-        "eta_vv": eta_vv.tolist(),
-        "kind": np.where(np.isnan(info_effect), "null", "timelike").tolist(),
-        "mixedness_after": mix_after.tolist(),
-        "information_effect": _numbers(info_effect),
-        "information_post": _numbers(info_post),
-        "conservation_residual": _numbers(info_post - info_effect - info_rho),
-    }
+    stack = np.vstack([v_vecs, posts, rho_vec])
+    norms = _minkowski(stack, stack).tolist()
+    info = _information(stack)
+    values = _numbers(info)
+    columns = zip(range(k), probs.tolist(), e_vecs.tolist(), v_vecs.tolist(), norms[:k], norms[k:-1],
+                  values[:k], values[k:-1], _numbers(info[k:-1] - info[:k] - info[-1]))
     return {
-        "state": {
-            "vector": rho_vec.tolist(),
-            "mixedness": float(mix_before),
-            "information": _numbers(info_rho)[0],
-        },
+        "state": {"vector": rho_vec.tolist(), "mixedness": norms[-1], "information": values[-1]},
         "elements": [
-            {"index": i, **{key: column[i] for key, column in columns.items()}}
-            for i in range(len(meas.elements))
+            {"index": i, "probability": p, "e_vec": e, "v_vec": v, "eta_vv": eta_vv,
+             "kind": "null" if info_e is None else "timelike", "mixedness_after": mix_after,
+             "information_effect": info_e, "information_post": info_post, "conservation_residual": res}
+            for i, p, e, v, eta_vv, mix_after, info_e, info_post, res in columns
         ],
     }

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,3 +355,16 @@ def test_serialize_round_trip_values():
     assert np.array_equal(serialize.mat2_from_json(serialize.mat2_to_json(m)), m)
     v = rng.normal(size=4)
     assert np.array_equal(serialize.loads(serialize.dumps(v.tolist())), v)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN.glob("*.args")), ids=lambda p: p.stem)
+def test_golden_stdout(args, monkeypatch, capsys):
+    """simulate, invariants and boost-observer print the committed golden
+    stdout byte for byte; the CI workflow runs the same files in a real process."""
+    monkeypatch.chdir(GOLDEN.parent.parent.parent)
+    code, out = run(capsys, args.read_text().split())
+    assert code == EXIT_OK
+    assert out == args.with_suffix(".out").read_text()

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import rand_element, rand_null_element, rand_state
-from qubitcone import serialize
+from qubitcone import serialize, sim
 from qubitcone.cli import main
 from qubitcone.correspond import (
     Measurement,
+    apply_element,
     completeness_deviation,
     element_to_lorentz,
     lorentz_to_element,
@@ -37,8 +38,8 @@ MODULES = [
 ]
 
 
-def count_calls(monkeypatch, names) -> Counter:
-    """Counts calls of the named functions through every module binding."""
+def count_calls(monkeypatch, names, modules=MODULES) -> Counter:
+    """Counts calls of the named functions through every binding in modules."""
     calls = Counter()
 
     def counting(name, fn):
@@ -48,7 +49,7 @@ def count_calls(monkeypatch, names) -> Counter:
 
         return wrapper
 
-    for mod in MODULES:
+    for mod in modules:
         for name in names:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
@@ -91,9 +92,9 @@ def test_forward_map_forms_no_effect(monkeypatch, make):
 
 @pytest.fixture
 def chain_calls(monkeypatch):
-    """Counts psi, the psi preimage in both forms and np.abs, and records the
-    type of the first argument of every _unit_det and _factor call."""
-    calls = count_calls(monkeypatch, ["_psi", "_preimage", "_psi_inv"])
+    """Counts psi, the psi preimage and np.abs, and records the type of the
+    first argument of every _unit_det and _factor call."""
+    calls = count_calls(monkeypatch, ["_psi", "_preimage"])
     abs_calls = []
     real_abs = np.abs
 
@@ -187,6 +188,55 @@ def test_engines_validate_a_fixed_number_of_times(monkeypatch, engine):
         counts.append(calls["_finite"])
         monkeypatch.undo()
     assert counts == [1 if engine in VALIDATES_STATE else 0] * 2
+
+
+STATE_ENGINES = {
+    **{name: ENGINES[name] for name in sorted(VALIDATES_STATE)},
+    "apply_element": lambda meas, rho: apply_element(meas.elements[0], rho),
+}
+
+
+@pytest.mark.parametrize("engine", list(STATE_ENGINES))
+@pytest.mark.parametrize("k", [2, 16])
+def test_engines_form_the_state_vector_once(monkeypatch, engine, k):
+    """An engine validates the state on phi(rho) itself: it forms the Pauli
+    coordinates of the state once and never its eigenvalues as a matrix."""
+    rng = np.random.default_rng(19)
+    rho = rand_state(rng)
+    meas = measurement(unitary_mixture(k, rng))
+    calls = count_calls(monkeypatch, ["_coords", "_eigenvalues"])
+    STATE_ENGINES[engine](meas, rho)
+    assert calls == {"_coords": 1}
+
+
+def test_cli_apply_forms_the_state_vector_once(monkeypatch, tmp_path, capsys):
+    meas_path, state_path = tmp_path / "meas.json", tmp_path / "state.json"
+    meas_path.write_text(serialize.dumps(serialize.measurement_to_json(measurement(unitary_mixture(3, np.random.default_rng(20))))))
+    state_path.write_text(serialize.dumps(serialize.mat2_to_json(np.diag([0.25, 0.75]))))
+    calls = count_calls(monkeypatch, ["_coords", "_eigenvalues"])
+    assert main(["apply", "--measurement", str(meas_path), "--state", str(state_path)]) == 0
+    assert calls == {"_coords": 1}
+    assert len(serialize.loads(capsys.readouterr().out)["outcomes"]) == 3
+
+
+@pytest.mark.parametrize("k", [1, 16])
+def test_report_invariants_forms_one_stack(monkeypatch, k):
+    """report_invariants forms every Minkowski product in one _minkowski call
+    and every information value in one _information call."""
+    rng = np.random.default_rng(21)
+    rho = rand_state(rng)
+    meas = measurement(unitary_mixture(k, rng))
+    calls = count_calls(monkeypatch, ["_minkowski", "_information"], modules=[sim])
+    report_invariants(meas, rho)
+    assert calls == {"_minkowski": 1, "_information": 1}
+
+
+def test_scenario_outcomes_are_immutable():
+    rng = np.random.default_rng(22)
+    outcome = scenario1_sample(measurement(unitary_mixture(2, rng)), rand_state(rng), seed=1, n=10)[0]
+    for field in ("index", "probability", "tally", "post_vector", "applied_transform"):
+        with pytest.raises(AttributeError):
+            setattr(outcome, field, 0)
 
 
 def test_completeness_is_formed_once_per_measurement(monkeypatch):
