@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import NotPositive, NotUnitary, ZeroMatrix
-from .qmat import SIGMA, _coords, _sqrt_det, is_positive, mat2, sqrt_psd
+from .qmat import SIGMA, TOL, _coords, _sqrt_det, is_positive, mat2, sqrt_psd
 from .conemap import _minkowski, phi
 
 # psi(A)_{uv} = (1/2) Tr(sigma_u A sigma_v A†) = sum_{ijkl} A_ij conj(A_kl) _PSI[ijkl, uv]:
@@ -92,10 +92,10 @@ def _boost(v: np.ndarray, g: float) -> np.ndarray:
                      [-z, x * z / k, y * z / k, g + z * z / k]])
 
 
-def psi_of_unitary(u, tol: float = 1e-9) -> np.ndarray:
-    """psi restricted to unitaries: block diag(1, R) with R a proper rotation."""
+def psi_of_unitary(u) -> np.ndarray:
+    """psi restricted to unitaries (U†U = I within TOL): block diag(1, R), R a proper rotation."""
     u = mat2(u)
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > tol:
+    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > TOL:
         raise NotUnitary("matrix is not unitary within tolerance")
     return _psi(u)
 

@@ -22,7 +22,7 @@ from .correspond import (
 )
 from .errors import DomainError, InvalidMeasurement, MalformedInput, TooLarge
 from .lorentz import rotation4, velocity
-from .qmat import _from_coords, _gram, herm2
+from .qmat import TOL, _from_coords, _gram, herm2
 from .sim import boosted_probabilities, observer_boost, report_invariants, scenario1_sample
 
 EXIT_OK = 0
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check measurement completeness")
     p.add_argument("--measurement", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=TOL)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("to-lorentz", help="measurement element to Lorentz data")

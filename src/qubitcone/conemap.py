@@ -4,7 +4,7 @@ phi sends a hermitian matrix to its Pauli coordinates Tr(h sigma_mu);
 positive matrices land exactly on the Minkowski future cone, with the
 boundary occupied by rank-deficient (generalized pure) matrices. Each
 fixed-trace slice of the cone is a Bloch sphere of radius equal to the
-trace coordinate.
+trace coordinate. Cone membership reads qmat.TOL, relative to the trace.
 """
 from __future__ import annotations
 
@@ -13,11 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveTrace
-from .qmat import _coords, _eigenvalues, _finite, _from_coords, hermitize, is_positive, mat2
+from .qmat import TOL, _coords, _eigenvalues, _finite, _from_coords, hermitize, is_positive, mat2
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
-
-CONE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,14 +56,14 @@ def hs_inner(a, b) -> float:
     return float(np.real(np.trace(a @ b)))
 
 
-def cone_membership(v, tol: float = CONE_TOL) -> ConeMembership:
-    """Future-cone test for a four-vector: is_positive(phi_inv(v), tol), so
-    the smaller eigenvalue (v0 - |v[1:]|)/2 is at least -tol v0; on the
-    boundary when it is also at most tol v0. Both tests are relative to v0."""
+def cone_membership(v) -> ConeMembership:
+    """Future-cone test for a four-vector: is_positive(phi_inv(v)), so the
+    smaller eigenvalue (v0 - |v[1:]|)/2 is at least -TOL v0; on the boundary
+    when it is also at most TOL v0. Both tests are relative to v0."""
     h = phi_inv(v)
-    in_cone = is_positive(h, tol)
+    in_cone = is_positive(h)
     lp, lm = _eigenvalues(h)
-    return ConeMembership(in_cone, in_cone and abs(lm) <= tol * (lp + lm), minkowski(v, v))
+    return ConeMembership(in_cone, in_cone and abs(lm) <= TOL * (lp + lm), minkowski(v, v))
 
 
 def mixedness(v) -> float:

@@ -11,7 +11,8 @@ A measurement keeps its psi(M) stack: the post vector phi(M rho M†) is
 psi(M) phi(rho), its time component the probability Tr(M†M rho), and row 0
 of psi(M) is phi(M†M)/2. Only prop2_invariants forms Tr(M†M rho) directly.
 A state is validated once, into its cone vector: _state_vector forms phi(rho)
-and reads positivity and the trace off those four coordinates.
+and reads positivity and the trace off those four coordinates. Positivity,
+unit trace and completeness are tested within qmat.TOL.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .lorentz import NULL, LorentzDecomposition, Velocity, _factor, _is_null, _rotation_spinor
 from .qmat import (
+    TOL,
     _coords,
     _eigenvalues,
     _finite,
@@ -42,10 +44,6 @@ from .qmat import (
     _unitary_factor,
     mat2,
 )
-
-COMPLETENESS_TOL = 1e-9
-
-NORMALIZATION_TOL = 1e-9
 
 # V = eta phi(M†M) / 2 of an effect four-vector phi(M†M)
 _HALF_ETA = 0.5 * ETA.diagonal()
@@ -105,11 +103,7 @@ class Prop2Report:
     p_direct: float
 
 
-def completeness_deviation(meas: Measurement) -> float:
-    return meas.deviation
-
-
-def validate(meas: Measurement, tol: float = COMPLETENESS_TOL) -> bool:
+def validate(meas: Measurement, tol: float = TOL) -> bool:
     """True iff the elements satisfy sum M†M = identity within tol."""
     return meas.deviation <= tol
 
@@ -119,21 +113,21 @@ def effect(m) -> np.ndarray:
     return _gram(mat2(m))
 
 
-def _state_vector(rho: np.ndarray, tol: float = 1e-9, unit_trace: bool = False) -> np.ndarray:
+def _state_vector(rho: np.ndarray, unit_trace: bool = False) -> np.ndarray:
     """phi(rho) of a 2x2 array rho that passes mat2, validated on those coordinates:
-    positive by qmat._positive, and of trace phi(rho)[0] within NORMALIZATION_TOL of 1
-    when unit_trace is set."""
+    positive by qmat._positive, and of trace phi(rho)[0] within TOL of 1 when
+    unit_trace is set."""
     rho_vec = _coords(rho)
-    if not _positive(rho_vec, tol):
+    if not _positive(rho_vec):
         raise NotPositive("state is not positive")
-    if unit_trace and abs(rho_vec[0] - 1.0) > NORMALIZATION_TOL:
+    if unit_trace and abs(rho_vec[0] - 1.0) > TOL:
         raise NotNormalized("state must have unit trace")
     return rho_vec
 
 
-def apply_element(m, rho, tol: float = 1e-9) -> tuple[float, np.ndarray]:
+def apply_element(m, rho) -> tuple[float, np.ndarray]:
     """Outcome probability Tr(M†M rho) and unrescaled post state M rho M†, from psi(M) phi(rho)."""
-    m, rho_vec = mat2(m), _state_vector(mat2(rho), tol)
+    m, rho_vec = mat2(m), _state_vector(mat2(rho))
     post = _psi(m) @ rho_vec
     return float(post[0]), _from_coords(post)
 
@@ -194,16 +188,16 @@ def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -
                      [u10 * r00 + u11 * r10, u10 * r01 + u11 * r11]])
 
 
-def complete_to_measurement(m, tol: float = 1e-9) -> Measurement:
-    """Pad a single admissible element, M†M <= I within tol, to a
+def complete_to_measurement(m) -> Measurement:
+    """Pad a single admissible element, M†M <= I within TOL, to a
     two-outcome measurement.
 
-    tol bounds the largest eigenvalue of M†M above 1, so it is relative to
+    TOL bounds the largest eigenvalue of M†M above 1, so it is relative to
     I rather than to I - M†M, which is round-off for a unitary M. The
     complement sqrt(I - M†M) is dropped when it vanishes.
     """
     e = effect(m)
-    if _eigenvalues(e)[0] > 1 + tol:
+    if _eigenvalues(e)[0] > 1 + TOL:
         raise TooLarge("I - M†M is not positive; element cannot be completed")
     comp = _sqrt_psd(np.eye(2) - e)
     if np.max(np.abs(comp)) <= 1e-12:
@@ -211,7 +205,7 @@ def complete_to_measurement(m, tol: float = 1e-9) -> Measurement:
     return measurement([m, comp])
 
 
-def prop2_invariants(meas_element, rho, tol: float = 1e-9) -> Prop2Report:
+def prop2_invariants(meas_element, rho) -> Prop2Report:
     """The mixedness and probability identities for one element and state.
 
     lhs_norm and rhs_norm are the two sides of
@@ -219,7 +213,7 @@ def prop2_invariants(meas_element, rho, tol: float = 1e-9) -> Prop2Report:
     invariant-probability form eta(V, rho), V = eta psi(M)[0], and the direct Tr(E rho).
     """
     m, rho = mat2(meas_element), mat2(rho)
-    rho_vec = _state_vector(rho, tol)
+    rho_vec = _state_vector(rho)
     t = _psi(m)
     v_vec = 2 * t[0] * _HALF_ETA
     post_vec = t @ rho_vec
@@ -253,6 +247,6 @@ def info_measure(v) -> float:
     return info
 
 
-def require_valid(meas: Measurement, tol: float = COMPLETENESS_TOL) -> None:
-    if not validate(meas, tol):
-        raise InvalidMeasurement(f"measurement completeness deviation {meas.deviation} exceeds {tol}")
+def require_valid(meas: Measurement) -> None:
+    if not validate(meas):
+        raise InvalidMeasurement(f"measurement completeness deviation {meas.deviation} exceeds {TOL}")

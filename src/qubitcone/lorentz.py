@@ -11,6 +11,7 @@ factor it with _factor, as element_to_lorentz does; only decompose forms
 the polar factor. The chain is scalar: L's entries are listed once, and
 _preimage, _unit_det and _factor pass A as four Python complex numbers, so
 that arrays are formed only for the one psi residual and the returned result.
+The residual and unit-determinant tests read qmat.TOL.
 """
 from __future__ import annotations
 
@@ -32,11 +33,12 @@ from .errors import (
     NotTimelike,
     ZeroElement,
 )
-from .qmat import _finite, _gram_entries, _scaled_entries, _unitary_factor
+from .qmat import TOL, _finite, _gram_entries, _scaled_entries, _unitary_factor
 
 # Velocities with 1 - TOL_V < |v| < 1 - UNIT_ROUNDOFF are rejected as
 # ambiguous rather than silently classified: gamma overflows there. A norm
 # within UNIT_ROUNDOFF below 1 is the round-off of a unit vector: null.
+# TOL_V bands a speed, not a residual, so it is kept apart from qmat.TOL.
 TOL_V = 1e-9
 UNIT_ROUNDOFF = 4 * np.finfo(float).eps
 
@@ -159,7 +161,7 @@ def _fits(a: list, flat: list, tol: float) -> bool:
     return all(x <= tol for x in map(abs, map(operator.sub, psi_a, flat)))
 
 
-def _classify(m: np.ndarray, tol: float) -> tuple[str, list | None, tuple | None]:
+def _classify(m: np.ndarray) -> tuple[str, list | None, tuple | None]:
     """The class of a validated m, with the entries of its psi preimage A (Tr A >= 0)
     and _factor(A); both None when m is not in the image of psi."""
     flat = m.ravel().tolist()
@@ -167,34 +169,34 @@ def _classify(m: np.ndarray, tol: float) -> tuple[str, list | None, tuple | None
     if norm == 0:
         return OTHER, None, None
     a = _preimage(flat, norm)
-    if not _fits(a, flat, tol * norm):
+    if not _fits(a, flat, TOL * norm):
         return OTHER, None, None
     vel, scale, *_ = parts = _factor(a, max(map(abs, a)))
     if vel.kind == NULL:
         return RESCALED_NULL_BOOST_PRODUCT, a, parts
-    return (RESTRICTED if abs(scale - 1) <= tol else RESCALED_RESTRICTED), a, parts
+    return (RESTRICTED if abs(scale - 1) <= TOL else RESCALED_RESTRICTED), a, parts
 
 
-def classify(L, tol: float = 1e-9) -> str:
+def classify(L) -> str:
     """Sort a 4x4 matrix into restricted / rescaled restricted /
     rescaled-null-boost product / other.
 
     L is other when it is 0 or when its psi preimage A misses it by more
-    than tol max|L|: tol is relative. Else a null velocity of A's
+    than TOL max|L|: the test is relative. Else a null velocity of A's
     factorisation (1 - |v| <= TOL_V) makes a null-boost product, and a
-    timelike one a restricted transform when |det A| = 1 within tol.
+    timelike one a restricted transform when |det A| = 1 within TOL.
     """
-    return _classify(mat4(L), tol)[0]
+    return _classify(mat4(L))[0]
 
 
-def decompose(L, tol: float = 1e-9) -> LorentzDecomposition:
+def decompose(L) -> LorentzDecomposition:
     """Factorization scale * rotation * boost(velocity) of the psi preimage
-    A of L (see classify for tol), unique unless L is a null-boost product.
+    A of L (see classify), unique unless L is a null-boost product.
 
     A has Tr A >= 0, so decompose(psi(M)) = element_to_lorentz(e^{-i arg Tr M} M)
     for every nonzero M, and decompose(R L(v)) = (R, v).
     """
-    _, _, parts = _classify(mat4(L), tol)
+    _, _, parts = _classify(mat4(L))
     if parts is None:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
@@ -202,15 +204,15 @@ def decompose(L, tol: float = 1e-9) -> LorentzDecomposition:
     return LorentzDecomposition(rotation=_psi(_unitary_factor(n, d)), velocity=vel, scale=scale)
 
 
-def _rotation_spinor(rot, tol: float = 1e-9) -> list:
+def _rotation_spinor(rot) -> list:
     """The entries of the U with det U = 1, signed as _unit_det describes, and psi(U) = rot
-    within tol for a proper block rotation rot = diag(1, R); else NotDecomposable."""
+    within TOL for a proper block rotation rot = diag(1, R); else NotDecomposable."""
     flat = mat4(rot).ravel().tolist()
     edge = flat[:4] + flat[4::4]  # row 0 and column 0
-    if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > tol:
+    if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > TOL:
         raise NotDecomposable("rotation is not a Bloch-block rotation")
     u = _unit_det(_preimage(flat, max(map(abs, flat))))
-    if not _fits(u, flat, tol):
+    if not _fits(u, flat, TOL):
         raise NotDecomposable("rotation block is not a proper rotation")
     return u
 
@@ -219,7 +221,7 @@ def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
     """Axis and angle (in [0, pi]) of a proper 3x3 rotation R, read from the lift
     u = cos(theta/2) I - i sin(theta/2) (axis . sigma) of diag(1, R), signed so that
     cos(theta/2) >= 0; the angle 0 has the axis z. NotDecomposable unless R is a
-    proper rotation within 1e-9."""
+    proper rotation within TOL."""
     rot = np.eye(4)
     rot[1:, 1:] = _finite(r3, (3, 3), float, "3x3 rotation matrix")
     u00, u01, u10, u11 = _rotation_spinor(rot)
@@ -232,10 +234,10 @@ def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
 
 def su2_from_axis_angle(axis, theta: float) -> np.ndarray:
     """cos(theta/2) I - i sin(theta/2) (axis . sigma), a special unitary, about
-    an axis of norm 1 within 1e-9 (normalised; else BadAxis)."""
+    an axis of norm 1 within TOL (normalised; else BadAxis)."""
     axis = _vec3(axis)
     n = float(np.linalg.norm(axis))
-    if abs(n - 1) > 1e-9:
+    if abs(n - 1) > TOL:
         raise BadAxis(f"axis norm {n} is not 1 within tolerance")
     x, y, z = (axis / n).tolist()
     half = float(theta) / 2
@@ -257,11 +259,11 @@ def _unit_det(a: list) -> list:
     return [a00 / r, a01 / r, a10 / r, a11 / r]
 
 
-def spinor_lift(L, tol: float = 1e-9) -> np.ndarray:
+def spinor_lift(L) -> np.ndarray:
     """Lift a restricted transform to the unit-determinant 2x2 matrix A with
-    psi(A) = L (see classify for tol). A and -A are the two preimages; the
-    returned one is signed as _unit_det describes."""
-    kind, a, _ = _classify(mat4(L), tol)
+    psi(A) = L (see classify). A and -A are the two preimages; the returned
+    one is signed as _unit_det describes."""
+    kind, a, _ = _classify(mat4(L))
     if kind != RESTRICTED:
         raise NotRestricted("spinor_lift requires a restricted Lorentz transform")
     return np.array(_unit_det(a)).reshape(2, 2)

@@ -9,7 +9,8 @@ validated arrays: _hermitize, _gram, _coords and its inverse _from_coords
 broadcast over leading axes. The scalar kernels _scaled_entries,
 _gram_entries and _unitary_factor take the four entries of one matrix as
 Python complex numbers, with max|m| formed once by the caller.
-Roots and polar factors are Cayley–Hamilton closed forms.
+Roots and polar factors are Cayley–Hamilton closed forms. Every yes/no test
+of the package reads the one tolerance TOL.
 """
 from __future__ import annotations
 
@@ -19,10 +20,10 @@ import numpy as np
 
 from .errors import MalformedInput, NotPositive
 
-# Default tolerance on the smallest eigenvalue, relative to the trace, when
-# testing positivity. Absorbs rounding from user-supplied matrices without
-# admitting genuinely indefinite inputs.
-POSITIVITY_TOL = 1e-9
+# The one tolerance of the package's yes/no tests, relative to the scale of
+# what is tested: positive (on the cone), hermitian, unitary, psi(A) = L,
+# unit axis, complete (sum M†M = I) and unit trace.
+TOL = 1e-9
 
 # At or below this share of ||M||_F^2, |det M| is round-off of an exactly
 # singular M, whose phase is noise: polar_decompose then fixes det U = 1.
@@ -72,16 +73,16 @@ def hermitize(m) -> np.ndarray:
     return _hermitize(mat2(m))
 
 
-def herm2(entries, tol: float = 1e-9) -> np.ndarray:
+def herm2(entries) -> np.ndarray:
     """Validate a hermitian 2x2 matrix and enforce exact hermiticity.
 
-    Rejects inputs further than tol max|m| from hermitian, a test relative at
+    Rejects inputs further than TOL max|m| from hermitian, a test relative at
     every scale made on m over its largest real or imaginary part, so that
     nothing overflows; otherwise returns the exactly hermitized matrix.
     """
     m = mat2(entries)
     n = m / (max(np.abs(m.real).max(), np.abs(m.imag).max()) or 1.0)
-    if float(np.max(np.abs(n - n.conj().T))) / 2 > tol * float(np.max(np.abs(n))):
+    if float(np.max(np.abs(n - n.conj().T))) / 2 > TOL * float(np.max(np.abs(n))):
         raise MalformedInput("matrix is not hermitian within tolerance")
     return _hermitize(m)
 
@@ -142,24 +143,22 @@ def _spectrum(c: np.ndarray) -> tuple[float, float]:
     return (a + r) / 2, (a - r) / 2
 
 
-def is_positive(h, tol: float = POSITIVITY_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol Tr(h): tol is relative to
+def is_positive(h) -> bool:
+    """True iff the smallest eigenvalue is >= -TOL Tr(h): TOL is relative to
     the size of h, so that round-off at any scale passes."""
-    return _positive(_coords(mat2(h)), tol)
+    return _positive(_coords(mat2(h)))
 
 
-def _positive(c: np.ndarray, tol: float) -> bool:
+def _positive(c: np.ndarray) -> bool:
     """is_positive of the hermitian matrix with Pauli coordinates c."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
     lp, lm = _spectrum(c)
-    return bool(lm >= -tol * (lp + lm))
+    return bool(lm >= -TOL * (lp + lm))
 
 
-def sqrt_psd(e, tol: float = POSITIVITY_TOL) -> np.ndarray:
+def sqrt_psd(e) -> np.ndarray:
     """Positive square root of a positive hermitian matrix, exactly hermitian."""
     e = mat2(e)
-    if not _positive(_coords(e), tol):
+    if not _positive(_coords(e)):
         raise NotPositive("matrix is not positive semidefinite")
     return _sqrt_psd(_hermitize(e))
 

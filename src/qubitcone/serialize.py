@@ -36,20 +36,19 @@ def _fmt_number(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
-    """Deterministic JSON text with fixed float formatting, in one recursive
-    pass; the common float types are told apart by exact type."""
-    step = " " * indent
+def dumps(obj) -> str:
+    """Deterministic JSON text with a two-space indent and fixed float formatting,
+    in one recursive pass; the common float types are told apart by exact type."""
 
     def write(o, pad: str) -> str:
         if type(o) is float or type(o) is np.float64:
             return _fmt_float(o)
         if isinstance(o, (list, tuple, np.ndarray)):
-            inner = pad + step
+            inner = pad + "  "
             body = (",\n" + inner).join([write(v, inner) for v in o])
             return f"[\n{inner}{body}\n{pad}]" if body else "[]"
         if isinstance(o, dict):
-            inner = pad + step
+            inner = pad + "  "
             body = (",\n" + inner).join([_quote(str(k)) + ": " + write(v, inner) for k, v in o.items()])
             return f"{{\n{inner}{body}\n{pad}}}" if body else "{}"
         if isinstance(o, str):

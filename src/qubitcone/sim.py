@@ -24,8 +24,8 @@ import numpy as np
 from .conemap import _minkowski
 from .correspond import _HALF_ETA, Measurement, _information, _state_vector, require_valid
 from .errors import NotTimelike, TooLarge
-from .lorentz import TIMELIKE, Velocity, _as_velocity, pure_boost
-from .qmat import _coords, mat2
+from .lorentz import TIMELIKE, Velocity, _as_velocity
+from .qmat import mat2
 
 # Outcomes at or below this probability are never sampled and their post
 # state is reported as the zero vector (exact arithmetic gives M rho M† = 0).
@@ -45,7 +45,6 @@ class ScenarioOutcome(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class ObserverBoost:
     velocity: Velocity
-    transform: np.ndarray
 
 
 def observer_boost(v) -> ObserverBoost:
@@ -53,11 +52,12 @@ def observer_boost(v) -> ObserverBoost:
     vel = _as_velocity(v)
     if vel.kind != TIMELIKE:
         raise NotTimelike("observer boosts must be timelike")
-    return ObserverBoost(velocity=vel, transform=pure_boost(vel))
+    return ObserverBoost(velocity=vel)
 
 
 def outcome_probabilities(meas: Measurement, rho) -> np.ndarray:
-    return np.maximum((meas.transforms @ _coords(np.asarray(rho, dtype=complex)))[:, 0], 0.0)
+    """Tr(M†M rho), clipped at 0, of a positive rho of any trace."""
+    return np.maximum((meas.transforms @ _state_vector(mat2(rho)))[:, 0], 0.0)
 
 
 def _outcomes(meas: Measurement, rho_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

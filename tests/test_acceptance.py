@@ -63,7 +63,7 @@ def test_acceptance_01_cone_isomorphism():
     for _ in range(10_000):
         scale = 10.0 ** rng.uniform(-3, 3)
         h = rand_herm(rng, scale=scale)
-        if is_positive(h, tol=1e-9) != cone_membership(phi(h), tol=1e-9).in_cone:
+        if is_positive(h) != cone_membership(phi(h)).in_cone:
             disagreements += 1
     boundary_ok = True
     for _ in range(1_000):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import rand_state
 from qubitcone.adjoint import _psi
-from qubitcone.correspond import completeness_deviation, measurement
+from qubitcone.correspond import measurement
 from qubitcone.qmat import _coords, _gram
 
 
@@ -34,4 +34,4 @@ def test_batched_kernels_equal_stacked_scalar_calls(k, seed):
 def test_completeness_deviation_equals_elementwise_sum(k, seed):
     stack, _ = random_stack(k, seed)
     total = sum(m.conj().T @ m for m in stack)
-    assert completeness_deviation(measurement(stack)) == np.max(np.abs(total - np.eye(2)))
+    assert measurement(stack).deviation == np.max(np.abs(total - np.eye(2)))

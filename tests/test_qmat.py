@@ -98,8 +98,6 @@ def test_is_positive_examples():
     assert is_positive(I2)
     assert not is_positive(Z)
     assert is_positive(PROJ0)
-    with pytest.raises(ValueError):
-        is_positive(I2, tol=-1)
 
 
 def test_sqrt_psd_examples():

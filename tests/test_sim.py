@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import rand_state, unitaries, unitary
 from qubitcone.adjoint import psi
-from qubitcone.conemap import cone_membership, minkowski, mixedness, phi
+from qubitcone.conemap import minkowski, mixedness, phi
 from qubitcone.correspond import complete_to_measurement, element_to_lorentz, measurement
 from qubitcone.errors import (
     InvalidMeasurement,
+    MalformedInput,
     NotNormalized,
     NotPositive,
     NotTimelike,
@@ -90,7 +91,8 @@ def test_post_vectors_stay_in_cone_and_preserve_purity():
         for o in out:
             if o.probability <= 1e-12:
                 continue
-            assert cone_membership(o.post_vector, tol=1e-10).in_cone
+            v = o.post_vector  # in the cone: smaller eigenvalue of phi_inv(v) >= -1e-10 v0
+            assert (v[0] - np.linalg.norm(v[1:])) / 2 >= -1e-10 * v[0]
         lp, lm = eigenvalues(rho)
         if abs(lm) < 1e-14:  # pure in, pure out
             for o in out:
@@ -107,10 +109,21 @@ def test_outcome_probabilities_sum_to_one():
         assert np.all(probs >= 0)
 
 
+def test_outcome_probabilities_rejects_a_state_that_is_not_positive():
+    with pytest.raises(NotPositive):
+        outcome_probabilities(PROJ_Z, np.diag([2.0, -1.0]))
+
+
+@pytest.mark.parametrize("rho", [np.array([[0.5, np.nan], [0.0, 0.5]]), np.eye(3) / 3])
+def test_outcome_probabilities_rejects_a_malformed_state(rho):
+    with pytest.raises(MalformedInput):
+        outcome_probabilities(PROJ_Z, rho)
+
+
 def test_observer_boost():
     obs = observer_boost([0, 0, 0.5])
     assert obs.velocity.kind == "timelike"
-    assert obs.transform[0, 0] == pytest.approx(2 / np.sqrt(3))
+    assert np.array_equal(obs.velocity.v, [0, 0, 0.5])
     with pytest.raises(NotTimelike):
         observer_boost([0, 0, 1])
 

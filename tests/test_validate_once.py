@@ -14,7 +14,6 @@ from qubitcone.cli import main
 from qubitcone.correspond import (
     Measurement,
     apply_element,
-    completeness_deviation,
     element_to_lorentz,
     lorentz_to_element,
     measurement,
@@ -154,7 +153,7 @@ def test_single_element_chain_is_scalar(chain_calls, make):
 
 OBSERVER = observer_boost([0.1, 0.2, 0.3])
 ENGINES = {
-    "completeness_deviation": lambda meas, rho: completeness_deviation(meas),
+    "completeness_deviation": lambda meas, rho: meas.deviation,
     "outcome_probabilities": outcome_probabilities,
     "scenario1_sample": lambda meas, rho: scenario1_sample(meas, rho, seed=5, n=100),
     "boosted_probabilities": lambda meas, rho: boosted_probabilities(meas, rho, OBSERVER),
@@ -170,7 +169,7 @@ def unitary_mixture(k, rng):
 
 # Engines that take the state as input validate it, once; the others
 # validate nothing.
-VALIDATES_STATE = {"scenario1_sample", "boosted_probabilities", "report_invariants"}
+VALIDATES_STATE = {"outcome_probabilities", "scenario1_sample", "boosted_probabilities", "report_invariants"}
 
 
 @pytest.mark.parametrize("engine", list(ENGINES))
