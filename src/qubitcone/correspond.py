@@ -31,7 +31,7 @@ from .errors import (
     NullOrSpacelike,
     TooLarge,
 )
-from .lorentz import NULL, LorentzDecomposition, Velocity, _factor, _is_null, _rotation_spinor
+from .lorentz import NULL, LorentzDecomposition, Velocity, _factor, _is_null, _rotation, _rotation_spinor
 from .qmat import (
     TOL,
     _coords,
@@ -41,7 +41,6 @@ from .qmat import (
     _gram,
     _positive,
     _sqrt_psd,
-    _unitary_factor,
     mat2,
 )
 
@@ -142,7 +141,7 @@ def element_to_lorentz(m) -> EffectGeometry:
         v_vec=e_vec * _HALF_ETA,
         velocity=vel,
         scale=scale,
-        rotation=_psi(_unitary_factor(n, d)),
+        rotation=_rotation(n, d),
         kind=vel.kind,
     )
 
@@ -193,16 +192,17 @@ def complete_to_measurement(m) -> Measurement:
     two-outcome measurement.
 
     TOL bounds the largest eigenvalue of M†M above 1, so it is relative to
-    I rather than to I - M†M, which is round-off for a unitary M. The
-    complement sqrt(I - M†M) is dropped when it vanishes.
+    I rather than to I - M†M, which is round-off for a unitary M. By the
+    same test, the complement sqrt(I - M†M) is dropped when the smallest
+    eigenvalue of M†M is within TOL of 1: I - M†M is then 0 within TOL.
     """
     e = effect(m)
-    if _eigenvalues(e)[0] > 1 + TOL:
+    lam_plus, lam_minus = _eigenvalues(e)
+    if lam_plus > 1 + TOL:
         raise TooLarge("I - M†M is not positive; element cannot be completed")
-    comp = _sqrt_psd(np.eye(2) - e)
-    if np.max(np.abs(comp)) <= 1e-12:
+    if 1 - lam_minus <= TOL:
         return measurement([m])
-    return measurement([m, comp])
+    return measurement([m, _sqrt_psd(np.eye(2) - e)])
 
 
 def prop2_invariants(meas_element, rho) -> Prop2Report:

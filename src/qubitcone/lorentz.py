@@ -9,9 +9,9 @@ lift back to unit-determinant 2x2 complex matrices. Classification,
 decomposition and lift all read the one psi preimage A = _preimage(L) and
 factor it with _factor, as element_to_lorentz does; only decompose forms
 the polar factor. The chain is scalar: L's entries are listed once, and
-_preimage, _unit_det and _factor pass A as four Python complex numbers, so
-that arrays are formed only for the one psi residual and the returned result.
-The residual and unit-determinant tests read qmat.TOL.
+_preimage, _unit_det and _factor pass A as four Python complex numbers, the
+psi residual reads adjoint._psi_entries, and an array is formed only for the
+returned result. The residual and unit-determinant tests read qmat.TOL.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import _boost, _preimage, _psi
+from .adjoint import _boost, _preimage, _psi, _psi_entries
 from .errors import (
     BadAxis,
     DomainError,
@@ -140,7 +140,8 @@ def _factor(a: list, mu: float) -> tuple[Velocity, float, list, complex, list]:
     _scaled_entries n, det n that U = _unitary_factor(n, det n) takes, and the effect
     coordinates e = phi(a†a) = mu^2 (t, x, y, z) as floats, where (t, x, y, z) are those
     of n†n. v = -(x, y, z)/t does not underflow with a: timelike with scale |det a|
-    when 1 - |v| > TOL_V, else null with e0/2."""
+    when 1 - |v| > TOL_V, else null with e0/2. The scales are formed as mu (mu |det n|)
+    and mu (mu t / 2), so that they are finite whenever representable, as e0 may not be."""
     if not mu:
         raise ZeroElement("the zero element carries no Lorentz data")
     n, d = _scaled_entries(a, mu)
@@ -150,15 +151,20 @@ def _factor(a: list, mu: float) -> tuple[Velocity, float, list, complex, list]:
     v3 = (-2 * h01.real / t, 2 * h01.imag / t, (p1 - p0) / t)
     speed = math.hypot(*v3)
     if _is_null(speed):
-        return Velocity(v=np.array(v3) / speed, kind=NULL), e[0] / 2, n, d, e
-    return Velocity(v=np.array(v3), kind=TIMELIKE), mu * mu * abs(d), n, d, e
+        return Velocity(v=np.array(v3) / speed, kind=NULL), mu * (mu * t / 2), n, d, e
+    return Velocity(v=np.array(v3), kind=TIMELIKE), mu * (mu * abs(d)), n, d, e
 
 
-def _fits(a: list, flat: list, tol: float) -> bool:
-    """|psi(A) - L| <= tol entrywise (a NaN fails), for the entries of A and the
-    row-major entries of L."""
-    psi_a = _psi(np.array(a).reshape(2, 2)).ravel().tolist()
-    return all(x <= tol for x in map(abs, map(operator.sub, psi_a, flat)))
+def _rotation(n: list, d: complex) -> np.ndarray:
+    """psi of the unitary polar factor, for the _scaled_entries n and det n of _factor."""
+    return np.array(_psi_entries(_unitary_factor(n, d))).reshape(4, 4)
+
+
+def _fits(a: list, flat: list) -> bool:
+    """|psi(A) - L| <= TOL entrywise, for the entries of A and the row-major entries
+    of a finite L. A non-finite A fails: psi(A)_00 = (|a00|^2 + ... + |a11|^2)/2, the
+    first difference, is then inf or NaN, and max keeps it."""
+    return max(map(abs, map(operator.sub, _psi_entries(a), flat))) <= TOL
 
 
 def _classify(m: np.ndarray) -> tuple[str, list | None, tuple | None]:
@@ -169,7 +175,8 @@ def _classify(m: np.ndarray) -> tuple[str, list | None, tuple | None]:
     if norm == 0:
         return OTHER, None, None
     a = _preimage(flat, norm)
-    if not _fits(a, flat, TOL * norm):
+    r = 1 / math.sqrt(norm)  # psi(A r) against L / norm: nothing over- or underflows
+    if not _fits([x * r for x in a], [x / norm for x in flat]):
         return OTHER, None, None
     vel, scale, *_ = parts = _factor(a, max(map(abs, a)))
     if vel.kind == NULL:
@@ -201,7 +208,7 @@ def decompose(L) -> LorentzDecomposition:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
     vel, scale, n, d, _ = parts
-    return LorentzDecomposition(rotation=_psi(_unitary_factor(n, d)), velocity=vel, scale=scale)
+    return LorentzDecomposition(rotation=_rotation(n, d), velocity=vel, scale=scale)
 
 
 def _rotation_spinor(rot) -> list:
@@ -212,7 +219,7 @@ def _rotation_spinor(rot) -> list:
     if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > TOL:
         raise NotDecomposable("rotation is not a Bloch-block rotation")
     u = _unit_det(_preimage(flat, max(map(abs, flat))))
-    if not _fits(u, flat, TOL):
+    if not _fits(u, flat):
         raise NotDecomposable("rotation block is not a proper rotation")
     return u
 

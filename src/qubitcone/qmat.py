@@ -202,17 +202,17 @@ def _gram_entries(n: list) -> tuple[float, float, complex]:
     return p0, p1, n00.conjugate() * n01 + n10.conjugate() * n11
 
 
-def _unitary_factor(n: list, d: complex) -> np.ndarray:
-    """Unitary polar factor of a nonzero matrix from its _scaled_entries n
-    and det n; see polar_decompose."""
+def _unitary_factor(n: list, d: complex) -> list:
+    """Entries u00, u01, u10, u11 of the unitary polar factor of a nonzero matrix
+    from its _scaled_entries n and det n; see polar_decompose."""
     n00, n01, n10, n11 = n
     abs_det = abs(d)
     fro2 = abs(n00) ** 2 + abs(n01) ** 2 + abs(n10) ** 2 + abs(n11) ** 2
     phase = d / abs_det if abs_det > _SINGULAR_DET * fro2 else 1.0
     s = math.sqrt(fro2 + 2 * abs_det)
     p = phase / s  # u = (n + phase adj(n)†) / s
-    return np.array([[n00 / s + p * n11.conjugate(), n01 / s - p * n10.conjugate()],
-                     [n10 / s - p * n01.conjugate(), n11 / s + p * n00.conjugate()]])
+    return [n00 / s + p * n11.conjugate(), n01 / s - p * n10.conjugate(),
+            n10 / s - p * n01.conjugate(), n11 / s + p * n00.conjugate()]
 
 
 def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
@@ -234,5 +234,5 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     p0, p1, h01 = _gram_entries(n)
     abs_det = abs(d)
     k = mu / math.sqrt(p0 + p1 + 2 * abs_det)
-    return _unitary_factor(n, d), np.array([[k * (p0 + abs_det), k * h01],
-                                            [k * h01.conjugate(), k * (p1 + abs_det)]])
+    u = np.array(_unitary_factor(n, d)).reshape(2, 2)
+    return u, np.array([[k * (p0 + abs_det), k * h01], [k * h01.conjugate(), k * (p1 + abs_det)]])

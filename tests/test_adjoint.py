@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qubitcone
 
 from conftest import rand_complex, rand_positive, rand_unit3
-from qubitcone.adjoint import _psi, psi, psi_of_sqrt, psi_of_unitary
+from qubitcone.adjoint import _psi, _psi_entries, psi, psi_of_sqrt, psi_of_unitary
 from qubitcone.conemap import cone_membership, minkowski, phi, phi_inv
 from qubitcone.errors import NotPositive, NotUnitary, ZeroMatrix
 from qubitcone.lorentz import pure_boost, velocity
@@ -56,6 +56,31 @@ def test_psi_against_trace_oracle(k, scale, rank_one, seed):
         a[:, 1] = a[:, 0] * (rng.normal() + 1j * rng.normal())
     err = np.abs(_psi(a) - trace_oracle(a)).max(axis=(1, 2))
     assert np.all(err <= 4 * np.finfo(float).eps * np.abs(a).max(axis=(1, 2)) ** 2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(min_value=-150, max_value=150),
+    st.sampled_from(["general", "rank_one", "unitary", "subnormal"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_scalar_psi_against_the_stack_form(exponent, kind, seed):
+    """_psi_entries, the closed form of the single-element chain, is within
+    4 eps max|psi(A)| of the stack form _psi, entry by entry, at entry scales
+    1e-150..1e150, for rank-one and unitary A, and with subnormal entries."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    if kind == "rank_one":
+        a[1] = a[0] * (rng.normal() + 1j * rng.normal())
+    elif kind == "unitary":
+        a = np.linalg.qr(a)[0]
+    a = 10.0**exponent * a
+    if kind == "subnormal":
+        hit = rng.random(size=(2, 2)) < 0.5
+        a[hit] = 5e-324 * rng.integers(1, 2**52, size=(2, 2))[hit] * np.exp(1j * rng.uniform(0, 2 * np.pi, size=(2, 2)))[hit]
+    want = _psi(a).ravel()
+    got = np.array(_psi_entries(a.ravel().tolist()))
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
 def test_psi_transports_states():

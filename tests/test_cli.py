@@ -362,8 +362,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 @pytest.mark.parametrize("args", sorted(GOLDEN.glob("*.args")), ids=lambda p: p.stem)
 def test_golden_stdout(args, monkeypatch, capsys):
-    """simulate, invariants and boost-observer print the committed golden
-    stdout byte for byte; the CI workflow runs the same files in a real process."""
+    """simulate, invariants, boost-observer, to-lorentz and to-element print the
+    committed golden stdout byte for byte; the CI workflow runs the same files
+    in a real process."""
     monkeypatch.chdir(GOLDEN.parent.parent.parent)
     code, out = run(capsys, args.read_text().split())
     assert code == EXIT_OK

@@ -243,6 +243,18 @@ def test_complete_to_measurement():
         complete_to_measurement(2 * I2)
 
 
+def test_complete_haar_unitaries_to_one_element():
+    """I - M†M of a unitary is round-off: the completion of each of 1,000 Haar
+    unitaries is the one-element measurement, and it is valid."""
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        u = q * (r.diagonal() / np.abs(r.diagonal()))
+        meas = complete_to_measurement(u)
+        assert len(meas.elements) == 1
+        assert validate(meas)
+
+
 def test_complete_unitary_elements():
     """I - M†M is round-off for a unitary M; tol is relative to I, so the
     completion accepts M and a slightly too large M, and rejects a larger one."""

@@ -4,6 +4,7 @@ lorentz_to_element. The sweeps run over
 element scales 1e-150..1e150, singular-value ratios down to exactly rank
 one, speeds up to 1 - 1e-8 and rotations up to pi."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -347,3 +348,44 @@ def test_classify_and_decompose_of_subnormal_transforms(monkeypatch):
         assert kind == want_kind
         if want_err is not None:
             assert err <= want_err + 512 * (SUBNORMAL + EPS * max_abs(L))
+
+
+@pytest.mark.parametrize("top", [1e300, 1e307, 8e307, 1.7e308])
+def test_classify_and_decompose_near_the_float_limit(top):
+    """L = psi(U diag(1, r) V) scaled to max|L| = top, r = 0 or log-uniform in
+    [1e-3, 1]: the psi residual is formed without overflow, so every L keeps
+    its class, with no warning, and decompose returns top times the scale of
+    L / top, within 8 eps max|L|."""
+    rng = np.random.default_rng(37)
+    for i in range(200):
+        u, v = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(2))
+        r = 0.0 if i % 4 == 0 else 10.0 ** rng.uniform(-3, 0)
+        unit_L = psi(u @ np.diag([1.0, r]) @ v)
+        unit_L = unit_L / max_abs(unit_L)
+        L = unit_L * top
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kind, d = classify(L), decompose(L)
+        assert kind == (RESCALED_NULL_BOOST_PRODUCT if r == 0 else RESCALED_RESTRICTED)
+        assert abs(d.scale / top - decompose(unit_L).scale) <= 8 * EPS
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, math.nan)])
+@pytest.mark.parametrize("i", range(4))
+def test_psi_residual_fails_a_non_finite_preimage(i, bad):
+    """The residual test reads max over the 16 differences, so a NaN must
+    reach the first one: psi(A)_00 holds every |a_ij|^2."""
+    a = [1 + 0j, 0j, 0j, 1 + 0j]
+    assert lorentz._fits(a, np.eye(4).ravel().tolist())
+    a[i] = bad
+    assert not lorentz._fits(a, np.eye(4).ravel().tolist())
+
+
+def test_classify_reads_an_overflowing_preimage_as_other():
+    """All four trace weights of L / max|L| are 1e-320, so the preimage's
+    sqrt(max|L| / w) overflows: L is other, with no warning."""
+    L = np.zeros((4, 4))
+    L[0, 0], L[0, 1], L[1, 0] = 1e-320, 1.0, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify(L) == OTHER

@@ -91,9 +91,9 @@ def test_forward_map_forms_no_effect(monkeypatch, make):
 
 @pytest.fixture
 def chain_calls(monkeypatch):
-    """Counts psi, the psi preimage and np.abs, and records the type of the
-    first argument of every _unit_det and _factor call."""
-    calls = count_calls(monkeypatch, ["_psi", "_preimage"])
+    """Counts both forms of psi, the psi preimage and np.abs, and records the
+    type of the first argument of every _unit_det and _factor call."""
+    calls = count_calls(monkeypatch, ["_psi", "_psi_entries", "_preimage"])
     abs_calls = []
     real_abs = np.abs
 
@@ -127,28 +127,29 @@ def chain_calls(monkeypatch):
 
 @pytest.mark.parametrize("make", [rand_element, rand_null_element])
 def test_single_element_chain_is_scalar(chain_calls, make):
-    """element_to_lorentz, lorentz_to_element and spinor_lift each form psi once
-    and the psi preimage at most once, as four numbers: the lift path calls
-    np.abs at most once, and _unit_det and _factor take Python lists."""
+    """element_to_lorentz, lorentz_to_element and spinor_lift each form psi once,
+    by the closed form _psi_entries and never by the stack form _psi, and the psi
+    preimage at most once, as four numbers: the lift path calls np.abs at most
+    once, and _unit_det and _factor take Python lists."""
     reset, read = chain_calls
     m = make(np.random.default_rng(18))
     reset()
     geom = element_to_lorentz(m)
     calls, n_abs, types = read()
-    assert calls == {"_psi": 1} and n_abs <= 1 and types == {list}
+    assert calls == {"_psi_entries": 1} and n_abs <= 1 and types == {list}
 
     decomp = LorentzDecomposition(rotation=geom.rotation, velocity=geom.velocity, scale=geom.scale)
     reset()
     lorentz_to_element(decomp)
     calls, n_abs, types = read()
-    assert calls == {"_psi": 1, "_preimage": 1} and n_abs <= 1 and types == {list}
+    assert calls == {"_psi_entries": 1, "_preimage": 1} and n_abs <= 1 and types == {list}
 
     if geom.kind == "timelike":
         rb = geom.rotation @ pure_boost(geom.velocity)
         reset()
         spinor_lift(rb)
         calls, n_abs, types = read()
-        assert calls == {"_psi": 1, "_preimage": 1} and n_abs <= 1 and types == {list}
+        assert calls == {"_psi_entries": 1, "_preimage": 1} and n_abs <= 1 and types == {list}
 
 
 OBSERVER = observer_boost([0.1, 0.2, 0.3])
