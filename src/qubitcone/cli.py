@@ -52,7 +52,9 @@ def _finite_effects(elements: np.ndarray) -> np.ndarray:
 
 def _load_measurement(path: str):
     meas = serialize.measurement_from_json(serialize.load_file(path))
-    _finite_effects(meas.elements)
+    # an effect that overflows (its diagonal is >= 0) makes the deviation inf or nan
+    if not math.isfinite(meas.deviation):
+        _finite_effects(meas.elements)
     return meas
 
 
@@ -171,6 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(rescaled) Lorentz transforms, and run the two scenario engines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(commands=sub.choices)  # command name -> its subparser, for _parse
 
     p = sub.add_parser("validate", help="check measurement completeness")
     p.add_argument("--measurement", required=True)
@@ -232,8 +235,19 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv) in one pass when argv[0] names a command whose own
+    subparser takes all of argv[1:]; else parser parses, to render its usage errors."""
+    sub = parser.get_default("commands").get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = PARSER.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+    args = _parse(PARSER, _attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         # Finite input can still overflow; _emit reports a non-finite result.
         with np.errstate(all="ignore"):

@@ -132,9 +132,12 @@ def apply_element(m, rho) -> tuple[float, np.ndarray]:
 
 
 def element_to_lorentz(m) -> EffectGeometry:
-    """Forward correspondence: psi(M) = scale * rotation * boost(velocity)."""
+    """Forward correspondence: psi(M) = scale * rotation * boost(velocity).
+    Raises TooLarge when Tr(M†M) = e_vec[0], which bounds the other entries, overflows."""
     m = mat2(m)
     vel, scale, n, d, e = _factor(m.ravel().tolist(), float(np.abs(m).max()))
+    if not math.isfinite(e[0]):
+        raise TooLarge("the effect M†M overflows")
     e_vec = np.array(e)
     return EffectGeometry(
         e_vec=e_vec,

@@ -1,13 +1,19 @@
+import contextlib
+import io
+import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qubitcone import serialize
+from qubitcone import cli, serialize
 from qubitcone.cli import EXIT_DOMAIN, EXIT_INVALID, EXIT_MALFORMED, EXIT_OK, main
 from qubitcone.correspond import measurement
-from qubitcone.qmat import SIGMA
+from qubitcone.qmat import SIGMA, _gram
 
 I2 = np.eye(2, dtype=complex)
 Z = SIGMA[3]
@@ -293,6 +299,62 @@ def test_overflowing_effect_is_a_domain_error(tmp_path, mixed_state, capsys):
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+# real and imaginary parts: 0, or of magnitude log-uniform in [1e-300, 1e300],
+# so that some effects M†M overflow and some do not
+parts = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-300, 300)),
+)
+element_stacks = st.integers(1, 8).flatmap(lambda k: st.lists(parts, min_size=8 * k, max_size=8 * k))
+
+
+def load_checking_every_effect(path: str):
+    meas = serialize.measurement_from_json(serialize.load_file(path))
+    cli._finite_effects(meas.elements)
+    return meas
+
+
+def call_quietly(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_stacks)
+@example([9e153, 0, 0, 0, 0, 0, 0, 0] * 3)  # finite effects, an overflowing sum
+def test_an_overflowing_effect_makes_the_deviation_non_finite(tmp_path_factory, entries):
+    """Each diagonal entry of an effect is a sum of squares, so an effect that
+    overflows makes max|sum M†M - I| inf or nan. So the CLI checks the effects
+    of a loaded measurement only when its deviation is not finite, and every
+    command then exits as when it checked every effect: 3, with the same error."""
+    pairs = np.array(entries).reshape(-1, 2, 2, 2)
+    meas = measurement(pairs[..., 0] + 1j * pairs[..., 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        effects_finite = np.isfinite(_gram(meas.elements)).all()
+    assert effects_finite or not math.isfinite(meas.deviation)
+
+    folder = tmp_path_factory.mktemp("overflow")
+    path = folder / "meas.json"
+    path.write_text(serialize.dumps(serialize.measurement_to_json(meas)))
+    state = folder / "state.json"
+    state.write_text(serialize.dumps(serialize.mat2_to_json(I2 / 2)))
+    io_args = ["--measurement", str(path), "--state", str(state)]
+    for argv in [
+        ["validate", "--measurement", str(path)],
+        ["apply", *io_args],
+        ["simulate", *io_args, "--seed", "1", "--n", "10"],
+        ["boost-observer", *io_args, "--velocity", "0.1,0,0"],
+        ["invariants", *io_args],
+    ]:
+        result = call_quietly(argv)
+        with mock.patch.object(cli, "_load_measurement", load_checking_every_effect):
+            assert result == call_quietly(argv), argv[0]
+        if not effects_finite:
+            assert result == (EXIT_DOMAIN, "", "error: an element's effect M†M overflows\n")
+
+
 def test_boost_observer(proj_z, mixed_state, capsys):
     code, out = run(
         capsys,
@@ -362,10 +424,10 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 
 @pytest.mark.parametrize("args", sorted(GOLDEN.glob("*.args")), ids=lambda p: p.stem)
 def test_golden_stdout(args, monkeypatch, capsys):
-    """simulate, invariants, boost-observer, to-lorentz and to-element print the
-    committed golden stdout byte for byte; the CI workflow runs the same files
-    in a real process."""
+    """All seven commands print the committed golden stdout byte for byte and
+    exit with the code stored beside it; the CI workflow runs the same files in
+    a real process."""
     monkeypatch.chdir(GOLDEN.parent.parent.parent)
     code, out = run(capsys, args.read_text().split())
-    assert code == EXIT_OK
+    assert code == int(args.with_suffix(".exit").read_text())
     assert out == args.with_suffix(".out").read_text()

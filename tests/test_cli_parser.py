@@ -1,5 +1,6 @@
 """The CLI parser is built once, at import, and reused by every main(argv)
-call in the process; option values may start with `-`."""
+call in the process; a call parses with its command's own subparser and reads
+as the full parser reads it; option values may start with `-`."""
 import numpy as np
 import pytest
 
@@ -60,6 +61,8 @@ def mixed_sequence(f) -> list:
         ["simulate"] + io + ["--seed", "7", "--n", "50"],
         ["validate", "--measurement", f["meas"]],
         lorentz,
+        ["validate", "--measurement", f["meas"], "--bogus"],  # usage error of the full parser: exit 2
+        ["validate", "--measurement", f["meas"]],
     ]
 
 
@@ -73,7 +76,100 @@ def test_reused_parser_matches_a_fresh_one(files, capsys, monkeypatch):
         monkeypatch.setattr(cli, "PARSER", cli.build_parser())
         fresh.append(call(capsys, argv))
     assert reused == fresh
-    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 0, 1, 0, 3, 0, 0, 3, 0, 0, 0]
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 0, 1, 0, 3, 0, 0, 3, 0, 0, 0, 2, 0]
+
+
+def parser_corpus(f) -> tuple[list, list]:
+    """argv for all seven commands: the valid forms, with `--opt -value`,
+    `--opt=value` and abbreviated options, and the help requests and usage
+    errors of a command's subparser and of the full parser."""
+    io = ["--measurement", f["meas"], "--state", f["state"]]
+    lorentz = ["to-element", "--rotation-axis", "0,0,1", "--rotation-angle", "0.3", "--velocity", "0.1,0,0"]
+    valid = [
+        ["validate", "--measurement", f["meas"]],
+        ["validate", "--measurement=" + f["meas"], "--tol=1e-3"],
+        ["validate", "--meas", f["meas"], "--tol", "-1e-3"],
+        ["validate", "--tol", "1e-3", "--measurement", f["short"]],
+        ["to-lorentz", "--element", f["elem"]],
+        ["to-lorentz", "--el=" + f["elem"]],
+        lorentz,
+        lorentz + ["--lambda", "0.5"],
+        lorentz + ["--lam=-1"],
+        ["to-element", "--rotation-axis", "-1,0,0", "--rotation-angle", "-1e-3", "--vel", "-0.5,0,0"],
+        ["apply", *io],
+        ["apply", "--state", f["state"], "--meas", f["meas"]],
+        ["simulate", *io, "--seed", "7", "--n", "50"],
+        ["simulate", *io, "--seed=-1", "--n", "5"],
+        ["boost-observer", *io, "--velocity", "-0.1,0,0"],
+        ["boost-observer", *io, "--vel=0.6,0.6,0.6"],
+        ["invariants", *io],
+        ["invariants", "--st", f["state"], "--measurement", f["meas"]],
+    ]
+    usage = [
+        ["validate", "--measurement", f["meas"], "--bogus"],
+        ["validate", "--measurement", f["meas"], "extra"],
+        ["invariants", *io, "--bogus", "1"],
+        lorentz + ["--lambda", "0.5", "--x=1"],
+        ["apply", "--measurement", f["meas"]],
+        ["simulate", *io, "--seed", "7"],
+        ["to-element", "--rotation-axis", "0,0,1"],
+        ["simulate", *io, "--seed", "7", "--n", "abc"],
+        ["validate", "--measurement", f["meas"], "--tol", "x"],
+        ["to-element", "--rotation", "0,0,1", "--rotation-angle", "0.3", "--velocity", "0,0,0"],
+        ["validate", "--measurement"],
+        ["validate", "--", "--measurement", f["meas"]],
+        ["validate", "--measurement", f["meas"], "--"],
+        ["--", "validate", "--measurement", f["meas"]],
+        ["-h"],
+        ["--help"],
+        ["-h", "validate"],
+        ["validate", "-h"],
+        ["to-element", "--he"],
+        ["simulate", *io, "--help"],
+        [],
+        ["bogus"],
+        ["bogus", "--measurement", f["meas"]],
+        ["valid", "--measurement", f["meas"]],
+        ["--measurement", f["meas"], "validate"],
+        ["--tol", "1", "validate", "--measurement", f["meas"]],
+    ]
+    return valid, usage
+
+
+def parse_as_the_full_parser(parser, argv):
+    """How main parsed every argv before the per-command path: the full parser,
+    freshly built."""
+    return cli.build_parser().parse_args(argv)
+
+
+def test_parsing_with_the_command_subparser_matches_the_full_parser(files, capsys, monkeypatch):
+    """main gives the exit code, stdout and stderr of the full parser for every
+    argv of the corpus, usage errors and help included."""
+    valid, usage = parser_corpus(files)
+    argvs = valid + usage
+    fast = [call(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse", parse_as_the_full_parser)
+    assert fast == [call(capsys, argv) for argv in argvs]
+    assert {code for code, _, _ in fast} == {0, 1, 2, 3}
+
+
+def test_a_valid_call_runs_only_its_command_subparser(files, capsys, monkeypatch):
+    """The full parser parses only argv whose first word is not a command, or
+    that the command's subparser does not take whole."""
+    full = []
+
+    def parse_args(argv):
+        full.append(argv)
+        raise SystemExit(2)
+
+    monkeypatch.setattr(cli.PARSER, "parse_args", parse_args)
+    valid, _ = parser_corpus(files)
+    for argv in valid:
+        call(capsys, argv)
+    assert full == []
+    for argv in (["validate", "--measurement", files["meas"], "--bogus"], ["-h"], []):
+        call(capsys, argv)
+    assert len(full) == 3
 
 
 def test_options_do_not_leak_into_the_next_call(files, capsys):

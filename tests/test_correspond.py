@@ -114,6 +114,17 @@ def test_element_to_lorentz_scalar_example():
         element_to_lorentz(np.zeros((2, 2)))
 
 
+def test_element_to_lorentz_rejects_an_overflowing_effect():
+    """Tr(M†M) = e_vec[0] bounds the other entries of e_vec: it is finite up to
+    the float limit, and TooLarge past it, whatever the entries of M."""
+    geom = element_to_lorentz(9e153 * I2)
+    assert geom.e_vec[0] == pytest.approx(1.62e308, rel=1e-15)
+    assert np.isfinite(geom.e_vec).all() and np.isfinite(geom.v_vec).all()
+    for m in (1.2e154 * I2, np.diag([1.4e154, 0.0]), [[1e154, 1e154], [1e154, 1e154]]):
+        with pytest.raises(TooLarge, match="overflows"):
+            element_to_lorentz(m)
+
+
 def test_prop1_reconstruction():
     rng = np.random.default_rng(1)
     for _ in range(150):
