@@ -8,7 +8,7 @@ exposes two closed forms of the latter for cross-checking. psi has two
 forms: _psi over stacks of (2, 2) arrays, and the closed form _psi_entries
 on the four entries of one A as Python complex numbers, which the
 single-element chain passes. _preimage inverts psi up to the global phase
-psi cannot see: it takes the 16 entries of L as Python floats and returns
+psi cannot see: it takes the 16 entries of L / max|L| as Python floats and returns
 the four entries of A as Python complex numbers, which lorentz._unit_det
 and lorentz._factor take as they are.
 """
@@ -69,21 +69,21 @@ def _psi_entries(a: list) -> list:
 _SIGNS = ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1))
 
 
-def _preimage(flat: list, ell: float) -> list:
+def _preimage(unit: list, ell: float) -> list:
     """The entries a00, a01, a10, a11 of the preimage A under psi, with Tr A >= 0, of the
-    4x4 L with row-major entries flat and max|L| = ell > 0 (Penrose & Rindler, Spinors
-    and Space-Time, vol. 1, ch. 1).
+    4x4 L with max|L| = ell > 0 and row-major entries of L / ell in unit (Penrose & Rindler,
+    Spinors and Space-Time, vol. 1, ch. 1).
 
     psi(A) = L means sum_mu L_{mu nu} sigma_mu = A sigma_nu A†, and sum_nu sigma_nu X sigma_nu
     = 2 Tr(X) I, so M_beta = sum L_{mu nu} sigma_mu sigma_beta sigma_nu = 2 Tr(A† sigma_beta) A.
     With s as in _SIGNS, M_beta = (w I + c . sigma) sigma_beta, w = sum_mu s_mu L_{mu mu}
     = |Tr(sigma_beta A)|^2, c_l = s_l L_{0l} + L_{l0} + i (s_k L_{jk} - s_j L_{kj}), (j, k, l)
     cyclic. The beta with the largest w gives A = M_beta sqrt(1 / w) / 2 up to the phase that
-    psi does not carry. L is divided by its largest entry first, so that nothing over- or
+    psi does not carry. L comes divided by its largest entry, so that nothing over- or
     underflows. An L outside the image of psi still yields some A: callers compare psi(A), L.
     """
     (l00, l01, l02, l03, l10, l11, l12, l13,
-     l20, l21, l22, l23, l30, l31, l32, l33) = [x / ell for x in flat]
+     l20, l21, l22, l23, l30, l31, l32, l33) = unit
     weights = (l00 + l11 + l22 + l33, l00 + l11 - l22 - l33,
                l00 - l11 + l22 - l33, l00 - l11 - l22 + l33)
     w = max(weights)

@@ -41,13 +41,11 @@ def _parse_vec3(text: str) -> list[float]:
         raise MalformedInput(f"expected X,Y,Z, got {text!r}") from exc
 
 
-def _finite_effects(elements: np.ndarray) -> np.ndarray:
-    """Reject elements whose effect M†M overflows: every command then
-    computes from finite input only finite numbers."""
+def _finite_effects(elements: np.ndarray) -> None:
+    """Reject elements whose effect M†M overflows, as element_to_lorentz does for one element."""
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(_gram(elements)).all():
             raise TooLarge("an element's effect M†M overflows")
-    return elements
 
 
 def _load_measurement(path: str):
@@ -60,10 +58,6 @@ def _load_measurement(path: str):
 
 def _load_state(path: str) -> np.ndarray:
     return herm2(serialize.mat2_from_json(serialize.load_file(path)))
-
-
-def _load_element(path: str) -> np.ndarray:
-    return _finite_effects(serialize.mat2_from_json(serialize.load_file(path)))
 
 
 def _emit(obj) -> None:
@@ -91,7 +85,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_to_lorentz(args) -> int:
-    geom = element_to_lorentz(_load_element(args.element))
+    geom = element_to_lorentz(serialize.mat2_from_json(serialize.load_file(args.element)))
     _emit(serialize.effect_geometry_to_json(geom))
     return EXIT_OK
 
@@ -102,6 +96,8 @@ def cmd_to_element(args) -> int:
     decomp = LorentzDecomposition(
         rotation=rotation4(axis, args.rotation_angle), velocity=vel, scale=1.0
     )
+    if args.lam is not None and not math.isfinite(args.lam):
+        raise MalformedInput(f"--lambda must be finite, got {args.lam}")
     elem = lorentz_to_element(decomp, args.lam)
     _emit(serialize.mat2_to_json(elem))
     return EXIT_OK

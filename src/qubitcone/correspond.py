@@ -36,6 +36,7 @@ from .qmat import (
     TOL,
     _coords,
     _eigenvalues,
+    _entries,
     _finite,
     _from_coords,
     _gram,
@@ -134,10 +135,10 @@ def apply_element(m, rho) -> tuple[float, np.ndarray]:
 def element_to_lorentz(m) -> EffectGeometry:
     """Forward correspondence: psi(M) = scale * rotation * boost(velocity).
     Raises TooLarge when Tr(M†M) = e_vec[0], which bounds the other entries, overflows."""
-    m = mat2(m)
-    vel, scale, n, d, e = _factor(m.ravel().tolist(), float(np.abs(m).max()))
+    m = _entries(m, (2, 2), complex, "2x2 matrix")
+    vel, scale, n, d, e = _factor(m, max(np.abs(m).tolist()))
     if not math.isfinite(e[0]):
-        raise TooLarge("the effect M†M overflows")
+        raise TooLarge("an element's effect M†M overflows")
     e_vec = np.array(e)
     return EffectGeometry(
         e_vec=e_vec,
@@ -158,8 +159,9 @@ def lambda_max(vel: Velocity) -> float:
 
 def element_family(decomp: LorentzDecomposition) -> ElementFamily:
     """The lambda-family of elements equivalent (up to scale) to a transform."""
+    u = _rotation_spinor(_entries(decomp.rotation, (4, 4), float, "4x4 matrix"))
     return ElementFamily(
-        rotation_u=np.array(_rotation_spinor(decomp.rotation)).reshape(2, 2),
+        rotation_u=np.array(u).reshape(2, 2),
         velocity=decomp.velocity,
         lambda_max=lambda_max(decomp.velocity),
         kind=decomp.velocity.kind,
@@ -172,7 +174,7 @@ def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -
     Default lambda is lambda_max, which maximizes the element's probability
     weight; any admissible lambda yields the same transform up to scale.
     """
-    u00, u01, u10, u11 = _rotation_spinor(decomp.rotation)
+    u00, u01, u10, u11 = _rotation_spinor(_entries(decomp.rotation, (4, 4), float, "4x4 matrix"))
     lam_max = lambda_max(decomp.velocity)
     if lam is None:
         lam = lam_max

@@ -8,10 +8,11 @@ families, the rotation-times-boost decomposition, and the two-to-one spinor
 lift back to unit-determinant 2x2 complex matrices. Classification,
 decomposition and lift all read the one psi preimage A = _preimage(L) and
 factor it with _factor, as element_to_lorentz does; only decompose forms
-the polar factor. The chain is scalar: L's entries are listed once, and
-_preimage, _unit_det and _factor pass A as four Python complex numbers, the
-psi residual reads adjoint._psi_entries, and an array is formed only for the
-returned result. The residual and unit-determinant tests read qmat.TOL.
+the polar factor. The chain is scalar: qmat._entries validates L once into
+the 16 floats _classify and _rotation_spinor read; _preimage, _unit_det and
+_factor pass A as four Python complex numbers, the psi residual reads
+_psi_entries, and an array is formed only for the returned result. The
+residual and unit-determinant tests read qmat.TOL.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .errors import (
     NotTimelike,
     ZeroElement,
 )
-from .qmat import TOL, _finite, _gram_entries, _scaled_entries, _unitary_factor
+from .qmat import TOL, _entries, _finite, _gram_entries, _scaled_entries, _unitary_factor
 
 # Velocities with 1 - TOL_V < |v| < 1 - UNIT_ROUNDOFF are rejected as
 # ambiguous rather than silently classified: gamma overflows there. A norm
@@ -83,10 +84,6 @@ def _as_velocity(vel) -> Velocity:
     if isinstance(vel, Velocity):
         return vel
     return velocity(vel)
-
-
-def mat4(entries) -> np.ndarray:
-    return _finite(entries, (4, 4), float, "4x4 matrix")
 
 
 def pure_boost(vel) -> np.ndarray:
@@ -167,16 +164,17 @@ def _fits(a: list, flat: list) -> bool:
     return max(map(abs, map(operator.sub, _psi_entries(a), flat))) <= TOL
 
 
-def _classify(m: np.ndarray) -> tuple[str, list | None, tuple | None]:
-    """The class of a validated m, with the entries of its psi preimage A (Tr A >= 0)
-    and _factor(A); both None when m is not in the image of psi."""
-    flat = m.ravel().tolist()
+def _classify(L) -> tuple[str, list | None, tuple | None]:
+    """The class of a 4x4 L, validated here, with the entries of its psi preimage A
+    (Tr A >= 0) and _factor(A); both None when L is not in the image of psi."""
+    flat = _entries(L, (4, 4), float, "4x4 matrix")
     norm = max(map(abs, flat))
     if norm == 0:
         return OTHER, None, None
-    a = _preimage(flat, norm)
+    unit = [x / norm for x in flat]
+    a = _preimage(unit, norm)
     r = 1 / math.sqrt(norm)  # psi(A r) against L / norm: nothing over- or underflows
-    if not _fits([x * r for x in a], [x / norm for x in flat]):
+    if not _fits([x * r for x in a], unit):
         return OTHER, None, None
     vel, scale, *_ = parts = _factor(a, max(map(abs, a)))
     if vel.kind == NULL:
@@ -193,7 +191,7 @@ def classify(L) -> str:
     factorisation (1 - |v| <= TOL_V) makes a null-boost product, and a
     timelike one a restricted transform when |det A| = 1 within TOL.
     """
-    return _classify(mat4(L))[0]
+    return _classify(L)[0]
 
 
 def decompose(L) -> LorentzDecomposition:
@@ -203,7 +201,7 @@ def decompose(L) -> LorentzDecomposition:
     A has Tr A >= 0, so decompose(psi(M)) = element_to_lorentz(e^{-i arg Tr M} M)
     for every nonzero M, and decompose(R L(v)) = (R, v).
     """
-    _, _, parts = _classify(mat4(L))
+    _, _, parts = _classify(L)
     if parts is None:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
@@ -211,14 +209,14 @@ def decompose(L) -> LorentzDecomposition:
     return LorentzDecomposition(rotation=_rotation(n, d), velocity=vel, scale=scale)
 
 
-def _rotation_spinor(rot) -> list:
-    """The entries of the U with det U = 1, signed as _unit_det describes, and psi(U) = rot
-    within TOL for a proper block rotation rot = diag(1, R); else NotDecomposable."""
-    flat = mat4(rot).ravel().tolist()
+def _rotation_spinor(flat: list) -> list:
+    """The entries of the U with det U = 1, signed as _unit_det describes, and psi(U) = rot within
+    TOL, for the 16 entries flat of a proper block rotation rot = diag(1, R); else NotDecomposable."""
     edge = flat[:4] + flat[4::4]  # row 0 and column 0
     if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > TOL:
         raise NotDecomposable("rotation is not a Bloch-block rotation")
-    u = _unit_det(_preimage(flat, max(map(abs, flat))))
+    ell = max(map(abs, flat))
+    u = _unit_det(_preimage([x / ell for x in flat], ell))
     if not _fits(u, flat):
         raise NotDecomposable("rotation block is not a proper rotation")
     return u
@@ -229,9 +227,8 @@ def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
     u = cos(theta/2) I - i sin(theta/2) (axis . sigma) of diag(1, R), signed so that
     cos(theta/2) >= 0; the angle 0 has the axis z. NotDecomposable unless R is a
     proper rotation within TOL."""
-    rot = np.eye(4)
-    rot[1:, 1:] = _finite(r3, (3, 3), float, "3x3 rotation matrix")
-    u00, u01, u10, u11 = _rotation_spinor(rot)
+    r = _entries(r3, (3, 3), float, "3x3 rotation matrix")
+    u00, u01, u10, u11 = _rotation_spinor([1.0, 0.0, 0.0, 0.0, 0.0, *r[:3], 0.0, *r[3:6], 0.0, *r[6:]])
     s = (-(u01 + u10).imag / 2, (u10 - u01).real / 2, (u11 - u00).imag / 2)
     sin_half = math.hypot(*s)
     if sin_half == 0:
@@ -270,7 +267,7 @@ def spinor_lift(L) -> np.ndarray:
     """Lift a restricted transform to the unit-determinant 2x2 matrix A with
     psi(A) = L (see classify). A and -A are the two preimages; the returned
     one is signed as _unit_det describes."""
-    kind, a, _ = _classify(mat4(L))
+    kind, a, _ = _classify(L)
     if kind != RESTRICTED:
         raise NotRestricted("spinor_lift requires a restricted Lorentz transform")
     return np.array(_unit_det(a)).reshape(2, 2)

@@ -3,17 +3,18 @@
 Everything downstream (cone geometry, Lorentz machinery, the measurement
 correspondence) reduces to a handful of primitives on 2x2 matrices:
 hermiticity, positivity, closed-form eigenvalues, the positive square root
-and the polar decomposition. All functions are pure. Public functions
-validate a (2, 2) complex128 array with mat2; the underscored kernels take
-validated arrays: _hermitize, _gram, _coords and its inverse _from_coords
-broadcast over leading axes. The scalar kernels _scaled_entries,
-_gram_entries and _unitary_factor take the four entries of one matrix as
-Python complex numbers, with max|m| formed once by the caller.
+and the polar decomposition. All functions are pure. Input is validated once:
+by _finite into an array (mat2: (2, 2) complex128), or with the same checks and
+messages by _entries into one matrix's entries as Python numbers, for the scalar
+chain. The underscored kernels take validated input: _hermitize, _gram, _coords
+and _from_coords broadcast over leading axes; _scaled_entries, _gram_entries and
+_unitary_factor take one matrix's entries as Python complex numbers, max|m| given.
 Roots and polar factors are Cayley–Hamilton closed forms. Every yes/no test
 of the package reads the one tolerance TOL.
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -39,8 +40,8 @@ SIGMA = np.stack([SIGMA0, SIGMA1, SIGMA2, SIGMA3])
 _PAULI_COLUMNS = SIGMA.transpose(0, 2, 1).reshape(4, 4).T
 
 
-def _finite(entries, shape: tuple, dtype, what: str) -> np.ndarray:
-    """Input validation: entries as a finite array of shape (None: any count > 0)."""
+def _shaped(entries, shape: tuple, dtype, what: str) -> np.ndarray:
+    """entries as an array of shape (None: any count > 0), not yet tested finite."""
     try:
         arr = np.asarray(entries, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric or beyond float range
@@ -49,9 +50,23 @@ def _finite(entries, shape: tuple, dtype, what: str) -> np.ndarray:
         shape = arr.shape[:1] + shape[1:]
     if arr.shape != shape:
         raise MalformedInput(f"expected a {what}, got shape {arr.shape}")
+    return arr
+
+
+def _finite(entries, shape: tuple, dtype, what: str) -> np.ndarray:
+    """Input validation: entries as a finite array of shape (None: any count > 0)."""
+    arr = _shaped(entries, shape, dtype, what)
     if not np.isfinite(arr).all():
         raise MalformedInput(f"{what} entries must be finite")
     return arr
+
+
+def _entries(entries, shape: tuple, dtype, what: str) -> list:
+    """_finite of one matrix as its row-major entries in Python numbers, each tested finite."""
+    flat = _shaped(entries, shape, dtype, what).ravel().tolist()
+    if not all(map(cmath.isfinite, flat)):
+        raise MalformedInput(f"{what} entries must be finite")
+    return flat
 
 
 def mat2(entries) -> np.ndarray:
@@ -226,11 +241,11 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     s_n^2 = Tr(n†n) + 2|det n|, so that nothing over- or underflows. m = 0 returns
     (identity, 0).
     """
-    m = mat2(m)
-    mu = float(np.abs(m).max())
+    m = _entries(m, (2, 2), complex, "2x2 matrix")
+    mu = max(np.abs(m).tolist())
     if not mu:
         return np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-    n, d = _scaled_entries(m.ravel().tolist(), mu)
+    n, d = _scaled_entries(m, mu)
     p0, p1, h01 = _gram_entries(n)
     abs_det = abs(d)
     k = mu / math.sqrt(p0 + p1 + 2 * abs_det)

@@ -268,6 +268,21 @@ def test_to_element_non_finite_angle_is_malformed(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lam, code", [("nan", EXIT_MALFORMED), ("inf", EXIT_MALFORMED), ("-inf", EXIT_MALFORMED),
+                                       ("5", EXIT_DOMAIN)])
+def test_to_element_lambda_must_be_finite(capsys, lam, code):
+    """A non-finite --lambda is malformed, as every non-finite option value is;
+    a finite one out of (0, lambda_max] is a domain error."""
+    argv = ["to-element", "--rotation-axis", "0,0,1", "--rotation-angle", "0.5", "--velocity", "0.1,0,0",
+            f"--lambda={lam}"]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if code == EXIT_MALFORMED:
+        assert captured.err == f"error: --lambda must be finite, got {float(lam)}\n"
+
+
 def test_non_finite_result_is_a_domain_error(tmp_path, capsys):
     """Effects of 8.1e307 are finite, their completeness sum is not."""
     big = np.diag([9e153, 0])
@@ -280,7 +295,8 @@ def test_non_finite_result_is_a_domain_error(tmp_path, capsys):
 
 def test_overflowing_effect_is_a_domain_error(tmp_path, mixed_state, capsys):
     """Finite elements whose effect M†M overflows exit 3 from every command
-    that reads an element or a measurement."""
+    that reads an element or a measurement, all with one error: to-lorentz
+    takes it from element_to_lorentz, the others from the CLI's effect check."""
     big = np.diag([1e200, 5e199])
     elem = write_json(tmp_path, "big.json", serialize.mat2_to_json(big))
     meas = write_json(tmp_path, "big-meas.json", serialize.measurement_to_json(measurement([big, big])))
@@ -296,7 +312,7 @@ def test_overflowing_effect_is_a_domain_error(tmp_path, mixed_state, capsys):
         assert main(argv) == EXIT_DOMAIN, argv[0]
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert captured.err == "error: an element's effect M†M overflows\n", argv[0]
 
 
 # real and imaginary parts: 0, or of magnitude log-uniform in [1e-300, 1e300],

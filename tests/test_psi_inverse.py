@@ -91,7 +91,8 @@ def test_psi_inv_is_a_preimage(case):
     m, _ = case
     L = psi(m)
     flat = L.ravel().tolist()
-    a = np.array(_preimage(flat, max(map(abs, flat)))).reshape(2, 2)
+    ell = max(map(abs, flat))
+    a = np.array(_preimage([x / ell for x in flat], ell)).reshape(2, 2)
     assert max_abs(psi(a) - L) <= 1e-14 * max_abs(L)
     tr = a[0, 0] + a[1, 1]
     assert tr.real >= 0 and abs(tr.imag) <= 4 * EPS * abs(tr)
@@ -335,9 +336,9 @@ def test_classify_and_decompose_of_subnormal_transforms(monkeypatch):
     got = classes_and_errors(transforms)
     oracle_calls = []
 
-    def tensor_preimage(flat, ell):
+    def tensor_preimage(unit, ell):
         oracle_calls.append(ell)
-        return tensor_psi_inv(np.array(flat).reshape(4, 4)).ravel().tolist()
+        return tensor_psi_inv(np.array(unit).reshape(4, 4) * ell).ravel().tolist()
 
     monkeypatch.setattr(lorentz, "_preimage", tensor_preimage)
     want = classes_and_errors(transforms)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -332,3 +333,58 @@ def test_sqrt_psd_scale_range():
         r = sqrt_psd(e)
         assert np.max(np.abs(r @ r - e)) <= 1e-15 * np.max(np.abs(e))
         assert np.max(np.abs(r - s * root)) <= 1e-15 * s
+
+
+# (shape, dtype, what) of every fixed-shape input that qmat._entries validates
+ENTRY_SPECS = [((2, 2), complex, "2x2 matrix"), ((4, 4), float, "4x4 matrix"), ((3, 3), float, "3x3 rotation matrix")]
+
+
+def entry_corpus(shape, dtype):
+    """Valid matrices (an array, nested lists, signed zeros, zeros, single precision);
+    in each slot in turn NaN, inf or -inf (in either part when complex), a str, None,
+    a bool, an int, the integer 10**400, a list or a dict; wrong shapes and a ragged list."""
+    rng = np.random.default_rng(sum(shape))
+    base = rng.normal(size=shape)
+    if dtype is complex:
+        base = base + 1j * rng.normal(size=shape)
+    nested = base.tolist()
+    corpus = [base, nested, -0.0 * base, np.zeros(shape), base.astype(np.float32 if dtype is float else np.complex64)]
+    bad = [math.nan, math.inf, -math.inf]
+    if dtype is complex:
+        bad += [complex(0, math.nan), complex(1, math.inf), complex(-math.inf, 0)]
+    for leaf in bad + ["1.5", "x", None, True, False, 7, 10**400, [1.0], {}]:
+        for i in range(base.size):
+            entries = base.ravel().tolist()
+            entries[i] = leaf
+            corpus.append(np.array(entries, dtype=object).reshape(shape).tolist())
+    rows, cols = shape
+    corpus += [
+        base.ravel().tolist(), base[:, :-1].tolist(), base[:-1].tolist(),
+        [base.tolist()], nested[:-1] + [nested[-1][:-1]], [], [[]], 1.0, None, "matrix", object(),
+        np.zeros((rows, cols, 1)), np.zeros(rows * cols), np.zeros((cols + 1, rows)),
+    ]
+    return corpus
+
+
+def outcome(fn, entries, spec):
+    """('ok', reprs of the row-major entries) or (exception class, message)."""
+    try:
+        out = fn(entries, *spec)
+    except Exception as exc:  # both must raise the same class with the same message
+        return type(exc), str(exc)
+    if isinstance(out, np.ndarray):
+        out = out.ravel().tolist()
+    assert all(type(x) is spec[1] for x in out)
+    return "ok", [repr(x) for x in out]
+
+
+@pytest.mark.parametrize("spec", ENTRY_SPECS, ids=lambda spec: spec[2])
+def test_entries_agrees_with_finite(spec):
+    """qmat._entries accepts and rejects what qmat._finite does, with the same
+    exception class and message, and returns the same entries bit for bit."""
+    outcomes = []
+    for entries in entry_corpus(*spec[:2]):
+        want = outcome(qmat._finite, entries, spec)
+        assert outcome(qmat._entries, entries, spec) == want
+        outcomes.append(want[0])
+    assert "ok" in outcomes and MalformedInput in outcomes

@@ -1,5 +1,5 @@
 """Each public correspondence entry validates its argument once, at entry;
-the layers below take arrays that are already validated. The scenario
+the layers below take arrays or entry lists that are already validated. The scenario
 engines validate as often for many elements as for few: a measurement is
 validated when it is built."""
 import importlib
@@ -11,9 +11,11 @@ import pytest
 from conftest import rand_element, rand_null_element, rand_state
 from qubitcone import serialize, sim
 from qubitcone.cli import main
+from qubitcone.adjoint import psi
 from qubitcone.correspond import (
     Measurement,
     apply_element,
+    element_family,
     element_to_lorentz,
     lorentz_to_element,
     measurement,
@@ -21,7 +23,15 @@ from qubitcone.correspond import (
     validate,
 )
 from qubitcone.errors import InvalidMeasurement
-from qubitcone.lorentz import LorentzDecomposition, pure_boost, spinor_lift
+from qubitcone.lorentz import (
+    LorentzDecomposition,
+    classify,
+    decompose,
+    pure_boost,
+    rotation_axis_angle,
+    spinor_lift,
+)
+from qubitcone.qmat import polar_decompose
 from qubitcone.sim import (
     boosted_probabilities,
     observer_boost,
@@ -30,7 +40,8 @@ from qubitcone.sim import (
     scenario1_sample,
 )
 
-VALIDATORS = ("mat2", "mat4", "fourvector", "_vec3")
+# every validator of the package (mat2, fourvector, _vec3, ...) ends in one of these
+VALIDATORS = ("_finite", "_entries")
 MODULES = [
     importlib.import_module(f"qubitcone.{name}")
     for name in ("qmat", "conemap", "adjoint", "lorentz", "correspond", "sim", "serialize", "cli")
@@ -62,21 +73,29 @@ def validator_calls(monkeypatch):
 
 @pytest.mark.parametrize("make", [rand_element, rand_null_element])
 def test_correspondence_validates_once(validator_calls, make):
+    """Every scalar-chain entry validates its input exactly once, into a list of
+    entries by qmat._entries, with no array validation before it; rotation_axis_angle
+    validates its 3x3 and not diag(1, R) again."""
     m = make(np.random.default_rng(11))
-    validator_calls.clear()
     geom = element_to_lorentz(m)
-    assert validator_calls == {"mat2": 1}
-
     decomp = LorentzDecomposition(rotation=geom.rotation, velocity=geom.velocity, scale=geom.scale)
-    validator_calls.clear()
-    lorentz_to_element(decomp)
-    assert validator_calls == {"mat4": 1}
-
+    # a restricted transform for a timelike element, a rescaled null-boost product else
+    L = geom.rotation @ pure_boost(geom.velocity) if geom.kind == "timelike" else psi(m)
+    entries = {
+        "element_to_lorentz": lambda: element_to_lorentz(m),
+        "polar_decompose": lambda: polar_decompose(m),
+        "lorentz_to_element": lambda: lorentz_to_element(decomp),
+        "element_family": lambda: element_family(decomp),
+        "decompose": lambda: decompose(L),
+        "classify": lambda: classify(L),
+        "rotation_axis_angle": lambda: rotation_axis_angle(geom.rotation[1:, 1:]),
+    }
     if geom.kind == "timelike":
-        rb = geom.rotation @ pure_boost(geom.velocity)
+        entries["spinor_lift"] = lambda: spinor_lift(L)
+    for name, call in entries.items():
         validator_calls.clear()
-        spinor_lift(rb)
-        assert validator_calls == {"mat4": 1}
+        call()
+        assert validator_calls == {"_entries": 1}, name
 
 
 @pytest.mark.parametrize("make", [rand_element, rand_null_element])
