@@ -13,16 +13,13 @@ from .conemap import (
     eta_conjugate,
     hs_inner,
     minkowski,
-    mixedness,
     phi,
     phi_inv,
 )
 from .correspond import (
     EffectGeometry,
-    ElementFamily,
     Measurement,
     apply_element,
-    complete_to_measurement,
     element_to_lorentz,
     info_measure,
     lambda_max,
@@ -45,16 +42,12 @@ from .lorentz import (
 )
 from .qmat import (
     SIGMA,
-    det,
     eigenvalues,
     herm2,
-    hermitize,
     is_positive,
     mat2,
-    mul,
     polar_decompose,
     sqrt_psd,
-    trace,
 )
 from .sim import (
     ObserverBoost,

@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 
-from .errors import NotPositive, NotUnitary, ZeroMatrix
-from .qmat import SIGMA, TOL, _coords, _sqrt_det, is_positive, mat2, sqrt_psd
-from .conemap import _minkowski, phi
+from .errors import NotPositive, NotUnitary, TooLarge, ZeroMatrix
+from .qmat import SIGMA, TOL, _coords, _hermitize, _positive, _sqrt_det, _sqrt_psd, mat2
+from .conemap import _minkowski
 
 # psi(A)_{uv} = (1/2) Tr(sigma_u A sigma_v A†) = sum_{ijkl} A_ij conj(A_kl) _PSI[ijkl, uv]:
 # one product of the flattened outer product of A and conj(A) with _PSI gives psi(A).
@@ -136,12 +136,15 @@ def psi_of_sqrt(e, form: str = "auto") -> np.ndarray:
       "square" - the scaled boost (a/2) _boost(-p/a, X/(2a)) in the coordinates [a, p] of
                  e itself, X = 2 sqrt(a^2 - |p|^2) = 4 sqrt(det e); requires e != 0
       "auto"   - "square" unless e = 0, then "root"
+    Raises TooLarge when Tr(e), which bounds the other coordinates of a positive e, overflows.
     """
     e = mat2(e)
-    if not is_positive(e):
-        raise NotPositive("matrix is not positive semidefinite")
     c = _coords(e)
+    if not _positive(c):
+        raise NotPositive("matrix is not positive semidefinite")
     a, p = c[0], c[1:]
+    if not math.isfinite(a):
+        raise TooLarge("Tr(e) overflows")
     if form == "auto":
         form = "square" if a > 0 else "root"
     if form == "square":
@@ -149,7 +152,7 @@ def psi_of_sqrt(e, form: str = "auto") -> np.ndarray:
             raise ZeroMatrix("the square-coordinate form requires e != 0")
         return (a / 2) * _boost(-p / a, 2 * _sqrt_det(*c) / a)
     if form == "root":
-        root = phi(sqrt_psd(e))
+        root = _coords(_sqrt_psd(_hermitize(e)))
         x_root = _minkowski(root, root)
         return (x_root * np.diag([-1.0, 1.0, 1.0, 1.0]) + 2 * np.outer(root, root)) / 4
     raise ValueError(f"unknown form {form!r}")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveTrace
-from .qmat import TOL, _coords, _eigenvalues, _finite, _from_coords, hermitize, is_positive, mat2
+from .errors import NonPositiveTrace, TooLarge
+from .qmat import TOL, _coords, _eigenvalues, _finite, _from_coords, _hermitize, is_positive, mat2
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -66,23 +66,17 @@ def cone_membership(v) -> ConeMembership:
     return ConeMembership(in_cone, in_cone and abs(lm) <= TOL * (lp + lm), minkowski(v, v))
 
 
-def mixedness(v) -> float:
-    """Minkowski self-product of a state vector; 0 exactly for pure states.
-
-    Equals 2((Tr rho)^2 - Tr(rho^2)) for rho = phi_inv(v).
-    """
-    return minkowski(v, v)
-
-
 def eta_conjugate(h) -> np.ndarray:
     """Index lowering on matrices: h -> Tr(h) I - h.
 
     Its phi image is the metric applied componentwise (time kept, space
-    negated).
+    negated). Raises TooLarge when Tr(h) overflows.
     """
     h = mat2(h)
     t = np.real(np.trace(h))
-    return hermitize(t * np.eye(2, dtype=complex) - h)
+    if not np.isfinite(t):
+        raise TooLarge("Tr(h) overflows")
+    return _hermitize(t * np.eye(2, dtype=complex) - h)
 
 
 def bloch_section(v) -> tuple[float, np.ndarray]:

@@ -35,13 +35,11 @@ from .lorentz import NULL, LorentzDecomposition, Velocity, _factor, _is_null, _r
 from .qmat import (
     TOL,
     _coords,
-    _eigenvalues,
     _entries,
     _finite,
     _from_coords,
     _gram,
     _positive,
-    _sqrt_psd,
     mat2,
 )
 
@@ -84,14 +82,6 @@ class EffectGeometry:
     velocity: Velocity
     scale: float
     rotation: np.ndarray
-    kind: str
-
-
-@dataclass(frozen=True, eq=False)
-class ElementFamily:
-    rotation_u: np.ndarray
-    velocity: Velocity
-    lambda_max: float
     kind: str
 
 
@@ -157,22 +147,13 @@ def lambda_max(vel: Velocity) -> float:
     return math.sqrt(2.0 / (1.0 + math.hypot(*vel.v.tolist())))
 
 
-def element_family(decomp: LorentzDecomposition) -> ElementFamily:
-    """The lambda-family of elements equivalent (up to scale) to a transform."""
-    u = _rotation_spinor(_entries(decomp.rotation, (4, 4), float, "4x4 matrix"))
-    return ElementFamily(
-        rotation_u=np.array(u).reshape(2, 2),
-        velocity=decomp.velocity,
-        lambda_max=lambda_max(decomp.velocity),
-        kind=decomp.velocity.kind,
-    )
-
-
-def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -> np.ndarray:
+def lorentz_to_element(decomp: LorentzDecomposition | EffectGeometry, lam: float | None = None) -> np.ndarray:
     """Backward correspondence: the measurement element M(lambda) = U sqrt(E(lambda)).
 
-    Default lambda is lambda_max, which maximizes the element's probability
-    weight; any admissible lambda yields the same transform up to scale.
+    decomp is read for its rotation and velocity only, so the EffectGeometry that
+    element_to_lorentz returns is taken as it is, with no LorentzDecomposition
+    rebuilt from it. Default lambda is lambda_max, which maximizes the element's
+    probability weight; any admissible lambda yields the same transform up to scale.
     """
     u00, u01, u10, u11 = _rotation_spinor(_entries(decomp.rotation, (4, 4), float, "4x4 matrix"))
     lam_max = lambda_max(decomp.velocity)
@@ -190,24 +171,6 @@ def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -
     r00, r01, r10, r11 = k * (1.0 - vz + g), k * complex(-vx, vy), k * complex(-vx, -vy), k * (1.0 + vz + g)
     return np.array([[u00 * r00 + u01 * r10, u00 * r01 + u01 * r11],
                      [u10 * r00 + u11 * r10, u10 * r01 + u11 * r11]])
-
-
-def complete_to_measurement(m) -> Measurement:
-    """Pad a single admissible element, M†M <= I within TOL, to a
-    two-outcome measurement.
-
-    TOL bounds the largest eigenvalue of M†M above 1, so it is relative to
-    I rather than to I - M†M, which is round-off for a unitary M. By the
-    same test, the complement sqrt(I - M†M) is dropped when the smallest
-    eigenvalue of M†M is within TOL of 1: I - M†M is then 0 within TOL.
-    """
-    e = effect(m)
-    lam_plus, lam_minus = _eigenvalues(e)
-    if lam_plus > 1 + TOL:
-        raise TooLarge("I - M†M is not positive; element cannot be completed")
-    if 1 - lam_minus <= TOL:
-        return measurement([m])
-    return measurement([m, _sqrt_psd(np.eye(2) - e)])
 
 
 def prop2_invariants(meas_element, rho) -> Prop2Report:

@@ -79,15 +79,6 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return m / 2 + m.conj().swapaxes(-1, -2) / 2
 
 
-def hermitize(m) -> np.ndarray:
-    """Project onto the hermitian part: (m + m†)/2.
-
-    The result satisfies the hermiticity invariants exactly (real diagonal,
-    conjugate off-diagonal pair), which downstream code relies on.
-    """
-    return _hermitize(mat2(m))
-
-
 def herm2(entries) -> np.ndarray:
     """Validate a hermitian 2x2 matrix and enforce exact hermiticity.
 
@@ -105,24 +96,6 @@ def herm2(entries) -> np.ndarray:
 def _gram(m: np.ndarray) -> np.ndarray:
     """m† m, exactly hermitian."""
     return _hermitize(m.conj().swapaxes(-1, -2) @ m)
-
-
-def mul(a, b) -> np.ndarray:
-    return mat2(a) @ mat2(b)
-
-
-def adjoint(a) -> np.ndarray:
-    return mat2(a).conj().T
-
-
-def det(m) -> complex:
-    m = mat2(m)
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def trace(m) -> complex:
-    m = mat2(m)
-    return m[0, 0] + m[1, 1]
 
 
 def _coords(h: np.ndarray) -> np.ndarray:

@@ -55,11 +55,6 @@ def observer_boost(v) -> ObserverBoost:
     return ObserverBoost(velocity=vel)
 
 
-def outcome_probabilities(meas: Measurement, rho) -> np.ndarray:
-    """Tr(M†M rho), clipped at 0, of a positive rho of any trace."""
-    return np.maximum((meas.transforms @ _state_vector(mat2(rho)))[:, 0], 0.0)
-
-
 def _outcomes(meas: Measurement, rho_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities and post vectors psi(M) phi(rho); the post vector of a
     probability at most ZERO_PROB Tr(rho) is 0."""

@@ -11,7 +11,7 @@ from qubitcone import (
     velocity,
 )
 from qubitcone.lorentz import NULL, LorentzDecomposition, Velocity
-from qubitcone.qmat import hermitize
+from qubitcone.qmat import _hermitize
 
 
 def rand_complex(rng, scale=1.0):
@@ -19,12 +19,12 @@ def rand_complex(rng, scale=1.0):
 
 
 def rand_herm(rng, scale=1.0):
-    return hermitize(rand_complex(rng, scale))
+    return _hermitize(rand_complex(rng, scale))
 
 
 def rand_positive(rng, scale=1.0):
     a = rand_complex(rng)
-    return hermitize(scale * a.conj().T @ a)
+    return _hermitize(scale * a.conj().T @ a)
 
 
 def rand_unit3(rng):

@@ -10,7 +10,7 @@ import qubitcone
 from conftest import rand_complex, rand_positive, rand_unit3
 from qubitcone.adjoint import _psi, _psi_entries, psi, psi_of_sqrt, psi_of_unitary
 from qubitcone.conemap import cone_membership, minkowski, phi, phi_inv
-from qubitcone.errors import NotPositive, NotUnitary, ZeroMatrix
+from qubitcone.errors import NotPositive, NotUnitary, TooLarge, ZeroMatrix
 from qubitcone.lorentz import pure_boost, velocity
 from qubitcone.qmat import SIGMA, sqrt_psd
 
@@ -202,6 +202,9 @@ def test_psi_of_sqrt_errors():
     with pytest.raises(ZeroMatrix):
         psi_of_sqrt(np.zeros((2, 2)), form="square")
     assert np.allclose(psi_of_sqrt(np.zeros((2, 2))), 0)
+    for form in ("root", "square", "auto"):  # a finite e whose trace overflows
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TooLarge, match="overflows"):
+            psi_of_sqrt(np.diag([1.7e308, 1.7e308]), form)
 
 
 @pytest.mark.parametrize("form", ["square", "auto", "root"])
@@ -218,4 +221,3 @@ def test_psi_of_sqrt_at_extreme_element_scales(form, scale):
 
 def test_package_adjoint_is_the_module():
     assert qubitcone.adjoint is importlib.import_module("qubitcone.adjoint")
-    assert np.array_equal(qubitcone.qmat.adjoint(1j * X), -1j * X)

@@ -10,11 +10,10 @@ from qubitcone.conemap import (
     eta_conjugate,
     hs_inner,
     minkowski,
-    mixedness,
     phi,
     phi_inv,
 )
-from qubitcone.errors import MalformedInput, NonPositiveTrace
+from qubitcone.errors import MalformedInput, NonPositiveTrace, TooLarge
 from qubitcone.qmat import SIGMA, eigenvalues, is_positive
 
 I2 = np.eye(2, dtype=complex)
@@ -111,12 +110,13 @@ def test_boundary_equivalence_with_zero_eigenvalue():
 
 
 def test_mixedness_examples():
-    assert mixedness(phi(I2 / 2)) == pytest.approx(1)
-    assert mixedness([2, 0, 0, 0]) == pytest.approx(4)
+    """The mixedness of a state vector v is minkowski(v, v); 0 for pure states."""
+    assert minkowski(phi(I2 / 2), phi(I2 / 2)) == pytest.approx(1)
+    assert minkowski([2, 0, 0, 0], [2, 0, 0, 0]) == pytest.approx(4)
     rng = np.random.default_rng(3)
     psi_vec = rng.normal(size=2) + 1j * rng.normal(size=2)
     pure = np.outer(psi_vec, psi_vec.conj())
-    assert mixedness(phi(pure)) == pytest.approx(0, abs=1e-10)
+    assert minkowski(phi(pure), phi(pure)) == pytest.approx(0, abs=1e-10)
 
 
 def test_mixedness_identity():
@@ -137,6 +137,8 @@ def test_eta_conjugate():
         h = rand_herm(rng)
         v = phi(h)
         assert np.allclose(phi(eta_conjugate(h)), [v[0], -v[1], -v[2], -v[3]], atol=1e-13)
+    with np.errstate(over="ignore"), pytest.raises(TooLarge, match="overflows"):
+        eta_conjugate(np.diag([1.7e308, 1.7e308]))
 
 
 def test_bloch_section():

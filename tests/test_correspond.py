@@ -17,10 +17,8 @@ from conftest import (
 from qubitcone.adjoint import psi
 from qubitcone.conemap import minkowski, phi, phi_inv
 from qubitcone.correspond import (
-    ElementFamily,
     apply_element,
-    complete_to_measurement,
-    element_family,
+    effect,
     element_to_lorentz,
     info_measure,
     lambda_max,
@@ -48,7 +46,7 @@ from qubitcone.lorentz import (
     rotation4,
     velocity,
 )
-from qubitcone.qmat import SIGMA, eigenvalues, is_positive, sqrt_psd
+from qubitcone.qmat import SIGMA, eigenvalues, is_positive, polar_decompose, sqrt_psd
 
 I2 = np.eye(2, dtype=complex)
 Z = SIGMA[3]
@@ -219,70 +217,88 @@ def test_round_trip_element_lorentz_element():
         assert geom.scale == pytest.approx(lam**2 / 2, abs=1e-10)
 
 
+@pytest.mark.parametrize("make, kind", [(rand_element, TIMELIKE), (rand_null_element, NULL)])
+def test_lorentz_to_element_takes_the_forward_record(make, kind):
+    """lorentz_to_element takes the EffectGeometry of element_to_lorentz as it is:
+    bit for bit the element of the LorentzDecomposition rebuilt from it, at element
+    scales 1e-150 to 1e150, at lambda_max and below it."""
+    rng = np.random.default_rng(25)
+    for _ in range(100):
+        geom = element_to_lorentz(10.0 ** rng.uniform(-150, 150) * make(rng))
+        assert geom.kind == kind
+        rebuilt = LorentzDecomposition(rotation=geom.rotation, velocity=geom.velocity, scale=geom.scale)
+        for lam in (None, rng.uniform(0.1, 1.0) * lambda_max(geom.velocity)):
+            assert np.array_equal(lorentz_to_element(geom, lam), lorentz_to_element(rebuilt, lam))
+
+
 def test_element_family():
+    """The lambda-family of a transform: lambda_max = sqrt(2 / (1 + |v|)), and every
+    element M(lambda) = U sqrt(E(lambda)) is timelike with the rotation's spinor U as
+    its polar factor."""
     dec = LorentzDecomposition(
         rotation=rotation4([0, 0, 1], np.pi / 2),
         velocity=velocity([0, 0, 0.5]),
         scale=1.0,
     )
-    fam = element_family(dec)
-    assert isinstance(fam, ElementFamily)
-    assert fam.kind == TIMELIKE
-    assert fam.lambda_max == pytest.approx(np.sqrt(4 / 3))
+    lam_max = lambda_max(dec.velocity)
+    assert lam_max == pytest.approx(np.sqrt(4 / 3))
     expected_u = np.cos(np.pi / 4) * I2 - 1j * np.sin(np.pi / 4) * Z
-    assert np.allclose(fam.rotation_u, expected_u, atol=1e-12)
+    for lam in (0.25 * lam_max, lam_max):
+        m = lorentz_to_element(dec, lam)
+        assert element_to_lorentz(m).kind == TIMELIKE
+        assert np.allclose(polar_decompose(m)[0], expected_u, atol=1e-12)
+
+
+def complement(m):
+    """sqrt(I - M†M): the element that completes M to a two-outcome measurement."""
+    return sqrt_psd(I2 - effect(m))
 
 
 def test_complete_to_measurement():
-    meas = complete_to_measurement(I2)
-    assert len(meas.elements) == 1
+    assert validate(measurement([I2]))
 
-    meas = complete_to_measurement(PROJ0)
-    assert len(meas.elements) == 2
+    comp = complement(PROJ0)
     # spectral oracle for the complement of a projector effect
     vals, vecs = np.linalg.eigh(I2 - PROJ0)
     oracle = vecs @ np.diag(np.sqrt(np.clip(vals, 0, None))) @ vecs.conj().T
-    assert np.allclose(meas.elements[1], oracle, atol=1e-12)
-    assert np.allclose(meas.elements[1], PROJ1, atol=1e-12)
-    assert validate(meas)
+    assert np.allclose(comp, oracle, atol=1e-12)
+    assert np.allclose(comp, PROJ1, atol=1e-12)
+    assert validate(measurement([PROJ0, comp]))
 
-    meas = complete_to_measurement(0.5 * I2)
-    assert np.allclose(meas.elements[1], np.sqrt(0.75) * I2, atol=1e-12)
-    assert validate(meas)
+    comp = complement(0.5 * I2)
+    assert np.allclose(comp, np.sqrt(0.75) * I2, atol=1e-12)
+    assert validate(measurement([0.5 * I2, comp]))
 
-    with pytest.raises(TooLarge):
-        complete_to_measurement(2 * I2)
+    with pytest.raises(NotPositive):  # M†M > I has no complement
+        complement(2 * I2)
 
 
 def test_complete_haar_unitaries_to_one_element():
-    """I - M†M of a unitary is round-off: the completion of each of 1,000 Haar
-    unitaries is the one-element measurement, and it is valid."""
+    """I - M†M of a unitary is round-off: each of 1,000 Haar unitaries is
+    a valid one-element measurement."""
     rng = np.random.default_rng(0)
     for _ in range(1000):
         q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         u = q * (r.diagonal() / np.abs(r.diagonal()))
-        meas = complete_to_measurement(u)
-        assert len(meas.elements) == 1
-        assert validate(meas)
+        assert validate(measurement([u]))
 
 
 def test_complete_unitary_elements():
-    """I - M†M is round-off for a unitary M; tol is relative to I, so the
-    completion accepts M and a slightly too large M, and rejects a larger one."""
+    """I - M†M is round-off for a unitary M; TOL is relative to I, so validate
+    accepts M and a slightly too large M alone, and rejects a larger one."""
     rng = np.random.default_rng(6)
     for _ in range(100):
         u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
         for s in (1.0, 1 + 1e-12):
-            assert validate(complete_to_measurement(s * u))
-        with pytest.raises(TooLarge):
-            complete_to_measurement((1 + 1e-6) * u)
+            assert validate(measurement([s * u]))
+        assert not validate(measurement([(1 + 1e-6) * u]))
 
 
 def test_complete_random_elements_validate():
     rng = np.random.default_rng(5)
     for _ in range(100):
         m = rand_element(rng)
-        assert validate(complete_to_measurement(m))
+        assert validate(measurement([m, complement(m)]))
 
 
 def test_prop2_examples():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import CORNERS, directions, rand_element, rand_null_element, rand_unit3, swept_elements, unitaries
 from qubitcone import lorentz
 from qubitcone.adjoint import _preimage, _psi, psi
-from qubitcone.correspond import element_family, element_to_lorentz, lambda_max, lorentz_to_element
+from qubitcone.correspond import element_to_lorentz, lambda_max, lorentz_to_element
 from qubitcone.errors import NotDecomposable, NotRestricted
 from qubitcone.lorentz import (
     NULL,
@@ -61,6 +61,11 @@ unimodular = st.builds(
 
 def max_abs(x):
     return float(np.max(np.abs(x)))
+
+
+def rotation_spinor(decomp):
+    """The spinor U of a record's rotation, as lorentz_to_element lifts it."""
+    return np.array(lorentz._rotation_spinor(decomp.rotation.ravel().tolist())).reshape(2, 2)
 
 
 # s (sigma_beta + sigma_{beta+1} e^{0.7i} / 4): |Tr(sigma_beta A)|^2 has the largest
@@ -134,10 +139,11 @@ def test_spinor_lift_sign_rule(axis, theta, n, speed, sign):
 @settings(max_examples=300, deadline=None)
 @given(directions, st.floats(min_value=0, max_value=math.pi), st.sampled_from([1, -1]))
 def test_element_family_rotation_sign_rule(axis, theta, sign):
-    """The lambda-family's rotation_u is the unitary U with Re u00 >= 0."""
+    """The spinor U that lorentz_to_element gives every element of the lambda-family
+    is the unitary with Re u00 >= 0."""
     u = su2_from_axis_angle(axis, theta)
     decomp = LorentzDecomposition(rotation=psi(sign * u), velocity=velocity([0.1, -0.2, 0.3]), scale=1.0)
-    rotation_u = element_family(decomp).rotation_u
+    rotation_u = rotation_spinor(decomp)
     if math.cos(theta / 2) > SIGN_TIE:
         assert max_abs(rotation_u - u) <= 8 * EPS
     else:
@@ -152,7 +158,7 @@ def test_sign_ties_go_to_im_u00_nonnegative(a, lift):
     assert max_abs(spinor_lift(psi(a)) - lift) <= 4 * EPS * max_abs(lift)
     if abs(a[0, 0]) == 1:
         decomp = LorentzDecomposition(rotation=psi(a), velocity=velocity([0.0, 0.0, 0.5]), scale=1.0)
-        assert max_abs(element_family(decomp).rotation_u - lift) <= 4 * EPS
+        assert max_abs(rotation_spinor(decomp) - lift) <= 4 * EPS
 
 
 @settings(max_examples=300, deadline=None)

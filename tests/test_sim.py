@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import rand_state, unitaries, unitary
 from qubitcone.adjoint import psi
-from qubitcone.conemap import minkowski, mixedness, phi
-from qubitcone.correspond import complete_to_measurement, element_to_lorentz, measurement
+from qubitcone.conemap import minkowski, phi
+from qubitcone.correspond import effect, element_to_lorentz, measurement
 from qubitcone.errors import (
     InvalidMeasurement,
     MalformedInput,
@@ -14,13 +14,12 @@ from qubitcone.errors import (
     NotPositive,
     NotTimelike,
 )
-from qubitcone.qmat import SIGMA, eigenvalues
+from qubitcone.qmat import SIGMA, eigenvalues, sqrt_psd
 from qubitcone.sim import (
     ZERO_PROB,
     _tallies,
     boosted_probabilities,
     observer_boost,
-    outcome_probabilities,
     report_invariants,
     scenario1_sample,
 )
@@ -30,6 +29,11 @@ Z = SIGMA[3]
 PROJ0 = (I2 + Z) / 2
 PROJ1 = (I2 - Z) / 2
 PROJ_Z = measurement([PROJ0, PROJ1])
+
+
+def probabilities(meas, rho):
+    """The outcome probabilities Tr(M†M rho) that scenario1_sample reports."""
+    return np.array([o.probability for o in scenario1_sample(meas, rho, seed=1, n=0)])
 
 
 def test_single_element_always_fires():
@@ -97,27 +101,27 @@ def test_post_vectors_stay_in_cone_and_preserve_purity():
         if abs(lm) < 1e-14:  # pure in, pure out
             for o in out:
                 if o.probability > 1e-12:
-                    assert mixedness(o.post_vector) == pytest.approx(0, abs=1e-12)
+                    assert minkowski(o.post_vector, o.post_vector) == pytest.approx(0, abs=1e-12)
 
 
 def test_outcome_probabilities_sum_to_one():
     rng = np.random.default_rng(2)
     for _ in range(100):
         rho = rand_state(rng)
-        probs = outcome_probabilities(PROJ_Z, rho)
+        probs = probabilities(PROJ_Z, rho)
         assert probs.sum() == pytest.approx(1, abs=1e-12)
         assert np.all(probs >= 0)
 
 
 def test_outcome_probabilities_rejects_a_state_that_is_not_positive():
     with pytest.raises(NotPositive):
-        outcome_probabilities(PROJ_Z, np.diag([2.0, -1.0]))
+        probabilities(PROJ_Z, np.diag([2.0, -1.0]))
 
 
 @pytest.mark.parametrize("rho", [np.array([[0.5, np.nan], [0.0, 0.5]]), np.eye(3) / 3])
 def test_outcome_probabilities_rejects_a_malformed_state(rho):
     with pytest.raises(MalformedInput):
-        outcome_probabilities(PROJ_Z, rho)
+        probabilities(PROJ_Z, rho)
 
 
 def test_observer_boost():
@@ -132,7 +136,7 @@ def test_boosted_probabilities_rest_frame():
     rng = np.random.default_rng(3)
     rho = rand_state(rng)
     p = boosted_probabilities(PROJ_Z, rho, observer_boost([0, 0, 0]))
-    q = outcome_probabilities(PROJ_Z, rho)
+    q = probabilities(PROJ_Z, rho)
     assert np.allclose(p, q, atol=1e-12)
 
 
@@ -193,7 +197,7 @@ def test_report_invariants_kind_is_the_forward_maps(u, v, ratio, log_scale):
     |v| = |e[1:]| / e[0], at element scales 1e-1 to 1e-100: rank one or
     singular-value ratio at least 1e-3, and the complement of either."""
     m = 10.0**log_scale * u @ np.diag([1.0, ratio]) @ v.conj().T
-    meas = complete_to_measurement(m)
+    meas = measurement([m, sqrt_psd(np.eye(2) - effect(m))])
     rep = report_invariants(meas, I2 / 2)
     assert [el["kind"] for el in rep["elements"]] == [element_to_lorentz(e).kind for e in meas.elements]
 

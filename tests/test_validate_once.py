@@ -11,11 +11,11 @@ import pytest
 from conftest import rand_element, rand_null_element, rand_state
 from qubitcone import serialize, sim
 from qubitcone.cli import main
-from qubitcone.adjoint import psi
+from qubitcone.adjoint import psi, psi_of_sqrt
+from qubitcone.conemap import eta_conjugate
 from qubitcone.correspond import (
     Measurement,
     apply_element,
-    element_family,
     element_to_lorentz,
     lorentz_to_element,
     measurement,
@@ -35,7 +35,6 @@ from qubitcone.qmat import polar_decompose
 from qubitcone.sim import (
     boosted_probabilities,
     observer_boost,
-    outcome_probabilities,
     report_invariants,
     scenario1_sample,
 )
@@ -85,7 +84,6 @@ def test_correspondence_validates_once(validator_calls, make):
         "element_to_lorentz": lambda: element_to_lorentz(m),
         "polar_decompose": lambda: polar_decompose(m),
         "lorentz_to_element": lambda: lorentz_to_element(decomp),
-        "element_family": lambda: element_family(decomp),
         "decompose": lambda: decompose(L),
         "classify": lambda: classify(L),
         "rotation_axis_angle": lambda: rotation_axis_angle(geom.rotation[1:, 1:]),
@@ -96,6 +94,19 @@ def test_correspondence_validates_once(validator_calls, make):
         validator_calls.clear()
         call()
         assert validator_calls == {"_entries": 1}, name
+
+
+@pytest.mark.parametrize("form", ["root", "square", "auto"])
+def test_psi_of_sqrt_validates_once(validator_calls, form):
+    """psi_of_sqrt validates e once and reads positivity off the coordinates it
+    forms; the root form takes the square root of that validated e."""
+    psi_of_sqrt(rand_state(np.random.default_rng(23)), form)
+    assert validator_calls == {"_finite": 1}
+
+
+def test_eta_conjugate_validates_once(validator_calls):
+    eta_conjugate(rand_state(np.random.default_rng(24)))
+    assert validator_calls == {"_finite": 1}
 
 
 @pytest.mark.parametrize("make", [rand_element, rand_null_element])
@@ -174,7 +185,6 @@ def test_single_element_chain_is_scalar(chain_calls, make):
 OBSERVER = observer_boost([0.1, 0.2, 0.3])
 ENGINES = {
     "completeness_deviation": lambda meas, rho: meas.deviation,
-    "outcome_probabilities": outcome_probabilities,
     "scenario1_sample": lambda meas, rho: scenario1_sample(meas, rho, seed=5, n=100),
     "boosted_probabilities": lambda meas, rho: boosted_probabilities(meas, rho, OBSERVER),
     "report_invariants": report_invariants,
@@ -189,7 +199,7 @@ def unitary_mixture(k, rng):
 
 # Engines that take the state as input validate it, once; the others
 # validate nothing.
-VALIDATES_STATE = {"outcome_probabilities", "scenario1_sample", "boosted_probabilities", "report_invariants"}
+VALIDATES_STATE = {"scenario1_sample", "boosted_probabilities", "report_invariants"}
 
 
 @pytest.mark.parametrize("engine", list(ENGINES))

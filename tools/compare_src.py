@@ -10,8 +10,8 @@ read line by line. Both sides get the same inputs:
 - every `tests/data/golden/*.args` of this checkout, run through
   `qubitcone.cli.main` in-process: the exit code, stdout and stderr;
 - N seeded calls of the single-element chain: `element_to_lorentz`,
-  `polar_decompose`, `lorentz_to_element`, `element_family`, `spinor_lift`,
-  `decompose`, `classify` and `rotation_axis_angle`. Element scales are
+  `polar_decompose`, `lorentz_to_element`, `spinor_lift`, `decompose`,
+  `classify` and `rotation_axis_angle`. Element scales are
   log-uniform over 1e-150 to 1e150, singular-value ratios are 0 or
   log-uniform over 1e-16 to 1, speeds reach 1 - 1e-8 and null, some 4x4
   and 3x3 inputs are no transform or rotation, and about one input in 40
@@ -42,8 +42,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
 EPS = 2.0**-52
-CALLS = ("element_to_lorentz", "polar_decompose", "lorentz_to_element", "element_family",
-         "spinor_lift", "decompose", "classify", "rotation_axis_angle")
+CALLS = ("element_to_lorentz", "polar_decompose", "lorentz_to_element", "spinor_lift", "decompose",
+         "classify", "rotation_axis_angle")
 
 
 def groups(obj) -> list:
@@ -162,8 +162,8 @@ def chain_inputs(n: int, seed: int):
         return -r3 if pick < 0.05 else r3 + 10.0 ** rng.uniform(-8, -4) * rng.normal(size=(3, 3)) if pick < 0.1 else r3
 
     make = {"element_to_lorentz": element, "polar_decompose": element, "lorentz_to_element": decomposition,
-            "element_family": decomposition, "spinor_lift": transform, "decompose": transform,
-            "classify": transform, "rotation_axis_angle": rotation3_or_not}
+            "spinor_lift": transform, "decompose": transform, "classify": transform,
+            "rotation_axis_angle": rotation3_or_not}
     for i in range(n):
         name = CALLS[i % len(CALLS)]
         raw = make[name]()
@@ -175,7 +175,7 @@ def chain_inputs(n: int, seed: int):
 
 def chain_functions() -> dict:
     """Call name -> function of its raw input, from the qubitcone on the import path."""
-    from qubitcone.correspond import element_family, element_to_lorentz, lorentz_to_element
+    from qubitcone.correspond import element_to_lorentz, lorentz_to_element
     from qubitcone.lorentz import LorentzDecomposition, classify, decompose, rotation_axis_angle, spinor_lift, velocity
     from qubitcone.qmat import polar_decompose
 
@@ -184,8 +184,8 @@ def chain_functions() -> dict:
 
     return {"element_to_lorentz": element_to_lorentz, "polar_decompose": polar_decompose,
             "lorentz_to_element": lambda raw: lorentz_to_element(decomposition(raw), raw[2]),
-            "element_family": lambda raw: element_family(decomposition(raw)), "spinor_lift": spinor_lift,
-            "decompose": decompose, "classify": classify, "rotation_axis_angle": rotation_axis_angle}
+            "spinor_lift": spinor_lift, "decompose": decompose, "classify": classify,
+            "rotation_axis_angle": rotation_axis_angle}
 
 
 def worker(src: str, calls: int, seed: int) -> None:
