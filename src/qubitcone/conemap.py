@@ -8,12 +8,13 @@ trace coordinate. Cone membership reads qmat.TOL, relative to the trace.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveTrace, TooLarge
-from .qmat import TOL, _coords, _eigenvalues, _finite, _from_coords, _hermitize, is_positive, mat2
+from .qmat import TOL, _coords, _finite, _from_coords, _hermitize, _positive, _spectrum, mat2
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -57,13 +58,19 @@ def hs_inner(a, b) -> float:
 
 
 def cone_membership(v) -> ConeMembership:
-    """Future-cone test for a four-vector: is_positive(phi_inv(v)), so the
-    smaller eigenvalue (v0 - |v[1:]|)/2 is at least -TOL v0; on the boundary
-    when it is also at most TOL v0. Both tests are relative to v0."""
-    h = phi_inv(v)
-    in_cone = is_positive(h)
-    lp, lm = _eigenvalues(h)
-    return ConeMembership(in_cone, in_cone and abs(lm) <= TOL * (lp + lm), minkowski(v, v))
+    """Future-cone test for a four-vector, read off v itself as the Pauli
+    coordinates of phi_inv(v): is_positive's rule, so the smaller eigenvalue
+    (v0 - |v[1:]|)/2 is at least -TOL v0; on the boundary when it is also at
+    most TOL v0. Both tests are relative to v0. Raises TooLarge when an
+    eigenvalue or the Minkowski norm overflows."""
+    v = fourvector(v)
+    lp, lm = _spectrum(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = float(_minkowski(v, v))
+    if not (math.isfinite(lp) and math.isfinite(lm) and math.isfinite(norm2)):
+        raise TooLarge("the four-vector's eigenvalues or Minkowski norm overflow")
+    in_cone = _positive(v)
+    return ConeMembership(in_cone, in_cone and abs(lm) <= TOL * (lp + lm), norm2)
 
 
 def eta_conjugate(h) -> np.ndarray:

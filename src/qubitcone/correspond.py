@@ -51,7 +51,9 @@ def _completeness(elements: np.ndarray) -> float:
     """max |sum M†M - I| over the entries, of a (K, 2, 2) element array;
     inf or nan when an effect overflows."""
     total = (elements.conj().swapaxes(-1, -2) @ elements).sum(axis=0)
-    return float(np.max(np.abs(total - np.eye(2))))
+    total[0, 0] -= 1  # total - I, with no identity formed
+    total[1, 1] -= 1
+    return float(np.abs(total).max())
 
 
 @dataclass(frozen=True, eq=False)

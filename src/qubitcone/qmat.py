@@ -83,14 +83,27 @@ def herm2(entries) -> np.ndarray:
     """Validate a hermitian 2x2 matrix and enforce exact hermiticity.
 
     Rejects inputs further than TOL max|m| from hermitian, a test relative at
-    every scale made on m over its largest real or imaginary part, so that
-    nothing overflows; otherwise returns the exactly hermitized matrix.
+    every scale made on n = m / s, s the largest real or imaginary part, so that
+    nothing overflows; otherwise returns the exactly hermitized matrix
+    m/2 + m†/2. A closed form on the four entries.
     """
-    m = mat2(entries)
-    n = m / (max(np.abs(m.real).max(), np.abs(m.imag).max()) or 1.0)
-    if float(np.max(np.abs(n - n.conj().T))) / 2 > TOL * float(np.max(np.abs(n))):
+    m = _entries(entries, (2, 2), complex, "2x2 matrix")
+    r = 1.0 / (max([abs(p) for z in m for p in (z.real, z.imag)]) or 1.0)
+    # a subnormal s overflows r: n is inf and nan, max|n| inf or nan, and the test passes, as numpy's did
+    n00, n01, n10, n11 = [complex(z.real * r, z.imag * r) for z in m]
+    skew = max(abs(n00.imag), abs(n11.imag), abs(n01 - n10.conjugate()) / 2)  # max|n − n†| / 2
+    if skew > TOL * max(abs(n00), abs(n01), abs(n10), abs(n11)):
         raise MalformedInput("matrix is not hermitian within tolerance")
-    return _hermitize(m)
+    m00, m01, m10, m11 = m
+    out = [_half_sum(m00, m00), _half_sum(m01, m10), _half_sum(m10, m01), _half_sum(m11, m11)]
+    return np.array(out).reshape(2, 2)
+
+
+def _half_sum(a: complex, b: complex) -> complex:
+    """a/2 + conj(b)/2 with the bits of numpy's complex arithmetic, which divides
+    z by 2 as ((re + im·0)/2, (im − re·0)/2): so the signs of zeros are numpy's."""
+    return complex((a.real + a.imag * 0.0) * 0.5 + (b.real - b.imag * 0.0) * 0.5,
+                   (a.imag - a.real * 0.0) * 0.5 + (-b.imag - b.real * 0.0) * 0.5)
 
 
 def _gram(m: np.ndarray) -> np.ndarray:

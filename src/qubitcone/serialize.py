@@ -4,7 +4,9 @@ Complex numbers are [re, im] pairs; 2x2 matrices are 2x2 arrays of those,
 and a measurement is {"elements": [...]} of them. Real arrays are plain
 number arrays. Floats are written with 17 significant digits so that
 emit -> parse -> emit is byte-identical. The CLI reads only 2x2 matrices
-and measurements; both are validated once, by _pairs_from_json.
+and measurements; both are validated once, in one walk over the parsed
+JSON (_walk). Files are read as bytes and decoded as UTF-8, with \r\n and \r
+read as \n, as text mode reads them.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ import numpy as np
 from .correspond import EffectGeometry, Measurement
 from .errors import MalformedInput
 from .lorentz import Velocity
-from .qmat import _finite
 
 
 def _fmt_float(x: float) -> str:
@@ -67,26 +68,51 @@ def loads(text: str):
 
 def load_file(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return loads(fh.read())
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
+    if "\r" in text:  # the universal newlines of text mode
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return loads(text)
+
+
+def _walk(obj, shape: tuple, what: str) -> np.ndarray:
+    """The numbers of obj as a flat float array, validated in one walk: obj must
+    nest lists of the lengths in shape (None: any length > 0), and every leaf
+    must be a finite JSON number. true, "1" and null are malformed although
+    numpy reads them as 1.0, 1.0 and nan; they are told apart as numpy's
+    reading would: conversion first, then finiteness."""
+    level = [obj]
+    for depth, n in enumerate(shape):
+        for x in level:
+            # n is None only at depth 0, where any length but 0 is taken
+            if type(x) is not list or len(x) != n and (n is not None or not x):
+                raise MalformedInput(f"expected a {what}: an item at depth {depth} is not "
+                                     f"an array of length {n or 'at least 1'}")
+        level = [y for x in level for y in x]
+    try:
+        numbers = np.array(level, float)
+    except (TypeError, ValueError, OverflowError) as exc:  # non-numeric, nested deeper or beyond float range
+        if list in map(type, level):
+            raise MalformedInput(f"expected a {what}: an item at depth {len(shape)} is an array, "
+                                 "not a number") from exc
+        raise MalformedInput(f"expected a {what}: {exc}") from exc
+    if not {float, int}.issuperset(map(type, level)):
+        finite = np.isfinite(numbers).all()
+        raise MalformedInput(f"{what} entries must be {'JSON numbers' if finite else 'finite'}")
+    if not all(map(math.isfinite, level)):
+        raise MalformedInput(f"{what} entries must be finite")
+    return numbers
 
 
 def _pairs_from_json(obj, shape: tuple, what: str) -> np.ndarray:
     """The complex array of the given shape (None: any count > 0) written as
-    nested [re, im] pairs of JSON numbers, validated in one pass. true and
-    "1" are malformed although numpy would read them as 1.0; the complex
-    view keeps every bit of the pairs, signed zeros included."""
-    pairs = _finite(obj, shape + (2,), float, what)
-    leaves = obj
-    for _ in shape:
-        leaves = [x for sub in leaves for x in sub]
-    if not all(type(x) in (int, float) for x in leaves):
-        raise MalformedInput(f"{what} entries must be JSON numbers")
-    return pairs.view(complex)[..., 0]
+    nested [re, im] pairs of JSON numbers; the complex view keeps every bit of
+    the pairs, signed zeros included."""
+    return _walk(obj, shape + (2,), what).view(complex).reshape((-1,) + shape[1:])
 
 
 def mat2_to_json(m) -> list:

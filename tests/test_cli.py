@@ -193,8 +193,7 @@ def test_simulate_negative_count_or_seed_is_malformed(proj_z, mixed_state, capsy
 
 
 def test_simulate_undrawable_count_is_a_domain_error(proj_z, mixed_state, capsys):
-    """numpy refuses 1e20 draws before it allocates anything; counts that it
-    would try to allocate are deliberately not tested."""
+    """A count above sim.MAX_SAMPLES is refused before the first draw."""
     argv = ["simulate", "--measurement", proj_z, "--state", mixed_state, "--seed", "1", "--n", str(10**20)]
     assert main(argv) == EXIT_DOMAIN
     captured = capsys.readouterr()

@@ -25,7 +25,28 @@ def test_src_against_itself_is_identical():
     assert f"golden CLI calls: {n_golden} identical, 0 differing" in run.stdout
     assert "chain calls: 120 identical, 0 differing" in run.stdout
     assert "worst difference where both return: 0 eps*max|entry|" in run.stdout
+    n_pool = 3 * 25  # bench/cli_calls.py ROUND_SIZE calls per seed
+    assert f"cli pool calls (seeds 1, 2, 3): {n_pool} identical, 0 differing" in run.stdout
+    n_malformed = 3 * len(compare_src.CORPUS) + 2
+    assert (f"malformed corpus calls: {n_malformed} identical, 0 differing (exit code and stdout); "
+            "0 stderr differences") in run.stdout
     assert run.stderr == ""
+
+
+def test_the_malformed_corpus_exits_2_with_one_error_line_and_no_stdout(tmp_path, monkeypatch):
+    """Every file of the corpus but the three valid ones, as each command reads
+    it, is malformed input: exit 2, one error line, no stdout."""
+    from qubitcone.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    records = list(compare_src.malformed_records(main))
+    assert len(records) == 3 * len(compare_src.CORPUS) + 2
+    for rec in records:
+        if rec["id"].split(":")[0] in ("malformed valid", "malformed CRLF", "malformed CR"):
+            assert rec["exit"] in (0, 1) and rec["stdout"], rec  # 1: diag(1/2, 1/2) alone is not complete
+        else:
+            assert (rec["exit"], rec["stdout"]) == (2, ""), rec
+            assert rec["stderr"].startswith("error: ") and rec["stderr"].count("\n") == 1, rec
 
 
 def test_difference_is_per_group_in_eps_of_its_largest_entry():

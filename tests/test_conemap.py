@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from qubitcone.conemap import (
     phi_inv,
 )
 from qubitcone.errors import MalformedInput, NonPositiveTrace, TooLarge
-from qubitcone.qmat import SIGMA, eigenvalues, is_positive
+from qubitcone.qmat import SIGMA, TOL, eigenvalues, is_positive
 
 I2 = np.eye(2, dtype=complex)
 X, Z = SIGMA[1], SIGMA[3]
@@ -159,3 +161,41 @@ def test_bad_vectors_rejected():
         phi_inv([1, 2, 3])
     with pytest.raises(MalformedInput):
         minkowski([np.nan, 0, 0, 0], [1, 0, 0, 0])
+
+
+def previous_cone_membership(v):
+    """The composition cone_membership replaced: is_positive and the
+    eigenvalues of phi_inv(v), and minkowski(v, v)."""
+    h = phi_inv(v)
+    in_cone = is_positive(h)
+    lp, lm = eigenvalues(h)
+    return in_cone, in_cone and abs(lm) <= TOL * (lp + lm), minkowski(v, v)
+
+
+def test_cone_membership_agrees_with_the_matrix_composition():
+    """Read off v, the tests give the answers of phi_inv(v)'s eigenvalues, and
+    the Minkowski norm its bits, for timelike, null and spacelike vectors with
+    either sign of v0 at scales 1e-150 to 1e308. Where the composition
+    overflowed, to a non-finite norm or to a non-finite phi_inv(v) that
+    is_positive rejected, cone_membership raises TooLarge."""
+    rng = np.random.default_rng(8)
+    for _ in range(8_000):
+        u = rng.normal(size=3)
+        t = np.linalg.norm(u) * rng.choice([0.5, 1.0, 1.0 + 1e-12, 2.0, -1.0])
+        with np.errstate(all="ignore"):
+            v = 10.0 ** rng.uniform(-150, 308.25) * np.array([t, *u])
+            if not np.isfinite(v).all():
+                continue
+            try:
+                previous = previous_cone_membership(v)
+            except MalformedInput:
+                previous = None
+        if previous is None or not math.isfinite(previous[2]):
+            with pytest.raises(TooLarge, match="overflow"):
+                cone_membership(v)
+        else:
+            m = cone_membership(v)
+            assert (m.in_cone, m.on_boundary, m.minkowski_norm2) == previous
+    for v in ([1e308, 0, 0, 1e308], [1e200, 0, 0, 0], [-1e308, 1e308, 0, 0]):
+        with pytest.raises(TooLarge, match="overflow"):
+            cone_membership(v)

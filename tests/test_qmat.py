@@ -359,3 +359,49 @@ def test_entries_agrees_with_finite(spec):
         assert outcome(qmat._entries, entries, spec) == want
         outcomes.append(want[0])
     assert "ok" in outcomes and MalformedInput in outcomes
+
+
+def previous_herm2(entries):
+    """The numpy herm2 that the closed form replaced."""
+    m = mat2(entries)
+    n = m / (max(np.abs(m.real).max(), np.abs(m.imag).max()) or 1.0)
+    if float(np.max(np.abs(n - n.conj().T))) / 2 > qmat.TOL * float(np.max(np.abs(n))):
+        raise MalformedInput("matrix is not hermitian within tolerance")
+    return qmat._hermitize(m)
+
+
+def herm2_outcome(fn, m):
+    try:
+        return fn(m).tobytes()
+    except MalformedInput as exc:
+        return str(exc)
+
+
+def test_herm2_matches_the_numpy_form_bit_for_bit():
+    """The closed form gives the numpy form's bits, signed zeros included, and
+    rejects what it rejected: hermitian matrices with zeros of either sign in
+    any part, plus a skew part of relative size 0, 1e-11 or 1e-7, at scales
+    1e-300 to 1e300, and inputs whose largest part is subnormal."""
+    rng = np.random.default_rng(2020)
+    signed_zeros = np.array([0.0, -0.0])
+    for i in range(10_000):
+        scale = 10.0 ** rng.uniform(-300, 300) if i % 100 else 10.0 ** rng.uniform(-323, -308)
+        h = rand_herm(rng, scale)
+        for part in (h.real, h.imag):
+            zeros = rng.random((2, 2)) < 0.25
+            part[zeros] = signed_zeros[rng.integers(2, size=zeros.sum())]
+        skew = rng.choice([0.0, 1e-11, 1e-7]) * scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        m = h + skew if skew.any() else h
+        with np.errstate(all="ignore"):  # the numpy form overflows m / s below 1/DBL_MAX
+            want = herm2_outcome(previous_herm2, m)
+        assert herm2_outcome(herm2, m) == want, m
+
+
+@pytest.mark.parametrize("m", [
+    [[1, 1e308], [1e308, 1]], [[1e308, -1e308j], [1e308j, -1e308]], [[1.7976931348623157e308, 0], [0, 5e-324]],
+    [[1, 1e308], [-1e308, 1]], [[1.5e308 + 1.5e308j, 0], [0, 1]], [[-0.0, -0.0j], [complex(-0.0, 0.0), -0.0]],
+])
+def test_herm2_matches_the_numpy_form_near_the_float_limit(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert herm2_outcome(herm2, m) == herm2_outcome(previous_herm2, m)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_state, unitaries, unitary
+from qubitcone import sim
 from qubitcone.adjoint import psi
 from qubitcone.conemap import minkowski, phi
 from qubitcone.correspond import effect, element_to_lorentz, measurement
@@ -13,9 +14,12 @@ from qubitcone.errors import (
     NotNormalized,
     NotPositive,
     NotTimelike,
+    TooLarge,
 )
 from qubitcone.qmat import SIGMA, eigenvalues, sqrt_psd
 from qubitcone.sim import (
+    CHUNK,
+    MAX_SAMPLES,
     ZERO_PROB,
     _tallies,
     boosted_probabilities,
@@ -317,3 +321,55 @@ def test_tallies_pinned():
     assert [o.tally for o in out] == [
         1241, 0, 667, 614, 24, 1161, 442, 809, 1150, 112, 444, 831, 653, 585, 534, 733
     ]
+
+
+def unchunked_tallies(probs, seed, n):
+    """The sampler before chunking: all n draws at once, sorted, then counted
+    below each live edge."""
+    live = np.flatnonzero(probs > ZERO_PROB)
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    draws = rng.random(n)
+    draws.sort()
+    below = np.searchsorted(draws, np.cumsum(probs)[live], side="left")
+    below[-1] = n
+    tallies = np.zeros(len(probs), dtype=int)
+    tallies[live] = below
+    tallies[live[1:]] -= below[:-1]
+    return tallies
+
+
+chunk_counts = st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 7]) | st.integers(0, 4 * CHUNK)
+
+
+@settings(max_examples=60, deadline=None)
+@given(distributions(), st.integers(0, 2**64 - 1), chunk_counts)
+def test_chunked_tallies_equal_unchunked(probs, seed, n):
+    """Chunks of CHUNK draws give the tallies of one sort over all n draws, bit
+    for bit: the generator's stream does not depend on the chunk sizes."""
+    assert np.array_equal(_tallies(probs, seed, n), unchunked_tallies(probs, seed, n))
+
+
+def test_counts_up_to_one_chunk_draw_once(monkeypatch):
+    """n <= CHUNK runs the numpy calls of the unchunked sampler: one draw of n."""
+    sizes = []
+    real = np.random.Generator.random
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, k):
+            sizes.append(k)
+            return real(self.rng, k)
+
+    monkeypatch.setattr(sim.np.random, "default_rng", lambda seq: Counting(np.random.Generator(np.random.PCG64(seq))))
+    for n in (0, 2000, CHUNK, CHUNK + 1, 2 * CHUNK + 3):
+        sizes.clear()
+        _tallies(np.array([0.5, 0.5]), 7, n)
+        assert sizes == ([n] if n <= CHUNK else [CHUNK] * (n // CHUNK) + [n % CHUNK])
+
+
+def test_a_count_above_max_samples_is_refused_before_drawing(monkeypatch):
+    monkeypatch.setattr(sim, "_tallies", lambda *args: pytest.fail("drew samples"))
+    with pytest.raises(TooLarge, match=f"at most {MAX_SAMPLES}"):
+        scenario1_sample(measurement([PROJ0, PROJ1]), I2 / 2, seed=1, n=MAX_SAMPLES + 1)

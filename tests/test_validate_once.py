@@ -12,7 +12,7 @@ from conftest import rand_element, rand_null_element, rand_state
 from qubitcone import serialize, sim
 from qubitcone.cli import main
 from qubitcone.adjoint import psi, psi_of_sqrt
-from qubitcone.conemap import eta_conjugate
+from qubitcone.conemap import cone_membership, eta_conjugate
 from qubitcone.correspond import (
     Measurement,
     apply_element,
@@ -102,6 +102,14 @@ def test_psi_of_sqrt_validates_once(validator_calls, form):
     forms; the root form takes the square root of that validated e."""
     psi_of_sqrt(rand_state(np.random.default_rng(23)), form)
     assert validator_calls == {"_finite": 1}
+
+
+def test_cone_membership_validates_once(monkeypatch, validator_calls):
+    """cone_membership validates its four-vector once and reads everything off
+    it: no Pauli coordinates of a matrix formed from it."""
+    coords = count_calls(monkeypatch, ["_coords"])
+    cone_membership([1.0, 0.2, -0.3, 0.1])
+    assert validator_calls == {"_finite": 1} and coords == {}
 
 
 def test_eta_conjugate_validates_once(validator_calls):
@@ -310,13 +318,14 @@ def test_a_directly_built_measurement_has_its_deviation():
 
 @pytest.mark.parametrize("k", [2, 16])
 def test_measurement_from_json_validates_once(monkeypatch, k):
-    """A measurement read from JSON is validated in one qmat._finite call,
-    not once per element and again for the stack."""
+    """A measurement read from JSON is validated in one walk over the parsed
+    JSON (serialize._walk), not once per element and again for the stack, and
+    never again as an array by qmat._finite."""
     meas = measurement(unitary_mixture(k, np.random.default_rng(15)))
     doc = serialize.loads(serialize.dumps(serialize.measurement_to_json(meas)))
-    calls = count_calls(monkeypatch, ["_finite"])
+    calls = count_calls(monkeypatch, ["_finite", "_walk"])
     read = serialize.measurement_from_json(doc)
-    assert calls["_finite"] == 1
+    assert calls == {"_walk": 1}
     assert np.array_equal(read.elements, meas.elements)
 
 

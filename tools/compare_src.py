@@ -17,12 +17,20 @@ read line by line. Both sides get the same inputs:
   and 3x3 inputs are no transform or rotation, and about one input in 40
   has a non-finite entry. Each result is flattened to its numbers
   and strings; a call that raises gives its exception type and message, and
-  the warnings it emits are kept too.
+  the warnings it emits are kept too;
+- the `cli` benchmark pools of seeds 1 to 3 (`bench/cli_calls.py`), run
+  through `qubitcone.cli.main` in-process: the exit code, stdout and stderr;
+- a corpus of mostly malformed input files (CORPUS: ragged nesting, leaves that
+  are not JSON numbers or not finite, CRLF and CR line ends, a UTF-8 BOM,
+  invalid UTF-8, broken JSON), each read by `to-lorentz --element`, by
+  `apply --state` and, wrapped as a measurement, by `validate --measurement`.
 
 A call is identical when every number has the same bits and every string and
 warning is equal. The report gives the identical and differing counts, and the
 worst difference of a number in units of eps * max|entry| of that call's
-parent result. The exit status is 0 when nothing differs, else 1. The run
+parent result. On the malformed corpus a call differs when its exit code or
+stdout does; each stderr difference there is listed, since an error message
+may be reworded. The exit status is 0 when nothing differs, else 1. The run
 takes a few seconds per 10,000 calls on each side.
 """
 from __future__ import annotations
@@ -36,11 +44,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
+MEASUREMENT = ROOT / "tests" / "data" / "measurement.json"
+POOL_SEEDS = (1, 2, 3)
 EPS = 2.0**-52
 CALLS = ("element_to_lorentz", "polar_decompose", "lorentz_to_element", "spinor_lift", "decompose",
          "classify", "rotation_axis_angle")
@@ -82,15 +93,90 @@ def record(thunk) -> dict:
     return out
 
 
+def cli_record(main, ident: str, argv: list) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return {"id": ident, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def golden_records(main):
     for args in sorted(GOLDEN.glob("*.args")):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(args.read_text().split())
-            except SystemExit as exc:  # argparse usage errors
-                code = exc.code
-        yield {"id": f"golden {args.stem}", "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        yield cli_record(main, f"golden {args.stem}", args.read_text().split())
+
+
+def pool_records(main):
+    """The cli benchmark pools, written to and run from the current directory."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import cli_calls
+
+    for seed in POOL_SEEDS:
+        for i, case in enumerate(cli_calls.pool(seed, ".")):
+            yield cli_record(main, f"pool {seed} #{i} {case['cmd']}", case["argv"])
+
+
+def _pairs(leaf: str = "0") -> str:
+    """A 2x2 matrix of [re, im] pairs as JSON text: diag(1/2, 1/2), with leaf as
+    the imaginary part of entry 0, 1 (zero for a hermitian state)."""
+    return f"[[[0.5, 0], [0, {leaf}]], [[0, 0], [0.5, 0]]]"
+
+
+# name -> file contents; each is read as a 2x2 matrix and, wrapped in
+# {"elements": [...]}, as a measurement. All but "valid", "CRLF" and "CR"
+# are malformed input.
+CORPUS = {
+    "valid": _pairs().encode(),
+    "ragged pair": b"[[[0.5, 0], [0]], [[0, 0], [0.5, 0]]]",
+    "ragged row": b"[[[0.5, 0], [0, 0]], [[0.5, 0]]]",
+    "three rows": b"[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]], [[0, 0], [0, 0]]]",
+    "three parts": b"[[[0.5, 0, 0], [0, 0, 0]], [[0, 0, 0], [0.5, 0, 0]]]",
+    "too deep": _pairs("[0]").encode(),
+    "not an array": b'{"a": 1}',
+    "a number": b"0.5",
+    "empty array": b"[]",
+    "true": _pairs("true").encode(),
+    "string 1": _pairs('"1"').encode(),
+    "string abc": _pairs('"abc"').encode(),
+    "string nan": _pairs('"nan"').encode(),
+    "null": _pairs("null").encode(),
+    "object": _pairs("{}").encode(),
+    "true and NaN": b"[[[0.5, true], [0, NaN]], [[0, 0], [0.5, 0]]]",
+    "1e400": _pairs("1e400").encode(),
+    "10**400": _pairs("1" + "0" * 400).encode(),
+    "-10**400": _pairs("-1" + "0" * 400).encode(),
+    "NaN": _pairs("NaN").encode(),
+    "Infinity": _pairs("Infinity").encode(),
+    "-Infinity": _pairs("-Infinity").encode(),
+    "CRLF": _pairs().replace("], [", "],\r\n [").encode(),
+    "CR": _pairs().replace("], [", "],\r [").encode(),
+    "CRLF and a control character": b'[\r\n"a\x01b"]',
+    "CRLF and broken JSON": b"[[[0.5, 0],\r\n [0, 0]],\r\n [[0, 0] [0.5, 0]]]",
+    "UTF-8 BOM": b"\xef\xbb\xbf" + _pairs().encode(),
+    "invalid UTF-8": b"\xff" + _pairs().encode(),
+    "truncated UTF-8": _pairs().encode() + b" \xe2\x82",
+    "empty file": b"",
+    "broken JSON": b"[[[0.5, 0], [0, 0]]",
+}
+
+
+def malformed_records(main):
+    """Each CORPUS file through to-lorentz, apply --state and validate, run
+    from the current directory, then a missing file and a directory."""
+    for i, (name, data) in enumerate(CORPUS.items()):
+        element, meas = f"m{i:02d}.json", f"m{i:02d}-meas.json"
+        Path(element).write_bytes(data)
+        bom = data[:3] if data.startswith(b"\xef\xbb\xbf") else b""  # stays first
+        Path(meas).write_bytes(bom + b'{"elements": [' + data[len(bom):] + b"]}")
+        for argv in (["to-lorentz", "--element", element],
+                     ["apply", "--measurement", str(MEASUREMENT), "--state", element],
+                     ["validate", "--measurement", meas]):
+            yield cli_record(main, f"malformed {name}: {argv[0]}", argv)
+    os.mkdir("a-directory")
+    for path in ("missing.json", "a-directory"):
+        yield cli_record(main, f"malformed {path}: to-lorentz", ["to-lorentz", "--element", path])
 
 
 def chain_inputs(n: int, seed: int):
@@ -202,6 +288,13 @@ def worker(src: str, calls: int, seed: int) -> None:
     functions = chain_functions()
     for i, (name, raw) in enumerate(chain_inputs(calls, seed)):
         print(json.dumps({"id": f"{name} #{i}", **record(lambda: functions[name](raw))}))
+    with tempfile.TemporaryDirectory() as workdir:  # the same relative paths on both sides
+        os.chdir(workdir)
+        for rec in pool_records(main):
+            print(json.dumps(rec))
+        for rec in malformed_records(main):
+            print(json.dumps(rec))
+        os.chdir(ROOT)
     print(json.dumps({"id": "done"}))
 
 
@@ -225,14 +318,18 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     sides = [subprocess.Popen([sys.executable, __file__, "--worker", src, str(calls), str(seed)], stdout=subprocess.PIPE,
                               text=True, env=env, cwd=ROOT) for src in (parent_src, change_src)]
-    tally = {"golden": [0, 0], "calls": [0, 0]}
-    raised, outcome_differs, worst, worst_id, shown = 0, 0, 0.0, None, []
+    tally = {"golden": [0, 0], "calls": [0, 0], "pool": [0, 0], "malformed": [0, 0]}
+    raised, outcome_differs, worst, worst_id, shown, stderr_differs = 0, 0, 0.0, None, [], []
     a = b = {"id": None}
     for line_a, line_b in zip(*(p.stdout for p in sides)):
         a, b = json.loads(line_a), json.loads(line_b)
         if a["id"] == "done" or a["id"] != b["id"]:
             break
-        group = "golden" if a["id"].startswith("golden ") else "calls"
+        group = a["id"].split()[0] if a["id"].split()[0] in tally else "calls"
+        if group == "malformed":
+            if a["stderr"] != b["stderr"]:
+                stderr_differs.append((a["id"], a["exit"], a["stderr"], b["stderr"]))
+            a["stderr"] = b["stderr"] = None  # listed, not counted
         same = json.dumps(a) == json.dumps(b)
         tally[group][not same] += 1
         raised += "raised" in a and same
@@ -256,9 +353,15 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
           f"({raised} of the identical raise, with the same type and message on both sides)")
     print(f"chain calls that raise on one side only, or another exception: {outcome_differs}")
     print(f"worst difference where both return: {worst:g} eps*max|entry|" + (f", at {worst_id}" if worst_id else ""))
+    print(f"cli pool calls (seeds {', '.join(map(str, POOL_SEEDS))}): {tally['pool'][0]} identical, "
+          f"{tally['pool'][1]} differing (exit code, stdout and stderr)")
+    print(f"malformed corpus calls: {tally['malformed'][0]} identical, {tally['malformed'][1]} differing "
+          f"(exit code and stdout); {len(stderr_differs)} stderr differences")
+    for ident, code, err_a, err_b in stderr_differs:
+        print(f"stderr differs: {ident} (exit {code})\n  parent: {err_a!r}\n  change: {err_b!r}")
     for a, b in shown:
         print(f"differs: {a['id']}\n  parent: {json.dumps(a)[:300]}\n  change: {json.dumps(b)[:300]}")
-    return 0 if not tally["golden"][1] and not tally["calls"][1] else 1
+    return 0 if not any(differing for _, differing in tally.values()) else 1
 
 
 def main() -> int:
