@@ -22,7 +22,7 @@ from .correspond import (
 )
 from .errors import DomainError, InvalidMeasurement, MalformedInput, TooLarge
 from .lorentz import rotation4, velocity
-from .qmat import TOL, _from_coords, _gram, herm2
+from .qmat import TOL, _from_coords, _gram, _herm2
 from .sim import boosted_probabilities, observer_boost, report_invariants, scenario1_sample
 
 EXIT_OK = 0
@@ -57,7 +57,8 @@ def _load_measurement(path: str):
 
 
 def _load_state(path: str) -> np.ndarray:
-    return herm2(serialize.mat2_from_json(serialize.load_file(path)))
+    """herm2 of the state file, on the numbers its read has validated."""
+    return _herm2(serialize.mat2_from_json(serialize.load_file(path)).ravel().tolist())
 
 
 def _emit(obj) -> None:

@@ -85,12 +85,18 @@ def herm2(entries) -> np.ndarray:
     Rejects inputs further than TOL max|m| from hermitian, a test relative at
     every scale made on n = m / s, s the largest real or imaginary part, so that
     nothing overflows; otherwise returns the exactly hermitized matrix
-    m/2 + m†/2. A closed form on the four entries.
+    m/2 + m†/2. A closed form on the four entries (_herm2).
     """
-    m = _entries(entries, (2, 2), complex, "2x2 matrix")
-    r = 1.0 / (max([abs(p) for z in m for p in (z.real, z.imag)]) or 1.0)
-    # a subnormal s overflows r: n is inf and nan, max|n| inf or nan, and the test passes, as numpy's did
-    n00, n01, n10, n11 = [complex(z.real * r, z.imag * r) for z in m]
+    return _herm2(_entries(entries, (2, 2), complex, "2x2 matrix"))
+
+
+def _largest_part(m: list) -> float:
+    return max([abs(p) for z in m for p in (z.real, z.imag)])
+
+
+def _herm2(m: list) -> np.ndarray:
+    """herm2 of the validated entries m00, m01, m10, m11 as Python complex numbers."""
+    n00, n01, n10, n11 = _unit_scaled(m, _largest_part(m) or 1.0, _largest_part)
     skew = max(abs(n00.imag), abs(n11.imag), abs(n01 - n10.conjugate()) / 2)  # max|n − n†| / 2
     if skew > TOL * max(abs(n00), abs(n01), abs(n10), abs(n11)):
         raise MalformedInput("matrix is not hermitian within tolerance")
@@ -183,16 +189,22 @@ def _sqrt_det(a, x, y, z) -> float:
     return a * math.sqrt(max((1 - r) * (1 + r), 0.0)) / 2
 
 
+def _unit_scaled(m: list, mu: float, size) -> list:
+    """m / mu as numpy rounds it, m * (1/mu), for one matrix's entries m as Python numbers
+    and mu = size(m) > 0. 1/mu overflows below 2^-1024, so a subnormal mu is first lifted,
+    with m, by the exact power of two 2^1000, and taken again as size(m)."""
+    if mu < 2.0**-1022:
+        m = [x * 2.0**1000 for x in m]
+        mu = size(m)
+    r = 1.0 / mu
+    return [x * r for x in m]
+
+
 def _scaled_entries(m: list, mu: float) -> tuple[list, complex]:
     """Entries n00, n01, n10, n11 of n = m / mu and det n, for the entries m of a nonzero
     matrix as Python complex numbers and mu = max|m|: no product of entries of n over- or
-    underflows. n = m * (1/mu), which is how numpy rounds m / mu. 1/mu overflows below
-    2^-1024, so a subnormal mu is first lifted, with m, by the exact power of two 2^1000."""
-    if mu < 2.0**-1022:
-        m = [x * 2.0**1000 for x in m]
-        mu = float(np.abs(m).max())
-    r = 1.0 / mu
-    n00, n01, n10, n11 = n = [x * r for x in m]
+    underflows."""
+    n00, n01, n10, n11 = n = _unit_scaled(m, mu, lambda m: float(np.abs(m).max()))
     return n, n00 * n11 - n01 * n10
 
 

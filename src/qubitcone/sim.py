@@ -4,15 +4,15 @@ keeps: post vectors are psi(M) phi(rho) and probabilities their time parts.
 Each engine validates the state once, on phi(rho) itself
 (correspond._state_vector), and forms every other quantity once per call.
 
-Sampling is a bit-reproducible inverse CDF over the element index in listed
-order, from a numpy PCG64 generator seeded with the caller's 64-bit seed.
-A draw u lands in bin k exactly when cum_{k-1} <= u < cum_k, so sorting the
-draws and counting those below each edge cum_k gives the tallies of a
-per-draw search, by the same comparisons; the draws are sorted and counted
-CHUNK at a time, at most MAX_SAMPLES in all. Draws in a bin of probability at
-most ZERO_PROB go to the next live bin, and draws past the last live edge
-to the last live bin. Both scenario1_sample and report_invariants report
-the post vector of a probability at most ZERO_PROB Tr(rho) as 0.
+Sampling is an inverse CDF over the element index in listed order, taken in
+distribution: one multinomial draw of n, from a numpy PCG64 generator seeded
+with the caller's 64-bit seed, over the cells between the cumulative
+probabilities of the live bins (p > ZERO_PROB), capped at 1, the last cell
+ending at 1. So a dead bin's mass goes to the next live bin and the mass past
+the last live edge to the last live bin; the tallies are bit-reproducible for
+a seed and numpy version, and cost O(K) for any n up to MAX_SAMPLES. Both
+scenario1_sample and report_invariants report the post vector of a
+probability at most ZERO_PROB Tr(rho) as 0.
 """
 from __future__ import annotations
 
@@ -32,11 +32,9 @@ from .qmat import mat2
 # state is reported as the zero vector (exact arithmetic gives M rho M† = 0).
 ZERO_PROB = 1e-15
 
-# scenario1_sample draws at most MAX_SAMPLES samples, CHUNK at a time: a larger
-# count is refused with TooLarge before the first draw. A chunk takes about
-# 0.6 ms on a 2-core Xeon, so 2^32 draws (65,536 chunks) take about 40 s.
-MAX_SAMPLES = 2**32
-CHUNK = 2**16
+# The largest count numpy's multinomial takes (int64): scenario1_sample refuses
+# a larger one with TooLarge before drawing.
+MAX_SAMPLES = 2**63 - 1
 
 
 class ScenarioOutcome(NamedTuple):
@@ -69,27 +67,15 @@ def _outcomes(meas: Measurement, rho_vec: np.ndarray) -> tuple[np.ndarray, np.nd
     return posts[:, 0], np.where(posts[:, :1] > ZERO_PROB * rho_vec[0], posts, 0.0)
 
 
-def _below(rng: np.random.Generator, k: int, edges: np.ndarray) -> np.ndarray:
-    """Counts of k draws below each edge: the draws sorted, then searched."""
-    draws = rng.random(k)
-    draws.sort()
-    return np.searchsorted(draws, edges, side="left")
-
-
 def _tallies(probs: np.ndarray, seed: int, n: int) -> np.ndarray:
-    """Counts of n inverse-CDF draws over probs, some above ZERO_PROB, 0 <= n <= MAX_SAMPLES.
-    The draws come in chunks of CHUNK, so memory stays bounded; the generator's
-    stream is the same whatever the chunk sizes, and so are the tallies."""
+    """Counts of n inverse-CDF draws over probs, some above ZERO_PROB, 0 <= n <= MAX_SAMPLES:
+    one multinomial draw over the live cells, each from the previous live edge to its own."""
     live = np.flatnonzero(probs > ZERO_PROB)
-    edges = np.cumsum(probs)[live]
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    below = _below(rng, min(n, CHUNK), edges)
-    for start in range(CHUNK, n, CHUNK):
-        below += _below(rng, min(CHUNK, n - start), edges)
-    below[-1] = n  # draws at or past the last live edge
+    edges = np.minimum(np.cumsum(probs)[live], 1.0)
+    edges[-1] = 1.0
     tallies = np.zeros(len(probs), dtype=int)
-    tallies[live] = below
-    tallies[live[1:]] -= below[:-1]  # each live bin counts the draws from the previous live edge
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    tallies[live] = rng.multinomial(n, np.diff(edges, prepend=0.0))
     return tallies
 
 

@@ -201,6 +201,24 @@ def test_simulate_undrawable_count_is_a_domain_error(proj_z, mixed_state, capsys
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_simulate_a_count_above_2_32_runs(proj_z, mixed_state, capsys):
+    """Counts up to sim.MAX_SAMPLES = 2^63 - 1 are drawn, in O(K) whatever n."""
+    argv = ["simulate", "--measurement", proj_z, "--state", mixed_state, "--seed", "1", "--n", str(2**32 + 1)]
+    code, out = run(capsys, argv)
+    assert code == EXIT_OK
+    assert sum(o["tally"] for o in serialize.loads(out)["outcomes"]) == 2**32 + 1
+
+
+def test_apply_rejects_a_subnormal_state_that_is_not_hermitian(proj_z, tmp_path, capsys):
+    """1e-310 [[1, 1], [0, 1]] is as far from hermitian as [[1, 1], [0, 1]]:
+    malformed input at either scale."""
+    for scale in (1.0, 1e-310):
+        state = write_json(tmp_path, "state.json", serialize.mat2_to_json(scale * np.array([[1, 1], [0, 1]])))
+        assert main(["apply", "--measurement", proj_z, "--state", state]) == EXIT_MALFORMED
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: matrix is not hermitian within tolerance\n"
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_validate_negative_tol_is_malformed(proj_z, capsys, tol):
     assert main(["validate", "--measurement", proj_z, "--tol", tol]) == EXIT_MALFORMED
@@ -441,7 +459,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 def test_golden_stdout(args, monkeypatch, capsys):
     """All seven commands print the committed golden stdout byte for byte and
     exit with the code stored beside it; the CI workflow runs the same files in
-    a real process."""
+    a real process. The two simulate_*.out files were written again when the
+    sampler became one multinomial draw over the inverse-CDF cells: only their
+    tallies moved."""
     monkeypatch.chdir(GOLDEN.parent.parent.parent)
     code, out = run(capsys, args.read_text().split())
     assert code == int(args.with_suffix(".exit").read_text())

@@ -3,8 +3,9 @@
 The oracle validates the state as a 2x2 matrix (positivity from its
 eigenvalues, the trace from np.trace), forms phi(rho) again, builds each
 report row by a dict comprehension over per-key columns with one Minkowski
-product per quantity, takes tallies as np.diff of the sorted-draw counts,
-and builds outcomes one by one. The engines validate
+product per quantity, takes tallies as one multinomial draw over the live
+cells (the sampler's rule since it replaced the sorted count of n uniform
+draws), and builds outcomes one by one. The engines validate
 phi(rho) once and form each quantity once; every result must equal the
 oracle's exactly, bit for bit, signed zeros and absent (None) values
 included, and every state the oracle rejects must be rejected with the same
@@ -67,12 +68,9 @@ def oracle_outcomes(meas, rho_vec):
 
 def oracle_tallies(probs, seed, n):
     live = np.flatnonzero(probs > ZERO_PROB)
-    draws = np.random.default_rng(np.random.SeedSequence(int(seed))).random(n)
-    draws.sort()
-    below = np.searchsorted(draws, np.cumsum(probs)[live], side="left")
-    below[-1] = n
+    edges = np.append(np.minimum(np.cumsum(probs)[live[:-1]], 1.0), 1.0)
     tallies = np.zeros(len(probs), dtype=int)
-    tallies[live] = np.diff(below, prepend=0)
+    tallies[live] = np.random.default_rng(np.random.SeedSequence(int(seed))).multinomial(n, np.diff(edges, prepend=0))
     return tallies
 
 

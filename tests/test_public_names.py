@@ -8,7 +8,8 @@ import types
 import qubitcone
 
 KEPT = {
-    # the CLI or a scenario engine calls it
+    # the CLI or a scenario engine calls it (herm2 by its closed form, qmat._herm2,
+    # on the numbers the CLI's reader has validated)
     "cli": ("herm2", "element_to_lorentz", "lorentz_to_element", "rotation4", "velocity", "validate",
             "measurement", "observer_boost", "scenario1_sample", "boosted_probabilities", "report_invariants"),
     # bench/ calls and times it (bench/run.py LAYER_FUNCTIONS)

@@ -211,6 +211,17 @@ def test_herm2_below_unit_scale():
     assert not herm2(np.zeros((2, 2))).any()
 
 
+@pytest.mark.parametrize("scale", [1e-310, 5e-324])
+def test_herm2_rejects_a_subnormal_matrix_that_is_not_hermitian(scale):
+    """Below 1/DBL_MAX, 1/max|m| overflows; herm2 lifts m by 2^1000 first, as
+    _scaled_entries does, so the test stays relative: the upper-triangular
+    matrix is rejected and its hermitian counterpart accepted."""
+    with pytest.raises(MalformedInput, match="not hermitian"):
+        herm2(scale * np.array([[1, 1], [0, 1]]))
+    h = scale * np.array([[1, 1j], [-1j, 1]])
+    assert herm2(h).tobytes() == qmat._hermitize(mat2(h)).tobytes()
+
+
 def test_hermitize_is_projection():
     rng = np.random.default_rng(7)
     m = rand_complex(rng)
@@ -362,9 +373,14 @@ def test_entries_agrees_with_finite(spec):
 
 
 def previous_herm2(entries):
-    """The numpy herm2 that the closed form replaced."""
+    """The numpy herm2 that the closed form replaced, with one change: a matrix whose
+    largest part s is subnormal is tested on (m 2^1000) / (s 2^1000), as herm2 now
+    tests it. The numpy form divided by s itself, which overflowed below 1/DBL_MAX, and
+    so it passed any such matrix, hermitian or not."""
     m = mat2(entries)
-    n = m / (max(np.abs(m.real).max(), np.abs(m.imag).max()) or 1.0)
+    s = max(np.abs(m.real).max(), np.abs(m.imag).max())
+    lift = 2.0**1000 if s < 2.0**-1022 else 1.0
+    n = m * lift / (s * lift or 1.0)
     if float(np.max(np.abs(n - n.conj().T))) / 2 > qmat.TOL * float(np.max(np.abs(n))):
         raise MalformedInput("matrix is not hermitian within tolerance")
     return qmat._hermitize(m)
@@ -381,7 +397,8 @@ def test_herm2_matches_the_numpy_form_bit_for_bit():
     """The closed form gives the numpy form's bits, signed zeros included, and
     rejects what it rejected: hermitian matrices with zeros of either sign in
     any part, plus a skew part of relative size 0, 1e-11 or 1e-7, at scales
-    1e-300 to 1e300, and inputs whose largest part is subnormal."""
+    1e-300 to 1e300, and inputs whose largest part is subnormal, which both
+    test at 2^1000 times their size."""
     rng = np.random.default_rng(2020)
     signed_zeros = np.array([0.0, -0.0])
     for i in range(10_000):
@@ -392,8 +409,7 @@ def test_herm2_matches_the_numpy_form_bit_for_bit():
             part[zeros] = signed_zeros[rng.integers(2, size=zeros.sum())]
         skew = rng.choice([0.0, 1e-11, 1e-7]) * scale * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         m = h + skew if skew.any() else h
-        with np.errstate(all="ignore"):  # the numpy form overflows m / s below 1/DBL_MAX
-            want = herm2_outcome(previous_herm2, m)
+        want = herm2_outcome(previous_herm2, m)
         assert herm2_outcome(herm2, m) == want, m
 
 

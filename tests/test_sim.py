@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,6 @@ from qubitcone.errors import (
 )
 from qubitcone.qmat import SIGMA, eigenvalues, sqrt_psd
 from qubitcone.sim import (
-    CHUNK,
     MAX_SAMPLES,
     ZERO_PROB,
     _tallies,
@@ -297,18 +298,59 @@ def distributions(draw):
     return np.where(live, probs, [0.0 if kind == "live" else kind for kind in kinds])
 
 
+def multinomial_tallies(probs, seed, n):
+    """Reference for the sampler's rule, written out bin by bin: a live bin
+    (p > ZERO_PROB) gets the cell from the previous live bin's cumulative
+    probability (0 for the first) to its own, each capped at 1, and the last
+    live bin the cell up to 1; one multinomial draw of n over those cells."""
+    cum = np.cumsum(probs)
+    live = [k for k, p in enumerate(probs) if p > ZERO_PROB]
+    cells, low = [], 0.0
+    for k in live:
+        high = 1.0 if k == live[-1] else min(float(cum[k]), 1.0)
+        cells.append(high - low)
+        low = high
+    tallies = np.zeros(len(probs), dtype=np.int64)
+    tallies[live] = np.random.default_rng(np.random.SeedSequence(int(seed))).multinomial(n, cells)
+    return tallies
+
+
 @settings(max_examples=300, deadline=None)
-@given(distributions(), st.integers(0, 2**64 - 1), st.integers(0, 10_000))
-def test_sorted_count_tallies_equal_inverse_cdf(probs, seed, n):
+@given(distributions(), st.integers(0, 2**64 - 1), st.integers(0, 10_000) | st.integers(0, MAX_SAMPLES))
+def test_tallies_are_one_multinomial_draw_over_the_cells(probs, seed, n):
     tallies = _tallies(probs, seed, n)
-    assert np.array_equal(tallies, inverse_cdf_tallies(probs, seed, n))
-    assert tallies.sum() == n and not tallies[probs <= ZERO_PROB].any()
+    assert np.array_equal(tallies, multinomial_tallies(probs, seed, n))
+    assert int(tallies.sum()) == n and not tallies[probs <= ZERO_PROB].any()
+
+
+def test_tallies_agree_in_distribution_with_the_inverse_cdf():
+    """Over 2,000 fixed seeds at n = 10^4, each bin's mean tally agrees with the
+    per-draw inverse CDF's within 5 sigma of the difference of the two means,
+    sigma^2 = 2 n q (1 - q) / 2000 for the bin's cell q, and each sampler's
+    variance with n q (1 - q) within 5 standard errors. K = 16 with a zero bin
+    inside, a 1e-16 bin at the end and a sum of 1 - 1e-3, so the dead-bin and
+    past-the-end rules carry mass."""
+    rng = np.random.default_rng(22)
+    probs = rng.dirichlet(np.ones(16)) * (1 - 1e-3)
+    probs[3], probs[15] = 0.0, 1e-16
+    n, seeds = 10_000, range(2000)
+    ours = np.array([_tallies(probs, seed, n) for seed in seeds])
+    oracle = np.array([inverse_cdf_tallies(probs, seed, n) for seed in seeds])
+    live = probs > ZERO_PROB
+    q = np.diff(np.append(np.minimum(np.cumsum(probs)[live][:-1], 1), 1), prepend=0)
+    var = n * q * (1 - q)
+    sigma = np.sqrt(2 * var / len(seeds))
+    assert np.all(np.abs(ours[:, live].mean(0) - oracle[:, live].mean(0)) <= 5 * sigma)
+    var_se = var * np.sqrt(2 / (len(seeds) - 1))
+    for tallies in (ours, oracle):
+        assert not tallies[:, ~live].any()
+        assert np.all(np.abs(tallies[:, live].var(0, ddof=1) - var) <= 5 * var_se)
 
 
 def test_tallies_pinned():
-    # tallies of the per-draw inverse-CDF sampler, recorded before the
-    # sorted count replaced it
-    assert [o.tally for o in scenario1_sample(PROJ_Z, I2 / 2, seed=42, n=500)] == [249, 251]
+    # tallies of one multinomial draw over the inverse-CDF cells, recorded when
+    # it replaced the sorted count of n uniform draws
+    assert [o.tally for o in scenario1_sample(PROJ_Z, I2 / 2, seed=42, n=500)] == [247, 253]
     # K = 16: eight antipodal pairs of projectors scaled by 1/sqrt(8), on a
     # pure state along the first pair, so outcome 1 has probability 0
     dirs = np.random.default_rng(16).normal(size=(8, 3))
@@ -319,54 +361,42 @@ def test_tallies_pinned():
     rho = (I2 + np.einsum("i,ijk->jk", dirs[0], SIGMA[1:])) / 2
     out = scenario1_sample(measurement(elems), rho, seed=2024, n=10_000)
     assert [o.tally for o in out] == [
-        1241, 0, 667, 614, 24, 1161, 442, 809, 1150, 112, 444, 831, 653, 585, 534, 733
+        1299, 0, 632, 591, 24, 1197, 480, 841, 1102, 118, 427, 836, 661, 561, 531, 700
     ]
 
 
-def unchunked_tallies(probs, seed, n):
-    """The sampler before chunking: all n draws at once, sorted, then counted
-    below each live edge."""
-    live = np.flatnonzero(probs > ZERO_PROB)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    draws = rng.random(n)
-    draws.sort()
-    below = np.searchsorted(draws, np.cumsum(probs)[live], side="left")
-    below[-1] = n
-    tallies = np.zeros(len(probs), dtype=int)
-    tallies[live] = below
-    tallies[live[1:]] -= below[:-1]
-    return tallies
-
-
-chunk_counts = st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 3 * CHUNK + 7]) | st.integers(0, 4 * CHUNK)
-
-
-@settings(max_examples=60, deadline=None)
-@given(distributions(), st.integers(0, 2**64 - 1), chunk_counts)
-def test_chunked_tallies_equal_unchunked(probs, seed, n):
-    """Chunks of CHUNK draws give the tallies of one sort over all n draws, bit
-    for bit: the generator's stream does not depend on the chunk sizes."""
-    assert np.array_equal(_tallies(probs, seed, n), unchunked_tallies(probs, seed, n))
-
-
-def test_counts_up_to_one_chunk_draw_once(monkeypatch):
-    """n <= CHUNK runs the numpy calls of the unchunked sampler: one draw of n."""
-    sizes = []
-    real = np.random.Generator.random
+def test_tallies_make_one_multinomial_call(monkeypatch):
+    """Whatever n, _tallies makes one multinomial call over the live cells and
+    draws no uniform: its cost does not grow with n."""
+    calls = []
 
     class Counting:
         def __init__(self, rng):
             self.rng = rng
 
-        def random(self, k):
-            sizes.append(k)
-            return real(self.rng, k)
+        def multinomial(self, count, pvals):
+            calls.append(("multinomial", count, len(pvals)))
+            return self.rng.multinomial(count, pvals)
+
+        def random(self, *args):
+            calls.append(("random",))
+            return self.rng.random(*args)
 
     monkeypatch.setattr(sim.np.random, "default_rng", lambda seq: Counting(np.random.Generator(np.random.PCG64(seq))))
-    for n in (0, 2000, CHUNK, CHUNK + 1, 2 * CHUNK + 3):
-        sizes.clear()
-        _tallies(np.array([0.5, 0.5]), 7, n)
-        assert sizes == ([n] if n <= CHUNK else [CHUNK] * (n // CHUNK) + [n % CHUNK])
+    for n in (0, 2000, 2**32 + 1, MAX_SAMPLES):
+        calls.clear()
+        tallies = _tallies(np.array([0.5, 0.0, 0.5]), 7, n)
+        assert calls == [("multinomial", n, 2)] and int(tallies.sum()) == n
+
+
+def test_zero_and_the_largest_count():
+    """n = 0 draws nothing; n = MAX_SAMPLES, numpy's int64 limit, returns at once
+    with tallies that sum to it."""
+    assert [o.tally for o in scenario1_sample(PROJ_Z, I2 / 2, seed=5, n=0)] == [0, 0]
+    start = time.perf_counter()
+    out = scenario1_sample(PROJ_Z, I2 / 2, seed=5, n=MAX_SAMPLES)
+    assert time.perf_counter() - start < 0.5
+    assert sum(o.tally for o in out) == MAX_SAMPLES and all(o.tally > 0 for o in out)
 
 
 def test_a_count_above_max_samples_is_refused_before_drawing(monkeypatch):

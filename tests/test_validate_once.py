@@ -338,3 +338,20 @@ def test_cli_validate_forms_completeness_once(monkeypatch, tmp_path, capsys, sca
     assert main(["validate", "--measurement", str(path)]) == code
     assert calls["_completeness"] == 1
     assert serialize.loads(capsys.readouterr().out)["valid"] is (code == 0)
+
+
+@pytest.mark.parametrize("command", ["apply", "simulate", "boost-observer", "invariants"])
+def test_cli_reads_a_state_in_one_walk(monkeypatch, tmp_path, capsys, command):
+    """A state file is validated once, by serialize._walk, and herm2's closed form
+    takes the walk's numbers: qmat._entries never runs on the state path. apply
+    validates nothing else; the engines validate the state once more, as any
+    library caller's, through qmat._finite, and boost-observer its velocity."""
+    meas_path, state_path = tmp_path / "meas.json", tmp_path / "state.json"
+    meas_path.write_text(serialize.dumps(serialize.measurement_to_json(measurement(unitary_mixture(3, np.random.default_rng(25))))))
+    state_path.write_text(serialize.dumps(serialize.mat2_to_json(np.array([[0.25, 0.1j], [-0.1j, 0.75]]))))
+    extra = {"simulate": ["--seed", "1", "--n", "100"], "boost-observer": ["--velocity", "0.1,0.2,0.3"]}
+    calls = count_calls(monkeypatch, ["_entries", "_finite", "_walk"])
+    argv = [command, "--measurement", str(meas_path), "--state", str(state_path), *extra.get(command, [])]
+    assert main(argv) == 0
+    assert calls == Counter(_walk=2, _finite={"apply": 0, "boost-observer": 2}.get(command, 1))
+    assert capsys.readouterr().out

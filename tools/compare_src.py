@@ -30,8 +30,11 @@ warning is equal. The report gives the identical and differing counts, and the
 worst difference of a number in units of eps * max|entry| of that call's
 parent result. On the malformed corpus a call differs when its exit code or
 stdout does; each stderr difference there is listed, since an error message
-may be reworded. The exit status is 0 when nothing differs, else 1. The run
-takes a few seconds per 10,000 calls on each side.
+may be reworded. For each differing CLI call whose stdout is JSON on both
+sides, the report names the paths whose values differ, such as
+`outcomes[2].tally`, and the summary counts the calls and values per path with
+its indices as `[*]`. The exit status is 0 when nothing differs, else 1. The
+run takes a few seconds per 10,000 calls on each side.
 """
 from __future__ import annotations
 
@@ -42,10 +45,12 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -314,12 +319,32 @@ def difference(a: list, b: list) -> float:
     return worst
 
 
+def json_paths(a, b, path: str = "") -> list:
+    """The paths at which two parsed JSON documents differ: `.key` for an object
+    key and `[i]` for an array item, `$` for the root. A value whose type, length
+    or keys differ is named whole."""
+    if type(a) is dict and type(b) is dict and list(a) == list(b):
+        return [p for k in a for p in json_paths(a[k], b[k], f"{path}.{k}" if path else k)]
+    if type(a) is list and type(b) is list and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in json_paths(x, y, f"{path}[{i}]")]
+    return [] if json.dumps(a) == json.dumps(b) else [path or "$"]
+
+
+def stdout_paths(a: dict, b: dict):
+    """json_paths of the stdout of two CLI records, or None when either is not JSON."""
+    try:
+        return json_paths(json.loads(a["stdout"]), json.loads(b["stdout"]))
+    except json.JSONDecodeError:
+        return None
+
+
 def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     sides = [subprocess.Popen([sys.executable, __file__, "--worker", src, str(calls), str(seed)], stdout=subprocess.PIPE,
                               text=True, env=env, cwd=ROOT) for src in (parent_src, change_src)]
     tally = {"golden": [0, 0], "calls": [0, 0], "pool": [0, 0], "malformed": [0, 0]}
     raised, outcome_differs, worst, worst_id, shown, stderr_differs = 0, 0, 0.0, None, [], []
+    moved, path_calls, path_values = [], Counter(), Counter()
     a = b = {"id": None}
     for line_a, line_b in zip(*(p.stdout for p in sides)):
         a, b = json.loads(line_a), json.loads(line_b)
@@ -339,6 +364,12 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
                 worst, worst_id = max((worst, worst_id), (gap, a["id"]))
             else:
                 outcome_differs += 1
+        paths = None if group == "calls" or same else stdout_paths(a, b)
+        if paths is not None:
+            moved.append((a["id"], paths))
+            general = Counter(re.sub(r"\[\d+\]", "[*]", p) for p in paths)
+            path_calls.update(general.keys())
+            path_values.update(general)
         if not same and len(shown) < 5:
             shown.append((a, b))
     for p in sides:
@@ -357,6 +388,11 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
           f"{tally['pool'][1]} differing (exit code, stdout and stderr)")
     print(f"malformed corpus calls: {tally['malformed'][0]} identical, {tally['malformed'][1]} differing "
           f"(exit code and stdout); {len(stderr_differs)} stderr differences")
+    print(f"stdout paths that differ, over the {len(moved)} differing CLI calls with JSON stdout on both sides: "
+          + (", ".join(f"{p} in {path_calls[p]} calls ({path_values[p]} values)" for p in sorted(path_calls))
+             or "none"))
+    for ident, paths in moved:
+        print(f"paths differ: {ident}: {', '.join(paths) or 'none (exit code or stderr only)'}")
     for ident, code, err_a, err_b in stderr_differs:
         print(f"stderr differs: {ident} (exit {code})\n  parent: {err_a!r}\n  change: {err_b!r}")
     for a, b in shown:
