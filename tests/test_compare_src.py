@@ -57,7 +57,8 @@ def test_a_moved_tally_is_named_by_its_path(tmp_path):
         assert set(line.split(": ", 2)[2].split(", ")) <= {f"outcomes[{i}].tally" for i in range(4)}, line
     summary = next(line for line in run.stdout.splitlines() if line.startswith("stdout paths that differ"))
     assert summary.startswith(f"stdout paths that differ, over the {len(moved)} differing CLI calls")
-    assert summary.endswith(f"outcomes[*].tally in {len(moved)} calls ({sum(line.count('.tally') for line in moved)} values)")
+    values = sum(line.count(".tally") for line in moved)
+    assert summary.endswith(f"outcomes[*].tally in {len(moved)} calls ({values} values)")
 
 
 def test_json_paths_name_each_differing_value():

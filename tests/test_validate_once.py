@@ -347,7 +347,8 @@ def test_cli_reads_a_state_in_one_walk(monkeypatch, tmp_path, capsys, command):
     validates nothing else; the engines validate the state once more, as any
     library caller's, through qmat._finite, and boost-observer its velocity."""
     meas_path, state_path = tmp_path / "meas.json", tmp_path / "state.json"
-    meas_path.write_text(serialize.dumps(serialize.measurement_to_json(measurement(unitary_mixture(3, np.random.default_rng(25))))))
+    meas = measurement(unitary_mixture(3, np.random.default_rng(25)))
+    meas_path.write_text(serialize.dumps(serialize.measurement_to_json(meas)))
     state_path.write_text(serialize.dumps(serialize.mat2_to_json(np.array([[0.25, 0.1j], [-0.1j, 0.75]]))))
     extra = {"simulate": ["--seed", "1", "--n", "100"], "boost-observer": ["--velocity", "0.1,0.2,0.3"]}
     calls = count_calls(monkeypatch, ["_entries", "_finite", "_walk"])
