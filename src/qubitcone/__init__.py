@@ -50,7 +50,6 @@ from .qmat import (
     sqrt_psd,
 )
 from .sim import (
-    ObserverBoost,
     ScenarioOutcome,
     boosted_probabilities,
     observer_boost,

@@ -148,7 +148,7 @@ def cmd_boost_observer(args) -> int:
     p_bob = boosted_probabilities(meas, rho, obs)
     _emit(
         {
-            "velocity": serialize.velocity_to_json(obs.velocity),
+            "velocity": serialize.velocity_to_json(obs),
             "p_bob": p_bob,
             "sum_p_bob": float(sum(p_bob)),
         }

@@ -162,7 +162,7 @@ def lorentz_to_element(decomp: LorentzDecomposition | EffectGeometry, lam: float
     if lam is None:
         lam = lam_max
     lam = float(lam)
-    if not (0.0 < lam <= lam_max * (1.0 + 1e-12)):
+    if not (0.0 < lam <= lam_max * math.sqrt(1.0 + TOL)):  # (lam/lam_max)^2, the top eigenvalue of M†M, <= 1 + TOL
         raise LambdaOutOfRange(f"lambda = {lam} outside (0, {lam_max}]")
     v = decomp.velocity.v
     g = 0.0 if decomp.velocity.kind == NULL else math.sqrt(1.0 - v @ v)

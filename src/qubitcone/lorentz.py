@@ -26,7 +26,6 @@ import numpy as np
 from .adjoint import _boost, _preimage, _psi, _psi_entries
 from .errors import (
     BadAxis,
-    DomainError,
     MalformedInput,
     NotDecomposable,
     NotNull,
@@ -36,12 +35,9 @@ from .errors import (
 )
 from .qmat import TOL, _entries, _finite, _gram_entries, _scaled_entries, _unitary_factor
 
-# Velocities with 1 - TOL_V < |v| < 1 - UNIT_ROUNDOFF are rejected as
-# ambiguous rather than silently classified: gamma overflows there. A norm
-# within UNIT_ROUNDOFF below 1 is the round-off of a unit vector: null.
-# TOL_V bands a speed, not a residual, so it is kept apart from qmat.TOL.
+# The null band 1 - TOL_V <= |v| <= 1 + TOL_V of _is_null and velocity. TOL_V
+# bands a speed, not a residual, so it is kept apart from qmat.TOL.
 TOL_V = 1e-9
-UNIT_ROUNDOFF = 4 * np.finfo(float).eps
 
 TIMELIKE = "timelike"
 NULL = "null"
@@ -60,35 +56,29 @@ class LorentzDecomposition:
     scale: float
 
 
-def _vec3(v) -> np.ndarray:
-    return _finite(v, (3,), float, "3-vector")
+def _is_null(speed):
+    """The null rule 1 - |v| <= TOL_V on a speed |v|, such as |e[1:]| / e[0] of an effect
+    four-vector e, elementwise on arrays: velocity, _factor and correspond._information read it."""
+    return speed >= 1 - TOL_V
 
 
 def velocity(v) -> Velocity:
-    """Classify a 3-velocity as timelike (|v| <= 1 - TOL_V) or as null
-    (1 - UNIT_ROUNDOFF <= |v| <= 1 + TOL_V), returned normalized.
-    Magnitudes inside (1 - TOL_V, 1 - UNIT_ROUNDOFF) are rejected as
-    ambiguous."""
-    arr = _vec3(v)
-    s = float(np.linalg.norm(arr))
-    if s <= 1 - TOL_V:
-        return Velocity(v=arr, kind=TIMELIKE)
-    if 1 - UNIT_ROUNDOFF <= s <= 1 + TOL_V:
-        return Velocity(v=arr / s, kind=NULL)
+    """Classify a 3-velocity by the null rule _is_null: null, returned normalized, up
+    to |v| = 1 + TOL_V, timelike below 1 - TOL_V, and NotTimelike above 1 + TOL_V.
+    A Velocity is returned as it is."""
+    if isinstance(v, Velocity):
+        return v
+    arr = _finite(v, (3,), float, "3-vector")
+    with np.errstate(over="ignore"):  # a norm beyond the float range reads inf: superluminal
+        s = float(np.linalg.norm(arr))
     if s > 1 + TOL_V:
         raise NotTimelike(f"|v| = {s} is superluminal")
-    raise DomainError(f"|v| = {s} is ambiguous between timelike and null")
-
-
-def _as_velocity(vel) -> Velocity:
-    if isinstance(vel, Velocity):
-        return vel
-    return velocity(vel)
+    return Velocity(v=arr / s, kind=NULL) if _is_null(s) else Velocity(v=arr, kind=TIMELIKE)
 
 
 def pure_boost(vel) -> np.ndarray:
     """Pure Lorentz boost of timelike velocity v, gamma = 1/sqrt(1 - v^2)."""
-    vel = _as_velocity(vel)
+    vel = velocity(vel)
     if vel.kind != TIMELIKE:
         raise NotTimelike("pure_boost requires a timelike velocity")
     g = math.sqrt(1.0 - float(vel.v @ vel.v))
@@ -106,7 +96,7 @@ def null_boost_rescaled(vel) -> np.ndarray:
     so the max-norm gap is gamma^{-1} (1 - min_i v_i^2) and pure boosts
     converge to N at rate gamma^{-1} = sqrt(1 - |u|^2).
     """
-    vel = _as_velocity(vel)
+    vel = velocity(vel)
     if vel.kind != NULL:
         raise NotNull("null_boost_rescaled requires a null velocity")
     return _boost(vel.v, 0.0)
@@ -123,12 +113,6 @@ RESTRICTED = "restricted"
 RESCALED_RESTRICTED = "rescaled_restricted"
 RESCALED_NULL_BOOST_PRODUCT = "rescaled_null_boost_product"
 OTHER = "other"
-
-
-def _is_null(speed):
-    """The null rule 1 - |v| <= TOL_V on the speed |v| = |e[1:]| / e[0] of an effect
-    four-vector e, elementwise on arrays: _factor and sim.report_invariants read it."""
-    return speed >= 1 - TOL_V
 
 
 def _factor(a: list, mu: float) -> tuple[Velocity, float, list, complex, list]:
@@ -239,7 +223,7 @@ def rotation_axis_angle(r3) -> tuple[np.ndarray, float]:
 def su2_from_axis_angle(axis, theta: float) -> np.ndarray:
     """cos(theta/2) I - i sin(theta/2) (axis . sigma), a special unitary, about
     an axis of norm 1 within TOL (normalised; else BadAxis)."""
-    axis = _vec3(axis)
+    axis = _finite(axis, (3,), float, "3-vector")
     n = float(np.linalg.norm(axis))
     if abs(n - 1) > TOL:
         raise BadAxis(f"axis norm {n} is not 1 within tolerance")

@@ -6,11 +6,12 @@ hermiticity, positivity, closed-form eigenvalues, the positive square root
 and the polar decomposition. All functions are pure. Input is validated once:
 by _finite into an array (mat2: (2, 2) complex128), or with the same checks and
 messages by _entries into one matrix's entries as Python numbers, for the scalar
-chain. The underscored kernels take validated input: _hermitize, _gram, _coords
-and _from_coords broadcast over leading axes; _scaled_entries, _gram_entries and
-_unitary_factor take one matrix's entries as Python complex numbers, max|m| given.
-Roots and polar factors are Cayley–Hamilton closed forms. Every yes/no test
-of the package reads the one tolerance TOL.
+chain. Both take leaves by the one leaf rule _number, as serialize._walk does: an
+int, float or complex, never a bool, str or None. The underscored kernels take
+validated input: _hermitize, _gram, _coords and _from_coords broadcast over leading
+axes; _scaled_entries, _gram_entries and _unitary_factor take one matrix's entries
+as Python complex numbers, max|m| given. Roots and polar factors are Cayley–Hamilton
+closed forms. Every yes/no test of the package, the bound on lambda too, reads TOL.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .errors import MalformedInput, NotPositive
 
 # The one tolerance of the package's yes/no tests, relative to the scale of
 # what is tested: positive (on the cone), hermitian, unitary, psi(A) = L,
-# unit axis, complete (sum M†M = I) and unit trace.
+# unit axis, complete (sum M†M = I), unit trace and admissible lambda.
 TOL = 1e-9
 
 # At or below this share of ||M||_F^2, |det M| is round-off of an exactly
@@ -40,8 +41,20 @@ SIGMA = np.stack([SIGMA0, SIGMA1, SIGMA2, SIGMA3])
 _PAULI_COLUMNS = SIGMA.transpose(0, 2, 1).reshape(4, 4).T
 
 
+def _number(x) -> bool:
+    """The one leaf rule of input: an int, float or complex, Python or numpy, never a bool."""
+    return isinstance(x, (int, float, complex, np.number)) and not isinstance(x, bool)
+
+
+def _numeric(x) -> bool:
+    """x is a _number, an array of numbers (dtype kind i, u, f or c), or a list or tuple of such."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.kind in "iufc"
+    return all(map(_numeric, x)) if isinstance(x, (list, tuple)) else _number(x)
+
+
 def _shaped(entries, shape: tuple, dtype, what: str) -> np.ndarray:
-    """entries as an array of shape (None: any count > 0), not yet tested finite."""
+    """entries as an array of shape (None: any count > 0) with _numeric leaves, not yet tested finite."""
     try:
         arr = np.asarray(entries, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric or beyond float range
@@ -50,6 +63,8 @@ def _shaped(entries, shape: tuple, dtype, what: str) -> np.ndarray:
         shape = arr.shape[:1] + shape[1:]
     if arr.shape != shape:
         raise MalformedInput(f"expected a {what}, got shape {arr.shape}")
+    if not _numeric(entries):
+        raise MalformedInput(f"{what} entries must be numbers")
     return arr
 
 

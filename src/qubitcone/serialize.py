@@ -19,6 +19,7 @@ import numpy as np
 from .correspond import EffectGeometry, Measurement
 from .errors import MalformedInput
 from .lorentz import Velocity
+from .qmat import _number
 
 
 def _fmt_float(x: float) -> str:
@@ -81,10 +82,10 @@ def load_file(path: str):
 
 def _walk(obj, shape: tuple, what: str) -> np.ndarray:
     """The numbers of obj as a flat float array, validated in one walk: obj must
-    nest lists of the lengths in shape (None: any length > 0), and every leaf
-    must be a finite JSON number. true, "1" and null are malformed although
-    numpy reads them as 1.0, 1.0 and nan; they are told apart as numpy's
-    reading would: conversion first, then finiteness."""
+    nest lists of the lengths in shape (None: any length > 0), and every leaf must be
+    a finite number by qmat._number, the library's leaf rule. true, "1" and null are
+    malformed although numpy reads them as 1.0, 1.0 and nan; they are told apart as
+    numpy's reading would: conversion first, then finiteness."""
     level = [obj]
     for depth, n in enumerate(shape):
         for x in level:
@@ -100,7 +101,7 @@ def _walk(obj, shape: tuple, what: str) -> np.ndarray:
             raise MalformedInput(f"expected a {what}: an item at depth {len(shape)} is an array, "
                                  "not a number") from exc
         raise MalformedInput(f"expected a {what}: {exc}") from exc
-    if not {float, int}.issuperset(map(type, level)):
+    if not ({float, int}.issuperset(map(type, level)) or all(map(_number, level))):
         finite = np.isfinite(numbers).all()
         raise MalformedInput(f"{what} entries must be {'JSON numbers' if finite else 'finite'}")
     if not all(map(math.isfinite, level)):

@@ -3,6 +3,8 @@ boosted observer, each run at once on the psi(M) stack that a measurement
 keeps: post vectors are psi(M) phi(rho) and probabilities their time parts.
 Each engine validates the state once, on phi(rho) itself
 (correspond._state_vector), and forms every other quantity once per call.
+The observer's frame is the timelike lorentz.Velocity that observer_boost
+returns, and boosted_probabilities checks it there.
 
 Sampling is an inverse CDF over the element index in listed order, taken in
 distribution: one multinomial draw of n, from a numpy PCG64 generator seeded
@@ -17,7 +19,6 @@ probability at most ZERO_PROB Tr(rho) as 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .conemap import _minkowski
 from .correspond import _HALF_ETA, Measurement, _information, _state_vector, require_valid
 from .errors import NotTimelike, TooLarge
-from .lorentz import TIMELIKE, Velocity, _as_velocity
+from .lorentz import TIMELIKE, Velocity, velocity
 from .qmat import mat2
 
 # Outcomes at or below this probability are never sampled and their post
@@ -47,17 +48,12 @@ class ScenarioOutcome(NamedTuple):
     applied_transform: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class ObserverBoost:
-    velocity: Velocity
-
-
-def observer_boost(v) -> ObserverBoost:
-    """A pure timelike boost describing the observer's frame."""
-    vel = _as_velocity(v)
+def observer_boost(v) -> Velocity:
+    """The timelike velocity of the pure boost to the observer's frame, checked here."""
+    vel = velocity(v)
     if vel.kind != TIMELIKE:
         raise NotTimelike("observer boosts must be timelike")
-    return ObserverBoost(velocity=vel)
+    return vel
 
 
 def _outcomes(meas: Measurement, rho_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,17 +91,15 @@ def scenario1_sample(meas: Measurement, rho, seed: int, n: int) -> list[Scenario
     return list(map(ScenarioOutcome._make, columns))
 
 
-def boosted_probabilities(meas: Measurement, rho, obs: ObserverBoost) -> list[float]:
-    """Outcome probabilities as perceived from the observer's boosted frame:
+def boosted_probabilities(meas: Measurement, rho, obs: Velocity) -> list[float]:
+    """Outcome probabilities as perceived from the frame of a timelike observer_boost obs:
     p_bob(n) = (p(n) - v . bloch(rho_n)) / (1 - v . bloch(rho)).
 
     Their sum is reported as-is; it need not equal 1.
     """
     require_valid(meas)
     rho_vec = _state_vector(mat2(rho), unit_trace=True)
-    if obs.velocity.kind != TIMELIKE:
-        raise NotTimelike("observer boosts must be timelike")
-    v = obs.velocity.v
+    v = observer_boost(obs).v
     denom = rho_vec[0] - float(v @ rho_vec[1:])
     w = meas.transforms @ rho_vec
     return ((w[:, 0] - w[:, 1:] @ v) / denom).tolist()

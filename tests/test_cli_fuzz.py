@@ -133,10 +133,10 @@ def test_malformed_state_and_element_files(write):
             call(argv)
 
 
-def test_out_of_range_option_values(write):
-    meas, state = write(MEASUREMENT), write(STATE)
-    for tol in NUMBERS:
-        call(["validate", "--measurement", meas, "--tol", tol])
+def option_values(meas, state) -> list:
+    """Commands with each of NUMBERS or VECTORS in turn as the value of one option,
+    the other options good (tools/compare_src.py runs them too)."""
+    argvs = [["validate", "--measurement", meas, "--tol", tol] for tol in NUMBERS]
     good = {"--rotation-axis": "0,0,1", "--rotation-angle": "0.5", "--velocity": "0.1,0.2,0.3", "--lambda": "0.5"}
     for option, values in [
         ("--rotation-axis", VECTORS),
@@ -146,9 +146,14 @@ def test_out_of_range_option_values(write):
     ]:
         for value in values:
             options = {**good, option: value}
-            call(["to-element", *[x for item in options.items() for x in item]])
-    for value in VECTORS:
-        call(["boost-observer", "--measurement", meas, "--state", state, "--velocity", value])
+            argvs.append(["to-element", *[x for item in options.items() for x in item]])
+    return argvs + [["boost-observer", "--measurement", meas, "--state", state, "--velocity", value]
+                    for value in VECTORS]
+
+
+def test_out_of_range_option_values(write):
+    for argv in option_values(write(MEASUREMENT), write(STATE)):
+        call(argv)
 
 
 leaves = (

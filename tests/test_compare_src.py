@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+import test_cli_fuzz
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_src.py"
 spec = importlib.util.spec_from_file_location("compare_src", TOOL)
@@ -27,12 +29,16 @@ def test_src_against_itself_is_identical():
     n_golden = len(list((ROOT / "tests" / "data" / "golden").glob("*.args")))
     assert f"golden CLI calls: {n_golden} identical, 0 differing" in run.stdout
     assert "chain calls: 120 identical, 0 differing" in run.stdout
+    assert "differing chain calls by input tag, each under every tag it has: none; untagged: 0" in run.stdout
     assert "worst difference where both return: 0 eps*max|entry|" in run.stdout
     n_pool = 3 * 25  # bench/cli_calls.py ROUND_SIZE calls per seed
     assert f"cli pool calls (seeds 1, 2, 3): {n_pool} identical, 0 differing" in run.stdout
     n_malformed = 3 * len(compare_src.CORPUS) + 2
     assert (f"malformed corpus calls: {n_malformed} identical, 0 differing (exit code and stdout); "
             "0 stderr differences") in run.stdout
+    fuzz = test_cli_fuzz  # 5 commands read each matrix and each measurement
+    n_fuzz = 5 * len(fuzz.MATRICES) + 5 * len(fuzz.MEASUREMENTS) + len(fuzz.option_values("m", "s"))
+    assert f"cli fuzz corpus calls: {n_fuzz} identical, 0 differing (exit code, stdout and stderr)" in run.stdout
     assert "stdout paths that differ, over the 0 differing CLI calls with JSON stdout on both sides: none" in run.stdout
     assert run.stderr == ""
 

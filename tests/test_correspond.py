@@ -46,7 +46,7 @@ from qubitcone.lorentz import (
     rotation4,
     velocity,
 )
-from qubitcone.qmat import SIGMA, eigenvalues, is_positive, polar_decompose, sqrt_psd
+from qubitcone.qmat import SIGMA, TOL, eigenvalues, is_positive, polar_decompose, sqrt_psd
 
 I2 = np.eye(2, dtype=complex)
 Z = SIGMA[3]
@@ -177,6 +177,23 @@ def test_lorentz_to_element_saturates_at_lambda_max():
         lorentz_to_element(dec, lambda_max(vel) * 1.01)
     with pytest.raises(LambdaOutOfRange):
         lorentz_to_element(dec, 0.0)
+
+
+def test_lambda_slack_reads_tol():
+    """lambda is admissible up to lambda_max sqrt(1 + TOL), where the top eigenvalue
+    (lambda/lambda_max)^2 of M†M is 1 + TOL: 1e-11 above lambda_max is round-off and
+    is taken, 1e-6 above is not."""
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        vel = rand_timelike(rng)
+        dec = LorentzDecomposition(rotation=rand_rotation4(rng), velocity=vel, scale=1.0)
+        m = lorentz_to_element(dec, lambda_max(vel) * (1 + 1e-11))
+        assert abs(eigenvalues(m.conj().T @ m)[0] - 1) <= TOL
+        edge = lambda_max(vel) * math.sqrt(1 + TOL)
+        lorentz_to_element(dec, edge)
+        for lam in (math.nextafter(edge, 2), lambda_max(vel) * (1 + 1e-6)):
+            with pytest.raises(LambdaOutOfRange):
+                lorentz_to_element(dec, lam)
 
 
 def test_lambda_bound_sharpness():

@@ -88,9 +88,9 @@ def oracle_sample(meas, rho, seed, n):
 def oracle_boosted(meas, rho, obs):
     require_valid(meas)
     rho = oracle_checked_state(rho, require_unit_trace=True)
-    if obs.velocity.kind != "timelike":
+    if obs.kind != "timelike":
         raise NotTimelike("observer boosts must be timelike")
-    v = obs.velocity.v
+    v = obs.v
     rho_vec = _coords(rho)
     denom = rho_vec[0] - float(v @ rho_vec[1:])
     w = meas.transforms @ rho_vec

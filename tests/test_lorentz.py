@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import warnings
 
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import directions, rand_restricted, rand_rotation4, rand_timelike, rand_unit3
 from qubitcone.adjoint import psi
+from qubitcone.cli import main
 from qubitcone.conemap import ETA
 from qubitcone.errors import (
     BadAxis,
-    DomainError,
     MalformedInput,
     NotDecomposable,
     NotNull,
@@ -26,8 +28,8 @@ from qubitcone.lorentz import (
     RESTRICTED,
     TIMELIKE,
     TOL_V,
-    UNIT_ROUNDOFF,
     Velocity,
+    _is_null,
     classify,
     decompose,
     null_boost_rescaled,
@@ -40,6 +42,8 @@ from qubitcone.lorentz import (
 )
 
 I4 = np.eye(4)
+# the round-off of the norm of a normalised vector
+ROUNDOFF = 4 * np.finfo(float).eps
 
 
 def test_velocity_classification():
@@ -48,8 +52,7 @@ def test_velocity_classification():
     assert v.kind == NULL and np.allclose(v.v, [0, 0, 1])
     with pytest.raises(NotTimelike):
         velocity([0, 0, 1.5])
-    with pytest.raises(DomainError):
-        velocity([0, 0, 1 - 1e-10])  # ambiguous band
+    assert velocity([0, 0, 1 - 1e-10]).kind == NULL  # within TOL_V of 1, as _is_null reads it
 
 
 def test_normalised_vectors_read_as_null():
@@ -60,13 +63,43 @@ def test_normalised_vectors_read_as_null():
     assert min(np.linalg.norm(units, axis=1)) < 1  # the case that used to fail
     for u in units:
         vel = velocity(u)
-        assert vel.kind == NULL and abs(np.linalg.norm(vel.v) - 1) <= UNIT_ROUNDOFF
+        assert vel.kind == NULL and abs(np.linalg.norm(vel.v) - 1) <= ROUNDOFF
 
 
-@pytest.mark.parametrize("gap", [1e-12, 1e-14, 8 * UNIT_ROUNDOFF, 2 * UNIT_ROUNDOFF, TOL_V / 2])
-def test_speeds_in_the_ambiguous_band_still_raise(gap):
-    with pytest.raises(DomainError):
-        velocity([0, 0, 1 - gap])
+@pytest.mark.parametrize("gap", [1e-12, 1e-14, 8 * ROUNDOFF, 2 * ROUNDOFF, TOL_V / 2])
+def test_speeds_within_tol_v_below_1_read_as_null(gap):
+    """The band (1 - TOL_V, 1 - 4 eps) once raised as ambiguous; it is null by the one
+    null rule, lorentz._is_null, and returned normalised."""
+    vel = velocity([0, 0, 1 - gap])
+    assert vel.kind == NULL and vel.v.tolist() == [0.0, 0.0, 1.0]
+
+
+# speeds on both sides of each edge of the null band, the round-off of a unit norm, and 1
+EDGE_SPEEDS = [x for edge in (1 - TOL_V, 1 + TOL_V) for x in (math.nextafter(edge, 0), edge, math.nextafter(edge, 2))]
+EDGE_SPEEDS += [1 - ROUNDOFF, 1.0]
+AXES = [sign * row for row in np.eye(3) for sign in (1.0, -1.0)]  # |s u| = s exactly
+
+
+@settings(deadline=None)
+@given(st.sampled_from(EDGE_SPEEDS) | st.floats(0, 2), st.sampled_from(AXES))
+@example(1 - TOL_V, AXES[4])
+@example(math.nextafter(1 + TOL_V, 2), AXES[4])
+def test_velocity_and_to_element_read_the_one_null_rule(s, u):
+    """velocity(s u) is null iff _is_null(s), up to 1 + TOL_V, and superluminal above;
+    to-element exits 0 up to 1 + TOL_V and 3 above it, with no traceback."""
+    if s > 1 + TOL_V:
+        with pytest.raises(NotTimelike):
+            velocity(s * u)
+    else:
+        vel = velocity(s * u)
+        assert (vel.kind == NULL) == _is_null(s)
+        assert np.array_equal(vel.v, u if vel.kind == NULL else s * u)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["to-element", "--rotation-axis", "0,0,1", "--rotation-angle", "0.5",
+                     "--velocity=" + ",".join(map(repr, (s * u).tolist()))])
+    assert code == (0 if s <= 1 + TOL_V else 3), (s, err.getvalue())
+    assert "Traceback" not in err.getvalue() and (out.getvalue() == "") == bool(code)
 
 
 def test_pure_boost_examples():

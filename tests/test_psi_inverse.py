@@ -275,7 +275,7 @@ def test_class_tests_agree_at_the_tol_v_boundary():
     kinds = []
     for _ in range(200):
         v = (1 - TOL_V) * rand_unit3(rng)
-        while np.linalg.norm(v) > 1 - TOL_V:  # the largest speed velocity() reads as timelike
+        while np.linalg.norm(v) >= 1 - TOL_V:  # the largest speeds velocity() reads as timelike
             v *= 1 - EPS
         L = pure_boost(velocity(v))
         kind = classify(L)

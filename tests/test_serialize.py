@@ -127,8 +127,13 @@ def test_a_non_finite_float_in_a_float_list_raises(bad):
 
 def previous_pairs_from_json(obj, shape, what):
     """The numpy reader that serialize._walk replaced: qmat._finite on the nested
-    lists, then a pass over the leaves for their JSON types."""
-    pairs = _finite(obj, shape + (2,), float, what)
+    lists as numpy reads them, true, "1" and null as 1.0, 1.0 and nan, then a pass
+    over the leaves for their JSON types."""
+    try:
+        read = np.asarray(obj, float)  # qmat._finite itself now rejects such leaves first
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"expected a {what}: {exc}") from exc
+    pairs = _finite(read, shape + (2,), float, what)
     leaves = obj
     for _ in shape:
         leaves = [x for sub in leaves for x in sub]

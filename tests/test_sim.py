@@ -131,8 +131,8 @@ def test_outcome_probabilities_rejects_a_malformed_state(rho):
 
 def test_observer_boost():
     obs = observer_boost([0, 0, 0.5])
-    assert obs.velocity.kind == "timelike"
-    assert np.array_equal(obs.velocity.v, [0, 0, 0.5])
+    assert obs.kind == "timelike"
+    assert np.array_equal(obs.v, [0, 0, 0.5])
     with pytest.raises(NotTimelike):
         observer_boost([0, 0, 1])
 

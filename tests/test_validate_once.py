@@ -39,7 +39,7 @@ from qubitcone.sim import (
     scenario1_sample,
 )
 
-# every validator of the package (mat2, fourvector, _vec3, ...) ends in one of these
+# every validator of the package (mat2, fourvector, velocity, ...) ends in one of these
 VALIDATORS = ("_finite", "_entries")
 MODULES = [
     importlib.import_module(f"qubitcone.{name}")

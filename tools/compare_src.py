@@ -15,7 +15,12 @@ read line by line. Both sides get the same inputs:
   log-uniform over 1e-150 to 1e150, singular-value ratios are 0 or
   log-uniform over 1e-16 to 1, speeds reach 1 - 1e-8 and null, some 4x4
   and 3x3 inputs are no transform or rotation, and about one input in 40
-  has a non-finite entry. Each result is flattened to its numbers
+  has a non-finite entry. Some inputs are tagged, and the report counts the
+  differing calls per tag: `band`, a `lorentz_to_element` velocity of speed
+  1 - 10^U(-15.5, -9), within TOL_V of 1; `1 - TOL_V`, one of speed exactly
+  1 - TOL_V; `lambda slack`, a lambda of lambda_max (1 +- 10^U(-13, -8)); and
+  `bad leaf`, a nested list with one leaf True, "1" or None. Each result is
+  flattened to its numbers
   and strings; a call that raises gives its exception type and message, and
   the warnings it emits are kept too;
 - the `cli` benchmark pools of seeds 1 to 3 (`bench/cli_calls.py`), run
@@ -23,7 +28,11 @@ read line by line. Both sides get the same inputs:
 - a corpus of mostly malformed input files (CORPUS: ragged nesting, leaves that
   are not JSON numbers or not finite, CRLF and CR line ends, a UTF-8 BOM,
   invalid UTF-8, broken JSON), each read by `to-lorentz --element`, by
-  `apply --state` and, wrapped as a measurement, by `validate --measurement`.
+  `apply --state` and, wrapped as a measurement, by `validate --measurement`;
+- the fixed part of the CLI fuzz corpus (`tests/test_cli_fuzz.py`): each of its
+  MATRICES read as an element and as a state, and each of its MEASUREMENTS,
+  by every command that reads such a file, and its NUMBERS and VECTORS as
+  option values: the exit code, stdout and stderr.
 
 A call is identical when every number has the same bits and every string and
 warning is equal. The report gives the identical and differing counts, and the
@@ -58,6 +67,7 @@ GOLDEN = ROOT / "tests" / "data" / "golden"
 MEASUREMENT = ROOT / "tests" / "data" / "measurement.json"
 POOL_SEEDS = (1, 2, 3)
 EPS = 2.0**-52
+TOL_V = 1e-9  # qubitcone.lorentz.TOL_V, which the inputs are drawn without importing
 CALLS = ("element_to_lorentz", "polar_decompose", "lorentz_to_element", "spinor_lift", "decompose",
          "classify", "rotation_axis_angle")
 
@@ -184,9 +194,32 @@ def malformed_records(main):
         yield cli_record(main, f"malformed {path}: to-lorentz", ["to-lorentz", "--element", path])
 
 
+def fuzz_records(main):
+    """The fixed part of the CLI fuzz corpus, written to and run from the current directory."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    import test_cli_fuzz as fuzz
+
+    def write(name: str, doc) -> str:
+        Path(name).write_text(json.dumps(doc))
+        return name
+
+    meas, state = write("fuzz-meas.json", fuzz.MEASUREMENT), write("fuzz-state.json", fuzz.STATE)
+    for i, doc in enumerate(fuzz.MATRICES):
+        path = write(f"fuzz-matrix{i:02d}.json", doc)
+        for argv in [["to-lorentz", "--element", path]] + fuzz.commands(meas, path)[1:]:
+            yield cli_record(main, f"fuzz matrix {i}: {argv[0]}", argv)
+    for i, doc in enumerate(fuzz.MEASUREMENTS):
+        path = write(f"fuzz-meas{i:02d}.json", doc)
+        for argv in fuzz.commands(path, state):
+            yield cli_record(main, f"fuzz measurement {i}: {argv[0]}", argv)
+    for i, argv in enumerate(fuzz.option_values(meas, state)):
+        yield cli_record(main, f"fuzz option value {i}: {argv[0]}", argv)
+
+
 def chain_inputs(n: int, seed: int):
-    """(call name, raw input) pairs, drawn with numpy alone so that both sides
-    get the same floats; the qubitcone records are built by each side."""
+    """(call name, tag, raw input) triples, drawn with numpy alone so that both sides
+    get the same floats; the qubitcone records are built by each side. The tag names
+    the inputs at an edge that a change may move on purpose, else it is empty."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -210,11 +243,25 @@ def chain_inputs(n: int, seed: int):
         k = np.array([[0, -z, y], [z, 0, -x], [-y, x, 0]])
         return np.eye(3) + s * k + (1 - c) * k @ k
 
-    def speed(null_share):
+    def speed(null_share, edges):
+        """A speed and its tag; the edges within TOL_V of 1 only when asked for."""
         pick = rng.random()
         if pick < null_share:
-            return 1.0
-        return rng.uniform(0, 0.99) if pick < 0.6 else 1 - 10.0 ** rng.uniform(-8, -2)
+            return 1.0, ""
+        if pick < (0.5 if edges else 0.6):
+            return rng.uniform(0, 0.99), ""
+        if pick < 0.7 or not edges:
+            return 1 - 10.0 ** rng.uniform(-8, -2), ""
+        if pick < 0.9:
+            return 1 - 10.0 ** rng.uniform(-15.5, -9), "band"
+        return 1 - TOL_V, "1 - TOL_V"
+
+    def velocity(null_share, edges=True):
+        """A velocity and its tag; at 1 - TOL_V along an axis, so that its norm is exact."""
+        s, tag = speed(null_share, edges)
+        if tag == "1 - TOL_V":
+            return s * np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0]), tag
+        return s * unit(), tag
 
     def block(r3):
         out = np.eye(4)
@@ -235,33 +282,52 @@ def chain_inputs(n: int, seed: int):
 
     def transform():
         pick = rng.random()
-        if pick < 0.4:  # restricted: R B(v), speeds below 1
-            return block(rotation3()) @ boost(speed(0.0) * unit())
+        if pick < 0.4:  # restricted: R B(v), speeds below 1 by more than round-off, so that gamma is finite
+            return block(rotation3()) @ boost(velocity(0.0, edges=False)[0]), ""
         if pick < 0.9:  # rescaled restricted or rescaled null-boost product
-            return psi(element())
-        return rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-150, 150)  # other
+            return psi(element()), ""
+        return rng.normal(size=(4, 4)) * 10.0 ** rng.uniform(-150, 150), ""  # other
 
     def decomposition():
-        v = speed(0.1) * unit()
+        v, tag = velocity(0.1)
         lam_max = 1.0 if np.linalg.norm(v) >= 1 else math.sqrt(2 / (1 + np.linalg.norm(v)))
-        lam = None if rng.random() < 0.5 else rng.uniform(0, 1.2) * lam_max
-        return block(rotation3()), v, lam
+        pick = rng.random()
+        if pick < 0.4:
+            lam = None
+        elif pick < 0.8:
+            lam = rng.uniform(0, 1.2) * lam_max
+        else:
+            lam = lam_max * (1 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13, -8))
+            tag = ", ".join(filter(None, (tag, "lambda slack")))
+        return (block(rotation3()), v, lam), tag
 
     def rotation3_or_not():
         pick = rng.random()  # a reflection, or a rotation off by 1e-8 to 1e-4, now and then
         r3 = rotation3()
         return -r3 if pick < 0.05 else r3 + 10.0 ** rng.uniform(-8, -4) * rng.normal(size=(3, 3)) if pick < 0.1 else r3
 
-    make = {"element_to_lorentz": element, "polar_decompose": element, "lorentz_to_element": decomposition,
-            "spinor_lift": transform, "decompose": transform, "classify": transform,
-            "rotation_axis_angle": rotation3_or_not}
+    def untagged(make):
+        return lambda: (make(), "")
+
+    make = {"element_to_lorentz": untagged(element), "polar_decompose": untagged(element),
+            "lorentz_to_element": decomposition, "spinor_lift": transform, "decompose": transform,
+            "classify": transform, "rotation_axis_angle": untagged(rotation3_or_not)}
     for i in range(n):
         name = CALLS[i % len(CALLS)]
-        raw = make[name]()
-        if rng.random() < 0.025:  # a non-finite entry: the validators' turn
-            arr = raw[0] if isinstance(raw, tuple) else raw
-            arr.flat[rng.integers(arr.size)] = rng.choice([math.nan, math.inf, -math.inf])
-        yield name, raw
+        raw, tag = make[name]()
+        pick = rng.random()
+        if pick < 0.05:  # the validators' turn: a non-finite entry, or a nested list with one bad leaf
+            part = rng.integers(2) if isinstance(raw, tuple) else None  # a decomposition's rotation or velocity
+            arr = raw if part is None else raw[part]
+            if pick < 0.025:
+                arr.flat[rng.integers(arr.size)] = rng.choice([math.nan, math.inf, -math.inf])
+            else:
+                flat = arr.ravel().tolist()
+                flat[rng.integers(arr.size)] = [True, "1", None][rng.integers(3)]
+                arr = np.array(flat, dtype=object).reshape(arr.shape).tolist()
+                raw = arr if part is None else raw[:part] + (arr,) + raw[part + 1:]
+                tag = ", ".join(filter(None, (tag, "bad leaf")))
+        yield name, tag, raw
 
 
 def chain_functions() -> dict:
@@ -291,13 +357,16 @@ def worker(src: str, calls: int, seed: int) -> None:
     for rec in golden_records(main):
         print(json.dumps(rec))
     functions = chain_functions()
-    for i, (name, raw) in enumerate(chain_inputs(calls, seed)):
-        print(json.dumps({"id": f"{name} #{i}", **record(lambda: functions[name](raw))}))
+    for i, (name, tag, raw) in enumerate(chain_inputs(calls, seed)):
+        ident = f"{name} #{i}" + (f" [{tag}]" if tag else "")
+        print(json.dumps({"id": ident, **record(lambda: functions[name](raw))}))
     with tempfile.TemporaryDirectory() as workdir:  # the same relative paths on both sides
         os.chdir(workdir)
         for rec in pool_records(main):
             print(json.dumps(rec))
         for rec in malformed_records(main):
+            print(json.dumps(rec))
+        for rec in fuzz_records(main):
             print(json.dumps(rec))
         os.chdir(ROOT)
     print(json.dumps({"id": "done"}))
@@ -342,9 +411,9 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     sides = [subprocess.Popen([sys.executable, __file__, "--worker", src, str(calls), str(seed)], stdout=subprocess.PIPE,
                               text=True, env=env, cwd=ROOT) for src in (parent_src, change_src)]
-    tally = {"golden": [0, 0], "calls": [0, 0], "pool": [0, 0], "malformed": [0, 0]}
+    tally = {"golden": [0, 0], "calls": [0, 0], "pool": [0, 0], "malformed": [0, 0], "fuzz": [0, 0]}
     raised, outcome_differs, worst, worst_id, shown, stderr_differs = 0, 0, 0.0, None, [], []
-    moved, path_calls, path_values = [], Counter(), Counter()
+    moved, path_calls, path_values, tags = [], Counter(), Counter(), Counter()
     a = b = {"id": None}
     for line_a, line_b in zip(*(p.stdout for p in sides)):
         a, b = json.loads(line_a), json.loads(line_b)
@@ -359,6 +428,8 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
         tally[group][not same] += 1
         raised += "raised" in a and same
         if group == "calls" and not same:
+            tag = re.search(r" \[(.*)\]$", a["id"])
+            tags.update(tag[1].split(", ") if tag else [None])
             if "ok" in a and "ok" in b:
                 gap = difference(a["ok"], b["ok"])
                 worst, worst_id = max((worst, worst_id), (gap, a["id"]))
@@ -383,11 +454,16 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
     print(f"chain calls: {tally['calls'][0]} identical, {tally['calls'][1]} differing "
           f"({raised} of the identical raise, with the same type and message on both sides)")
     print(f"chain calls that raise on one side only, or another exception: {outcome_differs}")
+    untagged = tags.pop(None, 0)
+    print("differing chain calls by input tag, each under every tag it has: "
+          + (", ".join(f"{tag} {count}" for tag, count in sorted(tags.items())) or "none") + f"; untagged: {untagged}")
     print(f"worst difference where both return: {worst:g} eps*max|entry|" + (f", at {worst_id}" if worst_id else ""))
     print(f"cli pool calls (seeds {', '.join(map(str, POOL_SEEDS))}): {tally['pool'][0]} identical, "
           f"{tally['pool'][1]} differing (exit code, stdout and stderr)")
     print(f"malformed corpus calls: {tally['malformed'][0]} identical, {tally['malformed'][1]} differing "
           f"(exit code and stdout); {len(stderr_differs)} stderr differences")
+    print(f"cli fuzz corpus calls: {tally['fuzz'][0]} identical, {tally['fuzz'][1]} differing "
+          "(exit code, stdout and stderr)")
     print(f"stdout paths that differ, over the {len(moved)} differing CLI calls with JSON stdout on both sides: "
           + (", ".join(f"{p} in {path_calls[p]} calls ({path_values[p]} values)" for p in sorted(path_calls))
              or "none"))
