@@ -17,7 +17,6 @@ from .conemap import (
     phi_inv,
 )
 from .correspond import (
-    EffectGeometry,
     Measurement,
     apply_element,
     element_to_lorentz,
@@ -30,6 +29,7 @@ from .correspond import (
 )
 from .adjoint import psi, psi_of_sqrt, psi_of_unitary
 from .lorentz import (
+    EffectGeometry,
     LorentzDecomposition,
     Velocity,
     classify,

@@ -4,7 +4,7 @@ psi(A) is the 4x4 real matrix taking the coordinate vector of rho to the
 coordinate vector of A rho A†. It is multiplicative, sends unitaries to
 block rotations of the Bloch part, and sends positive square roots to
 (scaled) pure boosts, multiples of the one boost formula _boost; psi_of_sqrt
-exposes two closed forms of the latter for cross-checking. psi has two
+forms them from the coordinates of the square itself. psi has two
 forms: _psi over stacks of (2, 2) arrays, and the closed form _psi_entries
 on the four entries of one A as Python complex numbers, which the
 single-element chain passes. _preimage inverts psi up to the global phase
@@ -18,9 +18,8 @@ import math
 
 import numpy as np
 
-from .errors import NotPositive, NotUnitary, TooLarge, ZeroMatrix
-from .qmat import SIGMA, TOL, _coords, _hermitize, _positive, _sqrt_det, _sqrt_psd, mat2
-from .conemap import _minkowski
+from .errors import NotPositive, NotUnitary, TooLarge
+from .qmat import SIGMA, TOL, _coords, _positive, _sqrt_det, mat2
 
 # psi(A)_{uv} = (1/2) Tr(sigma_u A sigma_v A†) = sum_{ijkl} A_ij conj(A_kl) _PSI[ijkl, uv]:
 # one product of the flattened outer product of A and conj(A) with _PSI gives psi(A).
@@ -128,15 +127,11 @@ def psi_of_unitary(u) -> np.ndarray:
     return _psi(u)
 
 
-def psi_of_sqrt(e, form: str = "auto") -> np.ndarray:
-    """psi of the positive square root of e, from the coordinates of e.
-
-    form:
-      "root"   - closed form in the root coordinates [alpha, beta, gamma, delta]
-      "square" - the scaled boost (a/2) _boost(-p/a, X/(2a)) in the coordinates [a, p] of
-                 e itself, X = 2 sqrt(a^2 - |p|^2) = 4 sqrt(det e); requires e != 0
-      "auto"   - "square" unless e = 0, then "root"
-    Raises TooLarge when Tr(e), which bounds the other coordinates of a positive e, overflows.
+def psi_of_sqrt(e) -> np.ndarray:
+    """psi of the positive square root of e: the scaled boost (a/2) _boost(-p/a, X/(2a))
+    in the coordinates [a, p] of e itself, X = 2 sqrt(a^2 - |p|^2) = 4 sqrt(det e),
+    and 0 for e = 0. Raises TooLarge when Tr(e), which bounds the other coordinates
+    of a positive e, overflows.
     """
     e = mat2(e)
     c = _coords(e)
@@ -145,14 +140,6 @@ def psi_of_sqrt(e, form: str = "auto") -> np.ndarray:
     a, p = c[0], c[1:]
     if not math.isfinite(a):
         raise TooLarge("Tr(e) overflows")
-    if form == "auto":
-        form = "square" if a > 0 else "root"
-    if form == "square":
-        if a <= 0:
-            raise ZeroMatrix("the square-coordinate form requires e != 0")
-        return (a / 2) * _boost(-p / a, 2 * _sqrt_det(*c) / a)
-    if form == "root":
-        root = _coords(_sqrt_psd(_hermitize(e)))
-        x_root = _minkowski(root, root)
-        return (x_root * np.diag([-1.0, 1.0, 1.0, 1.0]) + 2 * np.outer(root, root)) / 4
-    raise ValueError(f"unknown form {form!r}")
+    if a <= 0:  # positivity leaves e = 0
+        return np.zeros((4, 4))
+    return (a / 2) * _boost(-p / a, 2 * _sqrt_det(*c) / a)

@@ -2,7 +2,8 @@
 
 One command per invocation; all structured input and output is the JSON
 documented in serialize.py. Exit codes: 0 success, 1 validation failure,
-2 malformed input, 3 numeric-domain error.
+2 malformed input, 3 numeric-domain error. A measurement file is checked by
+the correspond.Measurement it builds, as the library's input is.
 """
 from __future__ import annotations
 
@@ -13,16 +14,10 @@ import sys
 import numpy as np
 
 from . import serialize
-from .correspond import (
-    LorentzDecomposition,
-    _state_vector,
-    element_to_lorentz,
-    lorentz_to_element,
-    validate,
-)
+from .correspond import _state_vector, element_to_lorentz, lorentz_to_element, validate
 from .errors import DomainError, InvalidMeasurement, MalformedInput, TooLarge
-from .lorentz import rotation4, velocity
-from .qmat import TOL, _from_coords, _gram, _herm2
+from .lorentz import LorentzDecomposition, rotation4, velocity
+from .qmat import TOL, _from_coords, _herm2
 from .sim import boosted_probabilities, observer_boost, report_invariants, scenario1_sample
 
 EXIT_OK = 0
@@ -41,19 +36,8 @@ def _parse_vec3(text: str) -> list[float]:
         raise MalformedInput(f"expected X,Y,Z, got {text!r}") from exc
 
 
-def _finite_effects(elements: np.ndarray) -> None:
-    """Reject elements whose effect M†M overflows, as element_to_lorentz does for one element."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(_gram(elements)).all():
-            raise TooLarge("an element's effect M†M overflows")
-
-
 def _load_measurement(path: str):
-    meas = serialize.measurement_from_json(serialize.load_file(path))
-    # an effect that overflows (its diagonal is >= 0) makes the deviation inf or nan
-    if not math.isfinite(meas.deviation):
-        _finite_effects(meas.elements)
-    return meas
+    return serialize.measurement_from_json(serialize.load_file(path))
 
 
 def _load_state(path: str) -> np.ndarray:

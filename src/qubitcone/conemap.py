@@ -18,6 +18,9 @@ from .qmat import TOL, _coords, _finite, _from_coords, _hermitize, _positive, _s
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
 
+# V = eta phi(M†M) / 2 of an effect four-vector phi(M†M)
+_HALF_ETA = 0.5 * ETA.diagonal()
+
 
 @dataclass(frozen=True)
 class ConeMembership:

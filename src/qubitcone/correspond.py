@@ -7,9 +7,11 @@ Backward: a decomposed transform yields a one-parameter family of
 admissible measurement elements M(lambda). The mixedness and probability
 identities tying the two pictures together live here as well.
 
-A measurement keeps its psi(M) stack: the post vector phi(M rho M†) is
-psi(M) phi(rho), its time component the probability Tr(M†M rho), and row 0
-of psi(M) is phi(M†M)/2. Only prop2_invariants forms Tr(M†M rho) directly.
+A Measurement validates itself, however it is built, and keeps its psi(M)
+stack: the post vector phi(M rho M†) is psi(M) phi(rho), its time component
+the probability Tr(M†M rho), and row 0 of psi(M) is phi(M†M)/2. Only
+prop2_invariants forms Tr(M†M rho) directly. The forward map returns the
+record lorentz.decompose returns, EffectGeometry.
 A state is validated once, into its cone vector: _state_vector forms phi(rho)
 and reads positivity and the trace off those four coordinates. Positivity,
 unit trace and completeness are tested within qmat.TOL.
@@ -22,29 +24,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adjoint import _psi
-from .conemap import ETA, _minkowski, fourvector
+from .conemap import _HALF_ETA, _minkowski, fourvector
 from .errors import (
     InvalidMeasurement,
     LambdaOutOfRange,
+    MalformedInput,
     NotNormalized,
     NotPositive,
     NullOrSpacelike,
     TooLarge,
 )
-from .lorentz import NULL, LorentzDecomposition, Velocity, _factor, _is_null, _rotation, _rotation_spinor
+from .lorentz import NULL, EffectGeometry, LorentzDecomposition, Velocity, _factor, _geometry, _is_null, _rotation_spinor
 from .qmat import (
     TOL,
     _coords,
     _entries,
-    _finite,
     _from_coords,
     _gram,
     _positive,
+    _shaped,
     mat2,
 )
-
-# V = eta phi(M†M) / 2 of an effect four-vector phi(M†M)
-_HALF_ETA = 0.5 * ETA.diagonal()
 
 
 def _completeness(elements: np.ndarray) -> float:
@@ -58,6 +58,9 @@ def _completeness(elements: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
+    """Measurement elements, validated once, here: the leaf rule and shape by qmat._shaped,
+    then finiteness off the deviation, which a non-finite entry or effect makes inf or NaN."""
+
     elements: np.ndarray  # (K, 2, 2) complex, K >= 1, a read-only copy of the input
     deviation: float = field(init=False)  # _completeness(elements), formed once
     transforms: np.ndarray = field(init=False)  # _psi(elements), (K, 4, 4), formed once
@@ -65,26 +68,20 @@ class Measurement:
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         # a copy, so that no later change to the caller's array makes the fields below stale
-        object.__setattr__(self, "elements", np.array(self.elements, dtype=complex))
-        self.elements.flags.writeable = False
-        object.__setattr__(self, "deviation", _completeness(self.elements))
-        object.__setattr__(self, "transforms", _psi(self.elements))
+        elements = np.array(_shaped(self.elements, (None, 2, 2), complex, "stack of 2x2 matrices"))
+        elements.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "deviation", _completeness(elements))
+        if not math.isfinite(self.deviation):  # finite effects whose sum overflows are kept
+            if not np.isfinite(elements).all():
+                raise MalformedInput("stack of 2x2 matrices entries must be finite")
+            if not np.isfinite(_gram(elements)).all():
+                raise TooLarge("an element's effect M†M overflows")
+        object.__setattr__(self, "transforms", _psi(elements))
         self.transforms.flags.writeable = False  # engines hand out its rows
 
 
-def measurement(elements) -> Measurement:
-    """Validate the elements once, as one (K, 2, 2) complex array, K >= 1."""
-    return Measurement(elements=_finite(elements, (None, 2, 2), complex, "stack of 2x2 matrices"))
-
-
-@dataclass(frozen=True, eq=False)
-class EffectGeometry:
-    e_vec: np.ndarray
-    v_vec: np.ndarray
-    velocity: Velocity
-    scale: float
-    rotation: np.ndarray
-    kind: str
+measurement = Measurement
 
 
 @dataclass(frozen=True)
@@ -128,18 +125,10 @@ def element_to_lorentz(m) -> EffectGeometry:
     """Forward correspondence: psi(M) = scale * rotation * boost(velocity).
     Raises TooLarge when Tr(M†M) = e_vec[0], which bounds the other entries, overflows."""
     m = _entries(m, (2, 2), complex, "2x2 matrix")
-    vel, scale, n, d, e = _factor(m, max(np.abs(m).tolist()))
-    if not math.isfinite(e[0]):
+    parts = _factor(m, max(np.abs(m).tolist()))
+    if not math.isfinite(parts[-1][0]):
         raise TooLarge("an element's effect M†M overflows")
-    e_vec = np.array(e)
-    return EffectGeometry(
-        e_vec=e_vec,
-        v_vec=e_vec * _HALF_ETA,
-        velocity=vel,
-        scale=scale,
-        rotation=_rotation(n, d),
-        kind=vel.kind,
-    )
+    return _geometry(*parts)
 
 
 def lambda_max(vel: Velocity) -> float:
@@ -149,12 +138,11 @@ def lambda_max(vel: Velocity) -> float:
     return math.sqrt(2.0 / (1.0 + math.hypot(*vel.v.tolist())))
 
 
-def lorentz_to_element(decomp: LorentzDecomposition | EffectGeometry, lam: float | None = None) -> np.ndarray:
+def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -> np.ndarray:
     """Backward correspondence: the measurement element M(lambda) = U sqrt(E(lambda)).
 
-    decomp is read for its rotation and velocity only, so the EffectGeometry that
-    element_to_lorentz returns is taken as it is, with no LorentzDecomposition
-    rebuilt from it. Default lambda is lambda_max, which maximizes the element's
+    decomp is any LorentzDecomposition, EffectGeometry included, read for its rotation
+    and velocity only. Default lambda is lambda_max, which maximizes the element's
     probability weight; any admissible lambda yields the same transform up to scale.
     """
     u00, u01, u10, u11 = _rotation_spinor(_entries(decomp.rotation, (4, 4), float, "4x4 matrix"))

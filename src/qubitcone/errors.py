@@ -30,10 +30,6 @@ class NotUnitary(DomainError):
     pass
 
 
-class ZeroMatrix(DomainError):
-    pass
-
-
 class ZeroElement(DomainError):
     pass
 

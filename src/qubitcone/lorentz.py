@@ -7,12 +7,13 @@ back through the same lift; classification of a 4x4 matrix against those
 families, the rotation-times-boost decomposition, and the two-to-one spinor
 lift back to unit-determinant 2x2 complex matrices. Classification,
 decomposition and lift all read the one psi preimage A = _preimage(L) and
-factor it with _factor, as element_to_lorentz does; only decompose forms
-the polar factor. The chain is scalar: qmat._entries validates L once into
-the 16 floats _classify and _rotation_spinor read; _preimage, _unit_det and
-_factor pass A as four Python complex numbers, the psi residual reads
-_psi_entries, and an array is formed only for the returned result. The
-residual and unit-determinant tests read qmat.TOL.
+factor it with _factor, as element_to_lorentz factors M; both forward maps
+build one record, EffectGeometry, with _geometry, which alone forms the polar
+factor. The chain is scalar: qmat._entries validates L once into the 16
+floats _classify and _rotation_spinor read; _preimage, _unit_det and _factor
+pass A as four Python complex numbers, the psi residual reads _psi_entries,
+and an array is formed only for the returned result. The residual and
+unit-determinant tests read qmat.TOL.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjoint import _boost, _preimage, _psi, _psi_entries
+from .conemap import _HALF_ETA
 from .errors import (
     BadAxis,
     MalformedInput,
@@ -54,6 +56,23 @@ class LorentzDecomposition:
     rotation: np.ndarray  # 4x4 block-diagonal proper rotation
     velocity: Velocity
     scale: float
+
+
+@dataclass(frozen=True, eq=False)
+class EffectGeometry(LorentzDecomposition):
+    """The record of the forward maps: the factorisation psi(M) = scale * rotation *
+    boost(velocity), the effect four-vector e_vec = phi(M†M) it was read from, and
+    V = v_vec = eta e_vec / 2."""
+
+    e_vec: np.ndarray
+
+    @property
+    def v_vec(self) -> np.ndarray:
+        return self.e_vec * _HALF_ETA
+
+    @property
+    def kind(self) -> str:
+        return self.velocity.kind
 
 
 def _is_null(speed):
@@ -136,9 +155,11 @@ def _factor(a: list, mu: float) -> tuple[Velocity, float, list, complex, list]:
     return Velocity(v=np.array(v3), kind=TIMELIKE), mu * (mu * abs(d)), n, d, e
 
 
-def _rotation(n: list, d: complex) -> np.ndarray:
-    """psi of the unitary polar factor, for the _scaled_entries n and det n of _factor."""
-    return np.array(_psi_entries(_unitary_factor(n, d))).reshape(4, 4)
+def _geometry(vel: Velocity, scale: float, n: list, d: complex, e: list) -> EffectGeometry:
+    """The record of the parts of _factor: its rotation is psi of the unitary polar
+    factor of the _scaled_entries n with det n."""
+    rotation = np.array(_psi_entries(_unitary_factor(n, d))).reshape(4, 4)
+    return EffectGeometry(rotation=rotation, velocity=vel, scale=scale, e_vec=np.array(e))
 
 
 def _fits(a: list, flat: list) -> bool:
@@ -178,9 +199,10 @@ def classify(L) -> str:
     return _classify(L)[0]
 
 
-def decompose(L) -> LorentzDecomposition:
+def decompose(L) -> EffectGeometry:
     """Factorization scale * rotation * boost(velocity) of the psi preimage
-    A of L (see classify), unique unless L is a null-boost product.
+    A of L (see classify), unique unless L is a null-boost product, with the
+    effect four-vector e_vec = phi(A†A), which is inf where 2 L_00 overflows.
 
     A has Tr A >= 0, so decompose(psi(M)) = element_to_lorentz(e^{-i arg Tr M} M)
     for every nonzero M, and decompose(R L(v)) = (R, v).
@@ -189,8 +211,7 @@ def decompose(L) -> LorentzDecomposition:
     if parts is None:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
-    vel, scale, n, d, _ = parts
-    return LorentzDecomposition(rotation=_rotation(n, d), velocity=vel, scale=scale)
+    return _geometry(*parts)
 
 
 def _rotation_spinor(flat: list) -> list:

@@ -5,8 +5,9 @@ and a measurement is {"elements": [...]} of them. Real arrays are plain
 number arrays. Floats are written with 17 significant digits so that
 emit -> parse -> emit is byte-identical. The CLI reads only 2x2 matrices
 and measurements; both are validated once, in one walk over the parsed
-JSON (_walk). Files are read as bytes and decoded as UTF-8, with \r\n and \r
-read as \n, as text mode reads them.
+JSON (_walk); a Measurement then tests its array's shape and dtype kind. Files
+are read as bytes and decoded as UTF-8, with \r\n and \r read as \n, as text
+mode reads them.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a st
 
 import numpy as np
 
-from .correspond import EffectGeometry, Measurement
+from .correspond import Measurement
 from .errors import MalformedInput
-from .lorentz import Velocity
+from .lorentz import EffectGeometry, Velocity
 from .qmat import _number
 
 

@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conemap import _minkowski
-from .correspond import _HALF_ETA, Measurement, _information, _state_vector, require_valid
+from .conemap import _HALF_ETA, _minkowski
+from .correspond import Measurement, _information, _state_vector, require_valid
 from .errors import NotTimelike, TooLarge
 from .lorentz import TIMELIKE, Velocity, velocity
 from .qmat import mat2

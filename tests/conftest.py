@@ -10,8 +10,9 @@ from qubitcone import (
     rotation4,
     velocity,
 )
+from qubitcone.conemap import _minkowski
 from qubitcone.lorentz import NULL, LorentzDecomposition, Velocity
-from qubitcone.qmat import _hermitize
+from qubitcone.qmat import _coords, _hermitize, _sqrt_psd
 
 
 def rand_complex(rng, scale=1.0):
@@ -25,6 +26,15 @@ def rand_herm(rng, scale=1.0):
 def rand_positive(rng, scale=1.0):
     a = rand_complex(rng)
     return _hermitize(scale * a.conj().T @ a)
+
+
+def psi_of_sqrt_by_root(e):
+    """psi of the positive square root of a positive e in the coordinates r = phi(sqrt(e))
+    of the root: (eta(r, r) diag(-1, 1, 1, 1) + 2 r r^T) / 4. An oracle for
+    adjoint.psi_of_sqrt, which forms it from the coordinates of e itself."""
+    root = _coords(_sqrt_psd(_hermitize(np.asarray(e, dtype=complex))))
+    x_root = _minkowski(root, root)
+    return (x_root * np.diag([-1.0, 1.0, 1.0, 1.0]) + 2 * np.outer(root, root)) / 4
 
 
 def rand_unit3(rng):

@@ -5,6 +5,7 @@ import time
 import numpy as np
 
 from conftest import (
+    psi_of_sqrt_by_root,
     rand_complex,
     rand_element,
     rand_herm,
@@ -116,10 +117,10 @@ def test_acceptance_04_sqrt_closed_forms():
             a = rng.uniform(0.5, 2.0)
             e = phi_inv(np.concatenate([[a], a * (1 - rng.uniform(0, 1e-6)) * v]))
         definitional = psi(sqrt_psd(e))
-        for form in ("root", "square"):
+        for form in (psi_of_sqrt_by_root, psi_of_sqrt):
             worst_form = max(
                 worst_form,
-                float(np.max(np.abs(psi_of_sqrt(e, form=form) - definitional))),
+                float(np.max(np.abs(form(e) - definitional))),
             )
         worst_col = max(
             worst_col, float(np.max(np.abs(psi_of_sqrt(e)[:, 0] - phi(e) / 2)))

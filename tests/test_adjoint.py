@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import qubitcone
 
-from conftest import rand_complex, rand_positive, rand_unit3
+from conftest import psi_of_sqrt_by_root, rand_complex, rand_positive, rand_unit3
 from qubitcone.adjoint import _psi, _psi_entries, psi, psi_of_sqrt, psi_of_unitary
 from qubitcone.conemap import cone_membership, minkowski, phi, phi_inv
-from qubitcone.errors import NotPositive, NotUnitary, TooLarge, ZeroMatrix
+from qubitcone.errors import NotPositive, NotUnitary, TooLarge
 from qubitcone.lorentz import pure_boost, velocity
 from qubitcone.qmat import SIGMA, sqrt_psd
 
@@ -175,8 +175,8 @@ def test_psi_of_sqrt_both_forms_agree():
     for _ in range(200):
         e = rand_positive(rng)
         definitional = psi(sqrt_psd(e))
-        assert np.max(np.abs(psi_of_sqrt(e, form="root") - definitional)) < 1e-10
-        assert np.max(np.abs(psi_of_sqrt(e, form="square") - definitional)) < 1e-10
+        assert np.max(np.abs(psi_of_sqrt_by_root(e) - definitional)) < 1e-10
+        assert np.max(np.abs(psi_of_sqrt(e) - definitional)) < 1e-10
     # near-projective inputs (X close to 0)
     for _ in range(100):
         v = rand_unit3(rng)
@@ -185,8 +185,8 @@ def test_psi_of_sqrt_both_forms_agree():
         coords = np.concatenate([[a], a * (1 - eps) * v])
         e = phi_inv(coords)
         definitional = psi(sqrt_psd(e))
-        assert np.max(np.abs(psi_of_sqrt(e, form="root") - definitional)) < 1e-10
-        assert np.max(np.abs(psi_of_sqrt(e, form="square") - definitional)) < 1e-10
+        assert np.max(np.abs(psi_of_sqrt_by_root(e) - definitional)) < 1e-10
+        assert np.max(np.abs(psi_of_sqrt(e) - definitional)) < 1e-10
 
 
 def test_psi_of_sqrt_first_column_law():
@@ -199,22 +199,24 @@ def test_psi_of_sqrt_first_column_law():
 def test_psi_of_sqrt_errors():
     with pytest.raises(NotPositive):
         psi_of_sqrt(Z)
-    with pytest.raises(ZeroMatrix):
-        psi_of_sqrt(np.zeros((2, 2)), form="square")
-    assert np.allclose(psi_of_sqrt(np.zeros((2, 2))), 0)
-    for form in ("root", "square", "auto"):  # a finite e whose trace overflows
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TooLarge, match="overflows"):
-            psi_of_sqrt(np.diag([1.7e308, 1.7e308]), form)
+    zero = psi_of_sqrt(np.zeros((2, 2)))
+    assert zero.shape == (4, 4) and not zero.any()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TooLarge, match="overflows"):
+        psi_of_sqrt(np.diag([1.7e308, 1.7e308]))  # a finite e whose trace overflows
 
 
-@pytest.mark.parametrize("form", ["square", "auto", "root"])
+# psi_of_sqrt, in the coordinates of e, and the oracle in those of its root
+FORMS = {"square": psi_of_sqrt, "root": psi_of_sqrt_by_root}
+
+
+@pytest.mark.parametrize("form", list(FORMS))
 @pytest.mark.parametrize("scale", [1e-150, 1e150])
 def test_psi_of_sqrt_at_extreme_element_scales(form, scale):
     # the effect of M = scale * m has scale^2 = 1e-300 or 1e300, whose
     # coordinates cannot be squared
     m = np.array([[0.8, 0.1j], [0.2, 0.5]])
-    ref = psi_of_sqrt(m.conj().T @ m, form)
-    out = psi_of_sqrt((scale * m).conj().T @ (scale * m), form)
+    ref = FORMS[form](m.conj().T @ m)
+    out = FORMS[form]((scale * m).conj().T @ (scale * m))
     assert np.isfinite(out).all()
     assert np.max(np.abs(out / scale**2 - ref)) <= 1e-14 * np.max(np.abs(ref))
 

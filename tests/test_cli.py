@@ -1,18 +1,17 @@
 import contextlib
 import io
-import math
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qubitcone import cli, serialize
+from qubitcone import serialize
 from qubitcone.cli import EXIT_DOMAIN, EXIT_INVALID, EXIT_MALFORMED, EXIT_OK, main
 from qubitcone.correspond import measurement
+from qubitcone.errors import TooLarge
 from qubitcone.qmat import SIGMA, _gram
 
 I2 = np.eye(2, dtype=complex)
@@ -313,10 +312,11 @@ def test_non_finite_result_is_a_domain_error(tmp_path, capsys):
 def test_overflowing_effect_is_a_domain_error(tmp_path, mixed_state, capsys):
     """Finite elements whose effect M†M overflows exit 3 from every command
     that reads an element or a measurement, all with one error: to-lorentz
-    takes it from element_to_lorentz, the others from the CLI's effect check."""
+    takes it from element_to_lorentz, the others from the Measurement record,
+    which checks it where it is built."""
     big = np.diag([1e200, 5e199])
     elem = write_json(tmp_path, "big.json", serialize.mat2_to_json(big))
-    meas = write_json(tmp_path, "big-meas.json", serialize.measurement_to_json(measurement([big, big])))
+    meas = write_json(tmp_path, "big-meas.json", {"elements": serialize.mat2_to_json(np.array([big, big]))})
     with_state = ["--measurement", meas, "--state", mixed_state]
     for argv in [
         ["to-lorentz", "--element", elem],
@@ -341,12 +341,6 @@ parts = st.one_of(
 element_stacks = st.integers(1, 8).flatmap(lambda k: st.lists(parts, min_size=8 * k, max_size=8 * k))
 
 
-def load_checking_every_effect(path: str):
-    meas = serialize.measurement_from_json(serialize.load_file(path))
-    cli._finite_effects(meas.elements)
-    return meas
-
-
 def call_quietly(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -359,18 +353,25 @@ def call_quietly(argv) -> tuple:
 @example([9e153, 0, 0, 0, 0, 0, 0, 0] * 3)  # finite effects, an overflowing sum
 def test_an_overflowing_effect_makes_the_deviation_non_finite(tmp_path_factory, entries):
     """Each diagonal entry of an effect is a sum of squares, so an effect that
-    overflows makes max|sum M†M - I| inf or nan. So the CLI checks the effects
-    of a loaded measurement only when its deviation is not finite, and every
-    command then exits as when it checked every effect: 3, with the same error."""
+    overflows makes max|sum M†M - I| inf or nan. So a Measurement checks the
+    effects only when its deviation is not finite: measurement() raises TooLarge
+    exactly when some effect is not finite, and every command that reads the
+    measurement then exits 3 with that one error."""
     pairs = np.array(entries).reshape(-1, 2, 2, 2)
-    meas = measurement(pairs[..., 0] + 1j * pairs[..., 1])
+    elements = pairs[..., 0] + 1j * pairs[..., 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        effects_finite = np.isfinite(_gram(meas.elements)).all()
-    assert effects_finite or not math.isfinite(meas.deviation)
+        effects_finite = np.isfinite(_gram(elements)).all()
+    overflow = "an element's effect M†M overflows"
+    if effects_finite:
+        measurement(elements)
+    else:
+        with pytest.raises(TooLarge) as raised:
+            measurement(elements)
+        assert str(raised.value) == overflow
 
     folder = tmp_path_factory.mktemp("overflow")
     path = folder / "meas.json"
-    path.write_text(serialize.dumps(serialize.measurement_to_json(meas)))
+    path.write_text(serialize.dumps({"elements": serialize.mat2_to_json(elements)}))
     state = folder / "state.json"
     state.write_text(serialize.dumps(serialize.mat2_to_json(I2 / 2)))
     io_args = ["--measurement", str(path), "--state", str(state)]
@@ -382,10 +383,10 @@ def test_an_overflowing_effect_makes_the_deviation_non_finite(tmp_path_factory, 
         ["invariants", *io_args],
     ]:
         result = call_quietly(argv)
-        with mock.patch.object(cli, "_load_measurement", load_checking_every_effect):
-            assert result == call_quietly(argv), argv[0]
-        if not effects_finite:
-            assert result == (EXIT_DOMAIN, "", "error: an element's effect M†M overflows\n")
+        if effects_finite:
+            assert result[2] != f"error: {overflow}\n", argv[0]
+        else:
+            assert result == (EXIT_DOMAIN, "", f"error: {overflow}\n"), argv[0]
 
 
 def test_boost_observer(proj_z, mixed_state, capsys):

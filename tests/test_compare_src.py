@@ -2,6 +2,7 @@
 src/ on both sides it reports every output identical, its measure of a
 difference reads last-bit changes in eps * max|entry| of their own array, and
 it names the JSON paths at which a CLI call's stdout moved."""
+import dataclasses
 import importlib.util
 import json
 import math
@@ -31,6 +32,7 @@ def test_src_against_itself_is_identical():
     assert "chain calls: 120 identical, 0 differing" in run.stdout
     assert "differing chain calls by input tag, each under every tag it has: none; untagged: 0" in run.stdout
     assert "worst difference where both return: 0 eps*max|entry|" in run.stdout
+    assert "record attributes on one side only, not compared: none" in run.stdout
     n_pool = 3 * 25  # bench/cli_calls.py ROUND_SIZE calls per seed
     assert f"cli pool calls (seeds 1, 2, 3): {n_pool} identical, 0 differing" in run.stdout
     n_malformed = 3 * len(compare_src.CORPUS) + 2
@@ -108,3 +110,35 @@ def test_difference_is_per_group_in_eps_of_its_largest_entry():
     assert compare_src.difference(a, [[1.0, -2.0], [math.nan], ["timelike"]]) == math.inf
     assert compare_src.difference(a, [[1.0, -2.0, 0.0], [1e-300], ["timelike"]]) == math.inf
     assert compare_src.difference([[0.0]], [[-0.0]]) == math.inf  # bits differ, max|entry| is 0
+
+
+def test_a_record_is_read_by_its_attributes_not_its_fields():
+    """A field that becomes a property or moves to a base class, in another field
+    order, reads as the same groups; attributes outside ATTRIBUTES are not read."""
+
+    @dataclasses.dataclass
+    class Stored:
+        e_vec: np.ndarray
+        v_vec: np.ndarray
+        scale: float
+        kind: str
+        note: str
+
+    @dataclasses.dataclass
+    class Base:
+        kind: str
+        scale: float
+
+    @dataclasses.dataclass
+    class Derived(Base):
+        e_vec: np.ndarray
+
+        @property
+        def v_vec(self):
+            return self.e_vec / 2
+
+    e_vec = np.array([2.0, 1.0])
+    stored = Stored(e_vec, e_vec / 2, 0.5, "timelike", "not compared")
+    assert compare_src.groups(stored) == compare_src.groups(Derived("timelike", 0.5, e_vec))
+    assert compare_src.groups(stored) == [[2.0, 1.0], [1.0, 0.5], [0.5], ["timelike"]]
+    assert list(compare_src.attributes(Base("null", 1.0))) == ["scale", "kind"]

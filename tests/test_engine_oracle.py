@@ -18,9 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubitcone.adjoint import _psi
-from qubitcone.conemap import _minkowski
+from qubitcone.conemap import _HALF_ETA, _minkowski
 from qubitcone.correspond import (
-    _HALF_ETA,
     _information,
     apply_element,
     measurement,

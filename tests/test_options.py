@@ -9,7 +9,6 @@ import pkgutil
 import qubitcone
 
 KEPT = {
-    "adjoint.psi_of_sqrt(form)",  # both closed forms are tested against each other
     "cli.main(argv)",  # the benchmark calls it in-process
     "correspond._state_vector(unit_trace)",  # the engines call it with both values
     "correspond.lorentz_to_element(lam)",  # CLI --lambda

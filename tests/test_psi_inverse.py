@@ -210,19 +210,31 @@ def test_element_to_lorentz_then_lorentz_to_element(u, v, ratio, log_scale):
     assert max_abs(got / max_abs(got) - want / max_abs(want)) <= 32 * gamma * EPS
 
 
+# Both e_vec are phi(X†X), formed by lorentz._factor, of X = A, the psi preimage of
+# L = psi(M), and of X = e^{-i arg Tr M} M. In eps e0, e0 = ||M||_F^2 = max|phi(M†M)|:
+#   8  the stack psi: 2 L[0] within 2 * 4 eps max|M|^2 of phi(M†M) (test_psi_against_trace_oracle);
+#  46  the preimage: phi(A†A) / 2 is row 0 of psi(A), within 1e-14 max|L| = 1e-14 e0 / 2 of L[0]
+#      (test_psi_inv_is_a_preimage);
+#   4  the phase: each entry of e^{-i arg Tr M} M within 4u of its modulus, u = eps / 2;
+#   8  _factor, on each side: 7 roundings of u on sums of non-negative squares, 4 eps.
+E_VEC_BOUND = 8 + 46 + 4 + 8
+
+
 @settings(max_examples=300, deadline=None)
 @given(swept_elements)
 @example(CORNERS[0])
 @example(CORNERS[1])
 @example(CORNERS[2])
 def test_decompose_of_psi_is_the_phase_fixed_forward_map(case):
-    """decompose(psi(M)) = element_to_lorentz(e^{-i arg Tr M} M), for both ranks."""
+    """decompose(psi(M)) = element_to_lorentz(e^{-i arg Tr M} M), for both ranks,
+    the effect four-vector e_vec = phi(M†M) included."""
     m, ratio = case
     tr = m[0, 0] + m[1, 1]
     geom = element_to_lorentz(m * (tr.conjugate() / abs(tr)) if tr else m)
     L = psi(m)
     d = decompose(L)
     assert d.velocity.kind == geom.kind
+    assert max_abs(d.e_vec - geom.e_vec) <= E_VEC_BOUND * EPS * max_abs(geom.e_vec)
     assert max_abs(d.velocity.v - geom.velocity.v) <= 1e-14
     assert abs(d.scale - geom.scale) <= 1e-12 * geom.scale
     # the polar factor's conditioning is 1/ratio; a rank-one one depends on

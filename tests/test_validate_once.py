@@ -96,11 +96,9 @@ def test_correspondence_validates_once(validator_calls, make):
         assert validator_calls == {"_entries": 1}, name
 
 
-@pytest.mark.parametrize("form", ["root", "square", "auto"])
-def test_psi_of_sqrt_validates_once(validator_calls, form):
-    """psi_of_sqrt validates e once and reads positivity off the coordinates it
-    forms; the root form takes the square root of that validated e."""
-    psi_of_sqrt(rand_state(np.random.default_rng(23)), form)
+def test_psi_of_sqrt_validates_once(validator_calls):
+    """psi_of_sqrt validates e once and reads positivity off the coordinates it forms."""
+    psi_of_sqrt(rand_state(np.random.default_rng(23)))
     assert validator_calls == {"_finite": 1}
 
 

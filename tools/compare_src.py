@@ -20,9 +20,12 @@ read line by line. Both sides get the same inputs:
   1 - 10^U(-15.5, -9), within TOL_V of 1; `1 - TOL_V`, one of speed exactly
   1 - TOL_V; `lambda slack`, a lambda of lambda_max (1 +- 10^U(-13, -8)); and
   `bad leaf`, a nested list with one leaf True, "1" or None. Each result is
-  flattened to its numbers
-  and strings; a call that raises gives its exception type and message, and
-  the warnings it emits are kept too;
+  flattened to its numbers and strings, a record by the attributes of
+  ATTRIBUTES that it has, so that a field that becomes a property or moves
+  to a base class is compared as before; an attribute that a record has on
+  one side only is not compared, and the report counts it per call. A call
+  that raises gives its exception type and message, and the warnings it
+  emits are kept too;
 - the `cli` benchmark pools of seeds 1 to 3 (`bench/cli_calls.py`), run
   through `qubitcone.cli.main` in-process: the exit code, stdout and stderr;
 - a corpus of mostly malformed input files (CORPUS: ragged nesting, leaves that
@@ -70,13 +73,24 @@ EPS = 2.0**-52
 TOL_V = 1e-9  # qubitcone.lorentz.TOL_V, which the inputs are drawn without importing
 CALLS = ("element_to_lorentz", "polar_decompose", "lorentz_to_element", "spinor_lift", "decompose",
          "classify", "rotation_axis_angle")
+# The attributes of a record that are compared, where present, in this order;
+# v and kind are those of a Velocity.
+ATTRIBUTES = ("e_vec", "v_vec", "velocity", "v", "scale", "rotation", "kind")
+
+
+def attributes(obj) -> dict | None:
+    """The ATTRIBUTES that a record has, name -> value; None when obj is no record."""
+    if not dataclasses.is_dataclass(obj):
+        return None
+    return {name: getattr(obj, name) for name in ATTRIBUTES if hasattr(obj, name)}
 
 
 def groups(obj) -> list:
-    """A result as lists of its numbers and strings, one list per record field,
+    """A result as lists of its numbers and strings, one list per record attribute,
     tuple item or array: the unit over which max|entry| is taken."""
-    if dataclasses.is_dataclass(obj):
-        return [g for f in dataclasses.fields(obj) for g in groups(getattr(obj, f.name))]
+    found = attributes(obj)
+    if found is not None:
+        return [g for value in found.values() for g in groups(value)]
     if isinstance(obj, tuple):
         return [g for item in obj for g in groups(item)]
     return [leaves(obj)]
@@ -97,11 +111,14 @@ def leaves(obj) -> list:
 
 
 def record(thunk) -> dict:
-    """The result of thunk() as leaves, or its exception, with its warnings."""
+    """The result of thunk() as groups, a record's as its attribute name -> groups,
+    or its exception, with its warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = {"ok": groups(thunk())}
+            result = thunk()
+            found = attributes(result)
+            out = {"ok": groups(result) if found is None else {k: groups(v) for k, v in found.items()}}
         except Exception as exc:  # compared as type and message
             out = {"raised": f"{type(exc).__name__}: {exc}"}
     out["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
@@ -413,7 +430,7 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
                               text=True, env=env, cwd=ROOT) for src in (parent_src, change_src)]
     tally = {"golden": [0, 0], "calls": [0, 0], "pool": [0, 0], "malformed": [0, 0], "fuzz": [0, 0]}
     raised, outcome_differs, worst, worst_id, shown, stderr_differs = 0, 0, 0.0, None, [], []
-    moved, path_calls, path_values, tags = [], Counter(), Counter(), Counter()
+    moved, path_calls, path_values, tags, one_side = [], Counter(), Counter(), Counter(), Counter()
     a = b = {"id": None}
     for line_a, line_b in zip(*(p.stdout for p in sides)):
         a, b = json.loads(line_a), json.loads(line_b)
@@ -424,6 +441,11 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
             if a["stderr"] != b["stderr"]:
                 stderr_differs.append((a["id"], a["exit"], a["stderr"], b["stderr"]))
             a["stderr"] = b["stderr"] = None  # listed, not counted
+        if isinstance(a.get("ok"), dict) and isinstance(b.get("ok"), dict):  # two records
+            for name in a["ok"].keys() ^ b["ok"].keys():  # counted, not compared
+                one_side[a["id"].split()[0], name, "parent" if name in a["ok"] else "change"] += 1
+                a["ok"].pop(name, None), b["ok"].pop(name, None)
+            a["ok"], b["ok"] = ([g for gs in rec["ok"].values() for g in gs] for rec in (a, b))
         same = json.dumps(a) == json.dumps(b)
         tally[group][not same] += 1
         raised += "raised" in a and same
@@ -458,6 +480,9 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
     print("differing chain calls by input tag, each under every tag it has: "
           + (", ".join(f"{tag} {count}" for tag, count in sorted(tags.items())) or "none") + f"; untagged: {untagged}")
     print(f"worst difference where both return: {worst:g} eps*max|entry|" + (f", at {worst_id}" if worst_id else ""))
+    print(f"record attributes on one side only, not compared: {len(one_side) or 'none'}")
+    for (call, name, side), count in sorted(one_side.items()):
+        print(f"record attribute on the {side} side only: {call}.{name}, in {count} calls")
     print(f"cli pool calls (seeds {', '.join(map(str, POOL_SEEDS))}): {tally['pool'][0]} identical, "
           f"{tally['pool'][1]} differing (exit code, stdout and stderr)")
     print(f"malformed corpus calls: {tally['malformed'][0]} identical, {tally['malformed'][1]} differing "
