@@ -205,8 +205,11 @@ def test_psi_of_sqrt_errors():
         psi_of_sqrt(np.diag([1.7e308, 1.7e308]))  # a finite e whose trace overflows
 
 
-# psi_of_sqrt, in the coordinates of e, and the oracle in those of its root
-FORMS = {"square": psi_of_sqrt, "root": psi_of_sqrt_by_root}
+FORMS = {
+    "square": psi_of_sqrt,  # the library, in the coordinates of e given as an array
+    "auto": lambda e: psi_of_sqrt(e.tolist()),  # the library, on e as nested lists
+    "root": psi_of_sqrt_by_root,  # the oracle, in the coordinates of the root of e
+}
 
 
 @pytest.mark.parametrize("form", list(FORMS))

@@ -96,9 +96,12 @@ def test_correspondence_validates_once(validator_calls, make):
         assert validator_calls == {"_entries": 1}, name
 
 
-def test_psi_of_sqrt_validates_once(validator_calls):
-    """psi_of_sqrt validates e once and reads positivity off the coordinates it forms."""
-    psi_of_sqrt(rand_state(np.random.default_rng(23)))
+@pytest.mark.parametrize("form", ["square", "auto"])
+def test_psi_of_sqrt_validates_once(validator_calls, form):
+    """psi_of_sqrt validates e once, given as an array or as nested lists, and
+    reads positivity off the coordinates it forms."""
+    e = rand_state(np.random.default_rng(23))
+    psi_of_sqrt(e if form == "square" else e.tolist())
     assert validator_calls == {"_finite": 1}
 
 
