@@ -125,10 +125,7 @@ def element_to_lorentz(m) -> EffectGeometry:
     """Forward correspondence: psi(M) = scale * rotation * boost(velocity).
     Raises TooLarge when Tr(M†M) = e_vec[0], which bounds the other entries, overflows."""
     m = _entries(m, (2, 2), complex, "2x2 matrix")
-    parts = _factor(m, max(np.abs(m).tolist()))
-    if not math.isfinite(parts[-1][0]):
-        raise TooLarge("an element's effect M†M overflows")
-    return _geometry(*parts)
+    return _geometry(*_factor(m, max(np.abs(m).tolist())))
 
 
 def lambda_max(vel: Velocity) -> float:
@@ -193,7 +190,7 @@ def _information(vecs: np.ndarray) -> np.ndarray:
     live = (t > 0) & ~_is_null(np.hypot(np.hypot(vecs[..., 1], vecs[..., 2]), vecs[..., 3]) / t)
     k = np.frexp(t)[1]
     w = np.ldexp(vecs, -k[..., None])
-    return 2 * k + np.log2(_minkowski(w, w), out=np.full_like(t, np.nan), where=live)
+    return 2 * k + np.log2(_minkowski(w, w), out=np.full(t.shape, np.nan), where=live)
 
 
 def info_measure(v) -> float:

@@ -33,6 +33,7 @@ from .errors import (
     NotNull,
     NotRestricted,
     NotTimelike,
+    TooLarge,
     ZeroElement,
 )
 from .qmat import TOL, _entries, _finite, _gram_entries, _scaled_entries, _unitary_factor
@@ -89,7 +90,7 @@ def velocity(v) -> Velocity:
         return v
     arr = _finite(v, (3,), float, "3-vector")
     with np.errstate(over="ignore"):  # a norm beyond the float range reads inf: superluminal
-        s = float(np.linalg.norm(arr))
+        s = math.sqrt(arr.dot(arr))  # np.linalg.norm of a real 1-D array, its warning text included
     if s > 1 + TOL_V:
         raise NotTimelike(f"|v| = {s} is superluminal")
     return Velocity(v=arr / s, kind=NULL) if _is_null(s) else Velocity(v=arr, kind=TIMELIKE)
@@ -157,7 +158,9 @@ def _factor(a: list, mu: float) -> tuple[Velocity, float, list, complex, list]:
 
 def _geometry(vel: Velocity, scale: float, n: list, d: complex, e: list) -> EffectGeometry:
     """The record of the parts of _factor: its rotation is psi of the unitary polar
-    factor of the _scaled_entries n with det n."""
+    factor of the _scaled_entries n with det n. TooLarge when e[0], which bounds e, overflows."""
+    if not math.isfinite(e[0]):
+        raise TooLarge("an element's effect M†M overflows")
     rotation = np.array(_psi_entries(_unitary_factor(n, d))).reshape(4, 4)
     return EffectGeometry(rotation=rotation, velocity=vel, scale=scale, e_vec=np.array(e))
 
@@ -202,7 +205,7 @@ def classify(L) -> str:
 def decompose(L) -> EffectGeometry:
     """Factorization scale * rotation * boost(velocity) of the psi preimage
     A of L (see classify), unique unless L is a null-boost product, with the
-    effect four-vector e_vec = phi(A†A), which is inf where 2 L_00 overflows.
+    effect four-vector e_vec = phi(A†A); TooLarge where e_vec[0] = 2 L_00 overflows.
 
     A has Tr A >= 0, so decompose(psi(M)) = element_to_lorentz(e^{-i arg Tr M} M)
     for every nonzero M, and decompose(R L(v)) = (R, v).
@@ -245,7 +248,7 @@ def su2_from_axis_angle(axis, theta: float) -> np.ndarray:
     """cos(theta/2) I - i sin(theta/2) (axis . sigma), a special unitary, about
     an axis of norm 1 within TOL (normalised; else BadAxis)."""
     axis = _finite(axis, (3,), float, "3-vector")
-    n = float(np.linalg.norm(axis))
+    n = math.sqrt(axis.dot(axis))  # np.linalg.norm, as in velocity
     if abs(n - 1) > TOL:
         raise BadAxis(f"axis norm {n} is not 1 within tolerance")
     x, y, z = (axis / n).tolist()

@@ -3,6 +3,8 @@ boosted observer, each run at once on the psi(M) stack that a measurement
 keeps: post vectors are psi(M) phi(rho) and probabilities their time parts.
 Each engine validates the state once, on phi(rho) itself
 (correspond._state_vector), and forms every other quantity once per call.
+The engines call only ufuncs and ndarray methods, because on K-element
+arrays numpy's Python-level helpers cost more than the arithmetic.
 The observer's frame is the timelike lorentz.Velocity that observer_boost
 returns, and boosted_probabilities checks it there.
 
@@ -66,12 +68,12 @@ def _outcomes(meas: Measurement, rho_vec: np.ndarray) -> tuple[np.ndarray, np.nd
 def _tallies(probs: np.ndarray, seed: int, n: int) -> np.ndarray:
     """Counts of n inverse-CDF draws over probs, some above ZERO_PROB, 0 <= n <= MAX_SAMPLES:
     one multinomial draw over the live cells, each from the previous live edge to its own."""
-    live = np.flatnonzero(probs > ZERO_PROB)
-    edges = np.minimum(np.cumsum(probs)[live], 1.0)
+    live = (probs > ZERO_PROB).nonzero()[0]
+    edges = np.minimum(probs.cumsum()[live], 1.0)
     edges[-1] = 1.0
     tallies = np.zeros(len(probs), dtype=int)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    tallies[live] = rng.multinomial(n, np.diff(edges, prepend=0.0))
+    tallies[live] = rng.multinomial(n, edges - np.concatenate(([0.0], edges[:-1])))
     return tallies
 
 
@@ -124,7 +126,7 @@ def report_invariants(meas: Measurement, rho) -> dict:
     e_vecs = 2 * meas.transforms[:, 0]  # row 0 of psi(M) is phi(M†M) / 2
     v_vecs = e_vecs * _HALF_ETA
     probs, posts = _outcomes(meas, rho_vec)
-    stack = np.vstack([v_vecs, posts, rho_vec])
+    stack = np.concatenate((v_vecs, posts, rho_vec[None]))
     norms = _minkowski(stack, stack).tolist()
     info = _information(stack)
     values = _numbers(info)

@@ -20,6 +20,8 @@ TOOL = ROOT / "tools" / "compare_src.py"
 spec = importlib.util.spec_from_file_location("compare_src", TOOL)
 compare_src = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(compare_src)
+# engine group records: every ENGINE on 3 povm pools of bench/povm.py POOL = 32 inputs and the edges
+N_ENGINE = len(compare_src.ENGINES) * (3 * 32 + compare_src.ENGINE_EDGES)
 
 
 def test_src_against_itself_is_identical():
@@ -33,6 +35,8 @@ def test_src_against_itself_is_identical():
     assert "differing chain calls by input tag, each under every tag it has: none; untagged: 0" in run.stdout
     assert "worst difference where both return: 0 eps*max|entry|" in run.stdout
     assert "record attributes on one side only, not compared: none" in run.stdout
+    assert (f"engine calls (povm pools of seeds 1, 2, 3 and 8 edge cases): {N_ENGINE} identical, 0 differing "
+            "(bit for bit); differing by function: none") in run.stdout
     n_pool = 3 * 25  # bench/cli_calls.py ROUND_SIZE calls per seed
     assert f"cli pool calls (seeds 1, 2, 3): {n_pool} identical, 0 differing" in run.stdout
     n_malformed = 3 * len(compare_src.CORPUS) + 2
@@ -48,7 +52,8 @@ def test_src_against_itself_is_identical():
 def test_a_moved_tally_is_named_by_its_path(tmp_path):
     """A change that reverses every tally moves only the simulate calls, and
     only at outcomes[i].tally: each such call is listed with its paths, and the
-    summary counts them as outcomes[*].tally."""
+    summary counts them as outcomes[*].tally. In the engine group it moves
+    scenario1_sample alone, on every input whose tallies are not a palindrome."""
     change = tmp_path / "src"
     shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
     sim = change / "qubitcone" / "sim.py"
@@ -60,13 +65,40 @@ def test_a_moved_tally_is_named_by_its_path(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     moved = [line for line in run.stdout.splitlines() if line.startswith("paths differ: ")]
     simulate_calls = [line for line in moved if " simulate" in line]
-    assert moved == simulate_calls and len(moved) == 2 + 3 * 3  # 2 golden, 3 per pool seed
+    assert moved == simulate_calls and len(moved) == 3 + 3 * 3  # 3 golden, 3 per pool seed
     for line in moved:
-        assert set(line.split(": ", 2)[2].split(", ")) <= {f"outcomes[{i}].tally" for i in range(4)}, line
+        assert set(line.split(": ", 2)[2].split(", ")) <= {f"outcomes[{i}].tally" for i in range(16)}, line
+    # all 96 pool inputs, n = MAX_SAMPLES and the exact zero; n = 0 draws only zeros, the rest raise
+    engine = next(line for line in run.stdout.splitlines() if line.startswith("engine calls"))
+    assert engine.endswith(f"{N_ENGINE - 98} identical, 98 differing (bit for bit); "
+                           "differing by function: scenario1_sample 98"), engine
     summary = next(line for line in run.stdout.splitlines() if line.startswith("stdout paths that differ"))
     assert summary.startswith(f"stdout paths that differ, over the {len(moved)} differing CLI calls")
     values = sum(line.count(".tally") for line in moved)
     assert summary.endswith(f"outcomes[*].tally in {len(moved)} calls ({values} values)")
+
+
+def test_the_engine_group_reaches_its_edges(monkeypatch):
+    """The engine group runs every povm pool input through all four engines, and its
+    edge cases reach what they are named for: an outcome of probability exactly 0
+    that is never drawn, n = 0 and n = MAX_SAMPLES drawn in full, a count above it
+    refused, scaled elements refused by completeness and a scaled state reported."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # engine_cases puts bench/ first
+    records = {rec["id"]: rec for rec in compare_src.engine_records()}
+    assert len(records) == N_ENGINE
+    assert not [rec for ident, rec in records.items() if ident.startswith("engine pool") and "ok" not in rec]
+    assert not [rec for rec in records.values() if rec["warnings"]]
+    zero = records["engine probability exactly 0: scenario1_sample"]["ok"][0]
+    assert zero[:7] == [0, 0.0, 0, 0.0, 0.0, 0.0, 0.0], zero  # index, probability, tally, post vector
+    for n in (0, compare_src.MAX_SAMPLES):
+        tallies = records[f"engine n = {n}: scenario1_sample"]["ok"][0][2::23]  # 23 numbers per outcome
+        assert len(tallies) == 16 and sum(tallies) == n, tallies
+    assert records["engine n = 9223372036854775808: scenario1_sample"]["raised"].startswith("TooLarge: ")
+    for s in ("1e+150", "1e-150"):
+        assert "ok" in records[f"engine elements x {s}: measurement"]
+        assert records[f"engine elements x {s}: report_invariants"]["raised"].startswith("InvalidMeasurement: ")
+        assert "ok" in records[f"engine state x {s}: report_invariants"]
+        assert records[f"engine state x {s}: scenario1_sample"]["raised"].startswith("NotNormalized: ")
 
 
 def test_json_paths_name_each_differing_value():

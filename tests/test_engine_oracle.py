@@ -5,7 +5,10 @@ eigenvalues, the trace from np.trace), forms phi(rho) again, builds each
 report row by a dict comprehension over per-key columns with one Minkowski
 product per quantity, takes tallies as one multinomial draw over the live
 cells (the sampler's rule since it replaced the sorted count of n uniform
-draws), and builds outcomes one by one. The engines validate
+draws), forms information values with its own copy of correspond._information
+as it was written with np.full_like (and stacks with np.vstack), so that the
+engines' ufunc forms are checked against numpy's helpers, and builds outcomes
+one by one. The engines validate
 phi(rho) once and form each quantity once; every result must equal the
 oracle's exactly, bit for bit, signed zeros and absent (None) values
 included, and every state the oracle rejects must be rejected with the same
@@ -20,13 +23,13 @@ from hypothesis import strategies as st
 from qubitcone.adjoint import _psi
 from qubitcone.conemap import _HALF_ETA, _minkowski
 from qubitcone.correspond import (
-    _information,
     apply_element,
     measurement,
     prop2_invariants,
     require_valid,
 )
 from qubitcone.errors import MalformedInput, NotNormalized, NotPositive, NotTimelike
+from qubitcone.lorentz import _is_null
 from qubitcone.qmat import _coords, _from_coords, _gram, mat2
 from qubitcone.sim import (
     ZERO_PROB,
@@ -96,6 +99,15 @@ def oracle_boosted(meas, rho, obs):
     return ((w[:, 0] - w[:, 1:] @ v) / denom).tolist()
 
 
+@np.errstate(all="ignore")
+def oracle_information(vecs):
+    t = vecs[..., 0]
+    live = (t > 0) & ~_is_null(np.hypot(np.hypot(vecs[..., 1], vecs[..., 2]), vecs[..., 3]) / t)
+    k = np.frexp(t)[1]
+    w = np.ldexp(vecs, -k[..., None])
+    return 2 * k + np.log2(_minkowski(w, w), out=np.full_like(t, np.nan), where=live)
+
+
 def oracle_numbers(x):
     return [None if math.isnan(v) else v for v in np.atleast_1d(x).tolist()]
 
@@ -110,7 +122,7 @@ def oracle_report(meas, rho):
     eta_vv = _minkowski(v_vecs, v_vecs)
     probs, posts = oracle_outcomes(meas, rho_vec)
     mix_after = _minkowski(posts, posts)
-    info = _information(np.vstack([v_vecs, posts, rho_vec]))
+    info = oracle_information(np.vstack([v_vecs, posts, rho_vec]))
     info_effect, info_post, info_rho = info[: len(posts)], info[len(posts) : -1], info[-1]
     columns = {
         "probability": probs.tolist(),

@@ -12,6 +12,7 @@ from conftest import directions, rand_restricted, rand_rotation4, rand_timelike,
 from qubitcone.adjoint import psi
 from qubitcone.cli import main
 from qubitcone.conemap import ETA
+from qubitcone.correspond import element_to_lorentz
 from qubitcone.errors import (
     BadAxis,
     MalformedInput,
@@ -19,6 +20,7 @@ from qubitcone.errors import (
     NotNull,
     NotRestricted,
     NotTimelike,
+    TooLarge,
 )
 from qubitcone.lorentz import (
     NULL,
@@ -40,6 +42,7 @@ from qubitcone.lorentz import (
     su2_from_axis_angle,
     velocity,
 )
+from qubitcone.qmat import TOL, _finite
 
 I4 = np.eye(4)
 # the round-off of the norm of a normalised vector
@@ -53,6 +56,74 @@ def test_velocity_classification():
     with pytest.raises(NotTimelike):
         velocity([0, 0, 1.5])
     assert velocity([0, 0, 1 - 1e-10]).kind == NULL  # within TOL_V of 1, as _is_null reads it
+
+
+def norm_velocity(v) -> Velocity:
+    """velocity as it was written with np.linalg.norm, kept as the oracle of its norm."""
+    arr = _finite(v, (3,), float, "3-vector")
+    with np.errstate(over="ignore"):
+        s = float(np.linalg.norm(arr))
+    if s > 1 + TOL_V:
+        raise NotTimelike(f"|v| = {s} is superluminal")
+    return Velocity(v=arr / s, kind=NULL) if _is_null(s) else Velocity(v=arr, kind=TIMELIKE)
+
+
+def norm_su2(axis, theta: float) -> np.ndarray:
+    """su2_from_axis_angle as it was written with np.linalg.norm, for a finite theta."""
+    axis = _finite(axis, (3,), float, "3-vector")
+    n = float(np.linalg.norm(axis))
+    if abs(n - 1) > TOL:
+        raise BadAxis(f"axis norm {n} is not 1 within tolerance")
+    x, y, z = (axis / n).tolist()
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[complex(c, -s * z), complex(-s * y, -s * x)],
+                     [complex(s * y, -s * x), complex(c, s * z)]])
+
+
+def outcome(fn, *args):
+    """What fn returns, as bits, or the type and message of what it raises, with every
+    warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = fn(*args)
+        except Exception as exc:  # noqa: BLE001 - compared as type and message
+            return type(exc).__name__, str(exc)
+    return (out.kind, out.v.dtype.str, out.v.tobytes()) if isinstance(out, Velocity) else (out.dtype.str, out.tobytes())
+
+
+def scaled(direction: list, exponent: float, unit: bool) -> np.ndarray:
+    """direction times 10^exponent, first normalised when unit is set and it is not 0."""
+    d, n = np.array(direction), math.hypot(*direction)
+    return (d / n if unit and n else d) * 10.0**exponent
+
+
+# scales 1e-160 to 1e160, and speeds within about 2.3e-8 of 1, the null band included
+vectors = st.builds(scaled, st.lists(st.floats(-1, 1), min_size=3, max_size=3),
+                    st.one_of(st.floats(-160, 160), st.floats(-1e-8, 1e-8)), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=vectors, theta=st.floats(-10, 10))
+@example(v=np.array([5e-324, -1e-310, 0.0]), theta=0.5)  # subnormal
+@example(v=np.array([0.0, 0.0, 1 - TOL_V]), theta=0.5)  # |v| exactly 1 - TOL_V
+@example(v=np.array([2e154, 0.0, 1e154]), theta=0.5)  # v . v overflows
+def test_norm_is_numpys_norm_bit_for_bit(v, theta):
+    """velocity and su2_from_axis_angle take the norm as math.sqrt(v.dot(v)): the same
+    kind, returned bits, exception and message (warnings included) as np.linalg.norm."""
+    assert outcome(velocity, v) == outcome(norm_velocity, v)
+    assert outcome(su2_from_axis_angle, v, theta) == outcome(norm_su2, v, theta)
+
+
+def test_norm_edges():
+    """A subnormal velocity is timelike, one of speed exactly 1 - TOL_V null, and one
+    whose v . v overflows superluminal, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert velocity([5e-324, -1e-310, 0.0]).kind == TIMELIKE
+        assert velocity([0.0, 0.0, 1 - TOL_V]).kind == NULL
+        with pytest.raises(NotTimelike, match=r"^\|v\| = inf is superluminal$"):
+            velocity([2e154, 0.0, 1e154])
 
 
 def test_normalised_vectors_read_as_null():
@@ -239,6 +310,23 @@ def test_decompose_null_product():
         assert d.scale == pytest.approx(s, abs=1e-9)
         recon = d.scale * d.rotation @ null_boost_rescaled(d.velocity)
         assert np.max(np.abs(recon - L)) < 1e-9
+
+
+def test_decompose_raises_where_the_effect_overflows():
+    """e_vec[0] = 2 L_00 of L = x I: decompose raises TooLarge once it overflows, as
+    element_to_lorentz does on the element whose effect overflows the same way, and
+    returns a finite e_vec at the largest x below that edge."""
+    edge = np.finfo(float).max / 2
+    for L in (1e308 * I4, np.nextafter(edge, np.inf) * I4):
+        with pytest.raises(TooLarge, match="an element's effect M†M overflows"):
+            decompose(L)
+    with pytest.raises(TooLarge, match="an element's effect M†M overflows"):
+        element_to_lorentz(1e154 * np.eye(2))
+    d = decompose(edge * I4)
+    assert d.e_vec[0] == pytest.approx(2 * edge, rel=4 * np.finfo(float).eps) and not d.e_vec[1:].any()
+    assert d.velocity.kind == TIMELIKE and not d.velocity.v.any()
+    assert d.scale == pytest.approx(edge, rel=4 * np.finfo(float).eps)
+    assert np.array_equal(d.rotation, I4)
 
 
 def test_decompose_rejects_other():

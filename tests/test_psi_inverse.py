@@ -15,7 +15,7 @@ from conftest import CORNERS, directions, rand_element, rand_null_element, rand_
 from qubitcone import lorentz
 from qubitcone.adjoint import _preimage, _psi, psi
 from qubitcone.correspond import element_to_lorentz, lambda_max, lorentz_to_element
-from qubitcone.errors import NotDecomposable, NotRestricted
+from qubitcone.errors import NotDecomposable, NotRestricted, TooLarge
 from qubitcone.lorentz import (
     NULL,
     OTHER,
@@ -374,7 +374,9 @@ def test_classify_and_decompose_near_the_float_limit(top):
     """L = psi(U diag(1, r) V) scaled to max|L| = top, r = 0 or log-uniform in
     [1e-3, 1]: the psi residual is formed without overflow, so every L keeps
     its class, with no warning, and decompose returns top times the scale of
-    L / top, within 8 eps max|L|."""
+    L / top, within 8 eps max|L|, unless its e_vec[0] = 2 L_00 = 2 top overflows:
+    then it raises TooLarge, as element_to_lorentz does on such an element."""
+    overflows = math.isinf(2 * top)
     rng = np.random.default_rng(37)
     for i in range(200):
         u, v = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(2))
@@ -384,9 +386,14 @@ def test_classify_and_decompose_near_the_float_limit(top):
         L = unit_L * top
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kind, d = classify(L), decompose(L)
+            kind = classify(L)
+            if overflows:
+                with pytest.raises(TooLarge, match="an element's effect M†M overflows"):
+                    decompose(L)
+            else:
+                d = decompose(L)
         assert kind == (RESCALED_NULL_BOOST_PRODUCT if r == 0 else RESCALED_RESTRICTED)
-        assert abs(d.scale / top - decompose(unit_L).scale) <= 8 * EPS
+        assert overflows or abs(d.scale / top - decompose(unit_L).scale) <= 8 * EPS
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, math.nan)])

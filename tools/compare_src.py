@@ -26,6 +26,13 @@ read line by line. Both sides get the same inputs:
   one side only is not compared, and the report counts it per call. A call
   that raises gives its exception type and message, and the warnings it
   emits are kept too;
+- the engine group: each input of the `povm` benchmark pools of seeds 1 to 3
+  (`bench/povm.py`) as that workload runs it, then ENGINE_EDGES edge cases:
+  the elements or the state scaled by 1e150 and 1e-150, an outcome of
+  probability exactly 0, and n = 0, MAX_SAMPLES and MAX_SAMPLES + 1; each
+  through `measurement`, `scenario1_sample`, `boosted_probabilities` (for the
+  `observer_boost` of the input's velocity) and `report_invariants`, a
+  Measurement compared by its elements, deviation and transforms;
 - the `cli` benchmark pools of seeds 1 to 3 (`bench/cli_calls.py`), run
   through `qubitcone.cli.main` in-process: the exit code, stdout and stderr;
 - a corpus of mostly malformed input files (CORPUS: ragged nesting, leaves that
@@ -38,12 +45,13 @@ read line by line. Both sides get the same inputs:
   option values: the exit code, stdout and stderr.
 
 A call is identical when every number has the same bits and every string and
-warning is equal. The report gives the identical and differing counts, and the
-worst difference of a number in units of eps * max|entry| of that call's
-parent result. On the malformed corpus a call differs when its exit code or
-stdout does; each stderr difference there is listed, since an error message
-may be reworded. For each differing CLI call whose stdout is JSON on both
-sides, the report names the paths whose values differ, such as
+warning is equal; so the engine group compares its arrays bit for bit. The
+report gives the identical and differing counts, the engine group's also per
+function, and the worst difference of a number in units of eps * max|entry| of
+that call's parent result. On the malformed corpus a call differs when its
+exit code or stdout does; each stderr difference there is listed, since an
+error message may be reworded. For each differing CLI call whose stdout is
+JSON on both sides, the report names the paths whose values differ, such as
 `outcomes[2].tally`, and the summary counts the calls and values per path with
 its indices as `[*]`. The exit status is 0 when nothing differs, else 1. The
 run takes a few seconds per 10,000 calls on each side.
@@ -71,11 +79,14 @@ MEASUREMENT = ROOT / "tests" / "data" / "measurement.json"
 POOL_SEEDS = (1, 2, 3)
 EPS = 2.0**-52
 TOL_V = 1e-9  # qubitcone.lorentz.TOL_V, which the inputs are drawn without importing
+MAX_SAMPLES = 2**63 - 1  # qubitcone.sim.MAX_SAMPLES, likewise
 CALLS = ("element_to_lorentz", "polar_decompose", "lorentz_to_element", "spinor_lift", "decompose",
          "classify", "rotation_axis_angle")
 # The attributes of a record that are compared, where present, in this order;
-# v and kind are those of a Velocity.
-ATTRIBUTES = ("e_vec", "v_vec", "velocity", "v", "scale", "rotation", "kind")
+# v and kind are those of a Velocity, the last three those of a Measurement.
+ATTRIBUTES = ("e_vec", "v_vec", "velocity", "v", "scale", "rotation", "kind", "elements", "deviation", "transforms")
+ENGINES = ("measurement", "scenario1_sample", "boosted_probabilities", "report_invariants")
+ENGINE_EDGES = 8  # the cases engine_cases adds after the povm pools
 
 
 def attributes(obj) -> dict | None:
@@ -97,13 +108,15 @@ def groups(obj) -> list:
 
 
 def leaves(obj) -> list:
-    """The numbers and strings of an array, sequence or scalar, in order,
-    complex numbers as two floats."""
+    """The numbers and strings of an array, sequence, dict (keys and values) or
+    scalar, in order, complex numbers as two floats and ints exact."""
     if hasattr(obj, "tolist"):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [x for item in obj for x in leaves(item)]
-    if isinstance(obj, (str, bool)) or obj is None:
+    if isinstance(obj, dict):
+        return [x for key, value in obj.items() for x in [key, *leaves(value)]]
+    if isinstance(obj, (str, int)) or obj is None:  # bool is an int
         return [obj]
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
@@ -148,6 +161,45 @@ def pool_records(main):
     for seed in POOL_SEEDS:
         for i, case in enumerate(cli_calls.pool(seed, ".")):
             yield cli_record(main, f"pool {seed} #{i} {case['cmd']}", case["argv"])
+
+
+def engine_cases() -> list:
+    """(name, elements, rho, v, seed, n) of the engine group: the povm pool inputs, then
+    ENGINE_EDGES edge cases, all but the projective one built on the first input."""
+    import numpy as np
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    import povm
+
+    cases = [(f"pool {seed} #{i}", inp["elements"], inp["rho"], inp["v"], inp["seed"], povm.N_SAMPLES)
+             for seed in POOL_SEEDS for i, inp in enumerate(povm.pool(seed))]
+    _, elements, rho, v, seed, n = cases[0]
+    for s in (1e150, 1e-150):
+        cases += [(f"elements x {s:g}", [s * m for m in elements], rho, v, seed, n),
+                  (f"state x {s:g}", elements, s * rho, v, seed, n)]
+    cases += [(f"n = {k}", elements, rho, v, seed, k) for k in (0, MAX_SAMPLES, MAX_SAMPLES + 1)]
+    cases.append(("probability exactly 0", [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.diag([0.0, 1.0]), v, seed, n))
+    assert len(cases) == len(POOL_SEEDS) * povm.POOL + ENGINE_EDGES
+    return cases
+
+
+def engine_records():
+    """Each engine_cases input through the ENGINES, from the qubitcone on the import path;
+    a measurement that raises is recorded and its engines are not run."""
+    from qubitcone.correspond import measurement
+    from qubitcone.sim import boosted_probabilities, observer_boost, report_invariants, scenario1_sample
+
+    for name, elements, rho, v, seed, n in engine_cases():
+        built = record(lambda: measurement(elements))
+        yield {"id": f"engine {name}: measurement", **built}
+        if "raised" in built:
+            continue
+        meas = measurement(elements)
+        results = (lambda: scenario1_sample(meas, rho, seed, n),
+                   lambda: boosted_probabilities(meas, rho, observer_boost(v)),
+                   lambda: report_invariants(meas, rho))
+        for engine, thunk in zip(ENGINES[1:], results):
+            yield {"id": f"engine {name}: {engine}", **record(thunk)}
 
 
 def _pairs(leaf: str = "0") -> str:
@@ -377,6 +429,8 @@ def worker(src: str, calls: int, seed: int) -> None:
     for i, (name, tag, raw) in enumerate(chain_inputs(calls, seed)):
         ident = f"{name} #{i}" + (f" [{tag}]" if tag else "")
         print(json.dumps({"id": ident, **record(lambda: functions[name](raw))}))
+    for rec in engine_records():
+        print(json.dumps(rec))
     with tempfile.TemporaryDirectory() as workdir:  # the same relative paths on both sides
         os.chdir(workdir)
         for rec in pool_records(main):
@@ -428,9 +482,9 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     sides = [subprocess.Popen([sys.executable, __file__, "--worker", src, str(calls), str(seed)], stdout=subprocess.PIPE,
                               text=True, env=env, cwd=ROOT) for src in (parent_src, change_src)]
-    tally = {"golden": [0, 0], "calls": [0, 0], "pool": [0, 0], "malformed": [0, 0], "fuzz": [0, 0]}
+    tally = {"golden": [0, 0], "calls": [0, 0], "engine": [0, 0], "pool": [0, 0], "malformed": [0, 0], "fuzz": [0, 0]}
     raised, outcome_differs, worst, worst_id, shown, stderr_differs = 0, 0, 0.0, None, [], []
-    moved, path_calls, path_values, tags, one_side = [], Counter(), Counter(), Counter(), Counter()
+    moved, path_calls, path_values, tags, one_side, engines = [], Counter(), Counter(), Counter(), Counter(), Counter()
     a = b = {"id": None}
     for line_a, line_b in zip(*(p.stdout for p in sides)):
         a, b = json.loads(line_a), json.loads(line_b)
@@ -457,7 +511,9 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
                 worst, worst_id = max((worst, worst_id), (gap, a["id"]))
             else:
                 outcome_differs += 1
-        paths = None if group == "calls" or same else stdout_paths(a, b)
+        if group == "engine" and not same:
+            engines[a["id"].rsplit(": ", 1)[1]] += 1
+        paths = None if group in ("calls", "engine") or same else stdout_paths(a, b)
         if paths is not None:
             moved.append((a["id"], paths))
             general = Counter(re.sub(r"\[\d+\]", "[*]", p) for p in paths)
@@ -483,6 +539,9 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
     print(f"record attributes on one side only, not compared: {len(one_side) or 'none'}")
     for (call, name, side), count in sorted(one_side.items()):
         print(f"record attribute on the {side} side only: {call}.{name}, in {count} calls")
+    print(f"engine calls (povm pools of seeds {', '.join(map(str, POOL_SEEDS))} and {ENGINE_EDGES} edge cases): "
+          f"{tally['engine'][0]} identical, {tally['engine'][1]} differing (bit for bit); differing by function: "
+          + (", ".join(f"{engine} {engines[engine]}" for engine in ENGINES if engines[engine]) or "none"))
     print(f"cli pool calls (seeds {', '.join(map(str, POOL_SEEDS))}): {tally['pool'][0]} identical, "
           f"{tally['pool'][1]} differing (exit code, stdout and stderr)")
     print(f"malformed corpus calls: {tally['malformed'][0]} identical, {tally['malformed'][1]} differing "
