@@ -248,7 +248,8 @@ def su2_from_axis_angle(axis, theta: float) -> np.ndarray:
     """cos(theta/2) I - i sin(theta/2) (axis . sigma), a special unitary, about
     an axis of norm 1 within TOL (normalised; else BadAxis)."""
     axis = _finite(axis, (3,), float, "3-vector")
-    n = math.sqrt(axis.dot(axis))  # np.linalg.norm, as in velocity
+    with np.errstate(over="ignore"):  # a norm beyond the float range reads inf: BadAxis
+        n = math.sqrt(axis.dot(axis))  # np.linalg.norm, as in velocity
     if abs(n - 1) > TOL:
         raise BadAxis(f"axis norm {n} is not 1 within tolerance")
     x, y, z = (axis / n).tolist()

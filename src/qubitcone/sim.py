@@ -11,12 +11,14 @@ returns, and boosted_probabilities checks it there.
 Sampling is an inverse CDF over the element index in listed order, taken in
 distribution: one multinomial draw of n, from a numpy PCG64 generator seeded
 with the caller's 64-bit seed, over the cells between the cumulative
-probabilities of the live bins (p > ZERO_PROB), capped at 1, the last cell
-ending at 1. So a dead bin's mass goes to the next live bin and the mass past
-the last live edge to the last live bin; the tallies are bit-reproducible for
-a seed and numpy version, and cost O(K) for any n up to MAX_SAMPLES. Both
-scenario1_sample and report_invariants report the post vector of a
-probability at most ZERO_PROB Tr(rho) as 0.
+probabilities of the live bins, capped at 1, the last cell ending at 1. So a
+dead bin's mass goes to the next live bin and the mass past the last live
+edge to the last live bin; the tallies are bit-reproducible for a seed and
+numpy version, and cost O(K) for any n up to MAX_SAMPLES. An outcome is dead
+when its probability lies within the round-off bound of its own computation,
+which scales with Tr(M†M) Tr(rho) (_outcomes); _outcomes forms that mask once
+per call, and both scenario1_sample and report_invariants report the post
+vector of a dead outcome as 0.
 """
 from __future__ import annotations
 
@@ -30,10 +32,6 @@ from .correspond import Measurement, _information, _state_vector, require_valid
 from .errors import NotTimelike, TooLarge
 from .lorentz import TIMELIKE, Velocity, velocity
 from .qmat import mat2
-
-# Outcomes at or below this probability are never sampled and their post
-# state is reported as the zero vector (exact arithmetic gives M rho M† = 0).
-ZERO_PROB = 1e-15
 
 # The largest count numpy's multinomial takes (int64): scenario1_sample refuses
 # a larger one with TooLarge before drawing.
@@ -58,17 +56,36 @@ def observer_boost(v) -> Velocity:
     return vel
 
 
-def _outcomes(meas: Measurement, rho_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and post vectors psi(M) phi(rho); the post vector of a
-    probability at most ZERO_PROB Tr(rho) is 0."""
+def _outcomes(meas: Measurement, rho_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probabilities p, post vectors psi(M) phi(rho) and the live mask p > cut, with the
+    post vector of a dead outcome 0: the cut bounds the round-off of p = psi(M)_0 . phi(rho).
+
+    Write u = 2^-53, eps = 2u, e0 = Tr(M†M) = 2 psi(M)_00 and rho0 = Tr(rho). Row 0 of psi(M)
+    is phi(M†M) / 2 and phi(rho) lies in the cone, so sum |psi(M)_0nu rho_nu| <= e0 rho0
+    (|psi(M)_0,1:| <= psi(M)_00, |rho_1:| <= rho0, Cauchy-Schwarz). Three roundings reach p:
+    - the 4-term dot product, 4 roundings on each path: at most 4u e0 rho0 = 2 eps e0 rho0;
+    - row 0 of psi(M): each entry sums 4 terms (1/2) Re or Im of a_ij conj(a_kl), of total
+      size at most psi(M)_00, 5 roundings on each path: 5u psi(M)_00 per entry, and at
+      most 5u psi(M)_00 (1 + sqrt 3) rho0 < 3.42 eps e0 rho0 in p;
+    - phi(rho), whose rho0 and rho3 each add two entries: at most u (psi(M)_00 + |psi(M)_03|)
+      rho0 <= eps e0 rho0 / 2 in p.
+    Together 5.92 eps e0 rho0, so c = 6. Below the normal range a product rounds to within
+    tiny / 2 absolute instead, tiny = 2^-1074 the smallest subnormal: each psi(M)_0nu
+    carries 4 tiny, 4 (1 + sqrt 3) tiny rho0 < 11 tiny rho0 in p, and the dot product's
+    4 products 2 tiny. So cut = (6 eps e0 + 11 tiny) rho0 + 2 tiny: a probability exactly
+    0 is dead, and a live one cannot be round-off of 0."""
     posts = meas.transforms @ rho_vec
-    return posts[:, 0], np.where(posts[:, :1] > ZERO_PROB * rho_vec[0], posts, 0.0)
+    probs = posts[:, 0]
+    eps, tiny, rho0 = 2.0**-52, 2.0**-1074, float(rho_vec[0])
+    live = probs > meas.transforms[:, 0, 0] * (6 * eps * 2 * rho0) + (11 * tiny * rho0 + 2 * tiny)
+    return probs, np.where(live[:, None], posts, 0.0), live
 
 
-def _tallies(probs: np.ndarray, seed: int, n: int) -> np.ndarray:
-    """Counts of n inverse-CDF draws over probs, some above ZERO_PROB, 0 <= n <= MAX_SAMPLES:
-    one multinomial draw over the live cells, each from the previous live edge to its own."""
-    live = (probs > ZERO_PROB).nonzero()[0]
+def _tallies(probs: np.ndarray, live: np.ndarray, seed: int, n: int) -> np.ndarray:
+    """Counts of n inverse-CDF draws over probs, 0 <= n <= MAX_SAMPLES, with live the
+    _outcomes mask, some bin live: one multinomial draw over the live cells, each from
+    the previous live edge to its own."""
+    live = live.nonzero()[0]
     edges = np.minimum(probs.cumsum()[live], 1.0)
     edges[-1] = 1.0
     tallies = np.zeros(len(probs), dtype=int)
@@ -86,9 +103,9 @@ def scenario1_sample(meas: Measurement, rho, seed: int, n: int) -> list[Scenario
         raise ValueError("sample count must be non-negative")
     if n > MAX_SAMPLES:
         raise TooLarge(f"cannot draw {n} samples: at most {MAX_SAMPLES} are drawn")
-    probs, post_vecs = _outcomes(meas, rho_vec)
+    probs, post_vecs, live = _outcomes(meas, rho_vec)
     probs = np.maximum(probs, 0.0)
-    tallies = _tallies(probs, seed, n).tolist()
+    tallies = _tallies(probs, live, seed, n).tolist()
     columns = zip(range(len(tallies)), probs.tolist(), tallies, post_vecs, meas.transforms)
     return list(map(ScenarioOutcome._make, columns))
 
@@ -125,7 +142,7 @@ def report_invariants(meas: Measurement, rho) -> dict:
     k = len(meas.transforms)
     e_vecs = 2 * meas.transforms[:, 0]  # row 0 of psi(M) is phi(M†M) / 2
     v_vecs = e_vecs * _HALF_ETA
-    probs, posts = _outcomes(meas, rho_vec)
+    probs, posts, _ = _outcomes(meas, rho_vec)
     stack = np.concatenate((v_vecs, posts, rho_vec[None]))
     norms = _minkowski(stack, stack).tolist()
     info = _information(stack)

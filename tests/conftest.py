@@ -122,3 +122,12 @@ def unit(polar, azimuth):
 directions = st.builds(
     unit, st.floats(min_value=0, max_value=math.pi), st.floats(min_value=0, max_value=2 * math.pi)
 )
+
+
+def dead_cut(e0, rho0):
+    """The probability at or below which the engines read an outcome as dead, written
+    out from sim._outcomes's derivation: 6 eps e0 rho0 bounds the round-off of
+    p = psi(M)_0 . phi(rho) for an effect of trace e0 and a state of trace rho0, and
+    11 tiny rho0 + 2 tiny, tiny the smallest subnormal, its round-off below the normal range."""
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    return 6 * eps * e0 * rho0 + 11 * tiny * rho0 + 2 * tiny

@@ -7,9 +7,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dead_cut
 from qubitcone.correspond import apply_element, measurement
 from qubitcone.sim import (
-    ZERO_PROB,
     boosted_probabilities,
     observer_boost,
     report_invariants,
@@ -72,7 +72,7 @@ def test_engines_against_the_2x2_products(k, scale, pure, seed):
     rho = state(elements[0], pure and k > 1, rng)
     e_vecs, probs, _, posts = oracle(elements, rho)
 
-    live = (probs > ZERO_PROB)[:, None]
+    live = (probs > dead_cut(e_vecs[:, 0], 1.0))[:, None]
     outcomes = scenario1_sample(meas, rho, seed=seed, n=100)
     assert close([o.probability for o in outcomes], np.maximum(probs, 0))
     assert close([o.post_vector for o in outcomes], np.where(live, posts, 0))

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dead_cut
 from qubitcone.adjoint import _psi
 from qubitcone.conemap import _HALF_ETA, _minkowski
 from qubitcone.correspond import (
@@ -32,7 +33,6 @@ from qubitcone.errors import MalformedInput, NotNormalized, NotPositive, NotTime
 from qubitcone.lorentz import _is_null
 from qubitcone.qmat import _coords, _from_coords, _gram, mat2
 from qubitcone.sim import (
-    ZERO_PROB,
     boosted_probabilities,
     observer_boost,
     report_invariants,
@@ -65,11 +65,12 @@ def oracle_checked_state(rho, require_unit_trace):
 
 def oracle_outcomes(meas, rho_vec):
     posts = meas.transforms @ rho_vec
-    return posts[:, 0], np.where(posts[:, :1] > ZERO_PROB * rho_vec[0], posts, 0.0)
+    live = posts[:, 0] > dead_cut(2 * meas.transforms[:, 0, 0], rho_vec[0])
+    return posts[:, 0], np.where(live[:, None], posts, 0.0), live
 
 
-def oracle_tallies(probs, seed, n):
-    live = np.flatnonzero(probs > ZERO_PROB)
+def oracle_tallies(probs, live, seed, n):
+    live = np.flatnonzero(live)
     edges = np.append(np.minimum(np.cumsum(probs)[live[:-1]], 1.0), 1.0)
     tallies = np.zeros(len(probs), dtype=int)
     tallies[live] = np.random.default_rng(np.random.SeedSequence(int(seed))).multinomial(n, np.diff(edges, prepend=0))
@@ -81,9 +82,9 @@ def oracle_sample(meas, rho, seed, n):
     rho = oracle_checked_state(rho, require_unit_trace=True)
     if n < 0:
         raise ValueError("sample count must be non-negative")
-    probs, post_vecs = oracle_outcomes(meas, _coords(rho))
+    probs, post_vecs, live = oracle_outcomes(meas, _coords(rho))
     probs = np.maximum(probs, 0.0)
-    columns = zip(probs.tolist(), oracle_tallies(probs, seed, n).tolist(), post_vecs, meas.transforms)
+    columns = zip(probs.tolist(), oracle_tallies(probs, live, seed, n).tolist(), post_vecs, meas.transforms)
     return [(i, *column) for i, column in enumerate(columns)]
 
 
@@ -120,7 +121,7 @@ def oracle_report(meas, rho):
     e_vecs = 2 * meas.transforms[:, 0]
     v_vecs = e_vecs * _HALF_ETA
     eta_vv = _minkowski(v_vecs, v_vecs)
-    probs, posts = oracle_outcomes(meas, rho_vec)
+    probs, posts, _ = oracle_outcomes(meas, rho_vec)
     mix_after = _minkowski(posts, posts)
     info = oracle_information(np.vstack([v_vecs, posts, rho_vec]))
     info_effect, info_post, info_rho = info[: len(posts)], info[len(posts) : -1], info[-1]

@@ -69,9 +69,11 @@ def norm_velocity(v) -> Velocity:
 
 
 def norm_su2(axis, theta: float) -> np.ndarray:
-    """su2_from_axis_angle as it was written with np.linalg.norm, for a finite theta."""
+    """su2_from_axis_angle as it was written with np.linalg.norm, for a finite theta,
+    under the errstate that su2_from_axis_angle takes its norm in."""
     axis = _finite(axis, (3,), float, "3-vector")
-    n = float(np.linalg.norm(axis))
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(axis))
     if abs(n - 1) > TOL:
         raise BadAxis(f"axis norm {n} is not 1 within tolerance")
     x, y, z = (axis / n).tolist()
@@ -124,6 +126,17 @@ def test_norm_edges():
         assert velocity([0.0, 0.0, 1 - TOL_V]).kind == NULL
         with pytest.raises(NotTimelike, match=r"^\|v\| = inf is superluminal$"):
             velocity([2e154, 0.0, 1e154])
+
+
+@pytest.mark.parametrize("axis", [[1e200, 0.0, 0.0], [2e154, 0.0, 0.0], [0.0, 2e154, 1e154]])
+def test_an_axis_whose_norm_overflows_is_bad(axis):
+    """An axis whose a . a overflows has norm inf: BadAxis through su2_from_axis_angle
+    and rotation4, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (su2_from_axis_angle, rotation4):
+            with pytest.raises(BadAxis, match=r"^axis norm inf is not 1 within tolerance$"):
+                fn(axis, 0.5)
 
 
 def test_normalised_vectors_read_as_null():

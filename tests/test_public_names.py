@@ -3,9 +3,12 @@ submodules. A name stays when the CLI, an engine or bench/ reaches it, when an
 acceptance test pins it, or when it states a claim of the paper that its
 docstring names. CI prints the count beside the option census
 (tests/test_options.py)."""
+import re
 import types
+from pathlib import Path
 
 import qubitcone
+import test_options
 
 KEPT = {
     # the CLI or a scenario engine calls it (herm2 by its closed form, qmat._herm2,
@@ -38,3 +41,16 @@ def test_only_the_kept_names_are_public():
     assert len(kept) == len(set(kept)) == 42
     assert sorted(census()) == sorted(kept)
     assert set(qubitcone.__all__) - set(census()) == SUBMODULES
+
+
+NUMBERS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten")
+
+
+def test_readme_states_the_census_counts():
+    """README's counts of public names and defaulted options are the two censuses',
+    so that an edit to either census fails here until the README follows."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    names = re.findall(r"exports (\d+) names", text)
+    options = re.findall(r"the (\w+) defaulted options", text)
+    assert names == [str(len(census()))]
+    assert options == [NUMBERS[len(test_options.census())]]

@@ -1,11 +1,13 @@
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_state, unitaries, unitary
+from conftest import dead_cut, rand_state, unitaries, unitary
 from qubitcone import sim
 from qubitcone.adjoint import psi
 from qubitcone.conemap import minkowski, phi
@@ -21,7 +23,6 @@ from qubitcone.errors import (
 from qubitcone.qmat import SIGMA, eigenvalues, sqrt_psd
 from qubitcone.sim import (
     MAX_SAMPLES,
-    ZERO_PROB,
     _tallies,
     boosted_probabilities,
     observer_boost,
@@ -29,6 +30,7 @@ from qubitcone.sim import (
     scenario1_sample,
 )
 
+EPS = np.finfo(float).eps
 I2 = np.eye(2, dtype=complex)
 Z = SIGMA[3]
 PROJ0 = (I2 + Z) / 2
@@ -259,52 +261,115 @@ def test_report_invariants_presence_reads_the_null_rule(scale):
 
 
 def test_report_invariants_zeroes_an_impossible_outcome():
-    """The post vector of an outcome of probability at most ZERO_PROB Tr(rho)
-    is 0, as scenario1_sample reports it, not round-off of M rho M† = 0."""
+    """The post vector of an outcome of probability at most its round-off bound,
+    dead_cut(Tr M†M, Tr rho), is 0, as scenario1_sample reports it, not round-off
+    of M rho M† = 0."""
     rng = np.random.default_rng(18)
     for scale in [1e-150, 1.0, 1e150]:
         for _ in range(100):
             p = haar_projector(rng)
             el = report_invariants(measurement([p, I2 - p]), scale * (I2 - p))["elements"][0]
-            assert abs(el["probability"]) <= ZERO_PROB * scale
+            assert abs(el["probability"]) <= dead_cut(el["e_vec"][0], scale)
             assert el["mixedness_after"] == 0.0 and el["information_post"] is None
 
 
-def inverse_cdf_tallies(probs, seed, n):
+def exact_post(m0, m1, rho):
+    """phi(M rho M†) for M = diag(m0, m1), m0 and m1 real, in exact rational arithmetic
+    on the float entries; its time component is Tr(M†M rho)."""
+    h00, h11 = Fraction(m0) ** 2 * Fraction(rho[0, 0].real), Fraction(m1) ** 2 * Fraction(rho[1, 1].real)
+    h01 = [Fraction(m0) * Fraction(m1) * Fraction(x) for x in (rho[0, 1].real, rho[0, 1].imag)]
+    return [h00 + h11, 2 * h01[0], -2 * h01[1], h00 - h11]
+
+
+def assert_small_outcome(m0, m1, rho, seed):
+    """Outcome 0 of {diag(m0, m1), its complement} on rho against the exact oracle:
+    its post vector within 4 eps of the oracle's largest entry, plus dead_cut(0, 1) =
+    13 tiny (the smallest subnormal) for the round-off below the normal range, so 0
+    only where the oracle is 0; its tally at n = MAX_SAMPLES within 5 sigma of n p;
+    and the mixedness that report_invariants gives it that of its post vector."""
+    meas = measurement([np.diag([m0, m1]), np.diag([math.sqrt(1 - m0 * m0), math.sqrt(1 - m1 * m1)])])
+    out = scenario1_sample(meas, rho, seed=seed, n=MAX_SAMPLES)[0]
+    want = exact_post(m0, m1, rho)
+    bound = 4 * Fraction(EPS) * max(abs(w) for w in want) + Fraction(dead_cut(0.0, 1.0))
+    assert max(abs(Fraction(g) - w) for g, w in zip(out.post_vector.tolist(), want)) <= bound
+    p = float(want[0])
+    assert abs(out.tally - MAX_SAMPLES * p) <= 5 * math.sqrt(MAX_SAMPLES * p * (1 - p))
+    el = report_invariants(meas, rho)["elements"][0]
+    assert el["mixedness_after"] == minkowski(out.post_vector, out.post_vector)
+
+
+@pytest.mark.parametrize("rho", [np.diag([1.0, 0.0]), np.diag([0.7, 0.3])])
+def test_an_outcome_of_a_small_element_is_drawn_and_keeps_its_post_vector(rho):
+    """{1e-8 I, sqrt(1 - 1e-16) I}: outcome 0 has probability 1e-16, half its
+    effect's trace, far above the round-off of 0; it is drawn about 922 times at
+    n = MAX_SAMPLES and its post vector is 1e-16 phi(rho), not 0."""
+    assert_small_outcome(1e-8, 1e-8, rho, seed=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    s=st.floats(-150, 0).map(lambda k: 10.0**k),
+    r=st.just(0.0) | st.floats(0.5, 1),
+    q=st.just(0.0) | st.floats(0.5, 0.99),
+    w=st.tuples(st.floats(0, 1), st.floats(0, 2 * np.pi)),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(s=1.0, r=0.0, q=0.0, w=(0.0, 0.0), seed=1)  # p exactly 0
+@example(s=1e-8, r=1.0, q=0.7, w=(0.5, 1.0), seed=1)  # p = 1e-16
+@example(s=1e-150, r=1.0, q=0.7, w=(0.5, 1.0), seed=1)  # p = 1e-300
+@example(s=1e-160, r=1.0, q=0.7, w=(0.5, 1.0), seed=1)  # p = 1e-320, subnormal
+def test_outcomes_of_small_elements_equal_the_exact_oracle(s, r, q, w, seed):
+    """M = s diag(1, r) at scales s from 1e-150 to 1, on states whose diagonal is
+    (q, 1 - q) and whose coherence is w: p = s^2 (q + r^2 (1 - q)) is known
+    exactly, and it is 0 exactly when r = q = 0, else at least s^2 / 4 = e0 / 8.
+    With q at most 0.99 the complement's probability is 0 or at least 1% of its
+    effect's trace, so no outcome is dead but one of probability exactly 0."""
+    coherence = w[0] * math.sqrt(q * (1 - q)) * complex(math.cos(w[1]), math.sin(w[1]))
+    rho = np.array([[q, coherence], [coherence.conjugate(), 1 - q]])
+    assert_small_outcome(s, s * r, rho, seed)
+
+
+def inverse_cdf_tallies(probs, live, seed, n):
     """Reference sampler: search every draw in the cumulative sums, send
-    draws past the last live bin to it and draws on a dead bin (p <=
-    ZERO_PROB) to the next live bin, then count."""
+    draws past the last live bin to it and draws on a dead bin (live False)
+    to the next live bin, then count."""
     cum = np.cumsum(probs)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     draws = np.searchsorted(cum, rng.random(n), side="right")
-    live = np.flatnonzero(probs > ZERO_PROB)
+    dead = ~live
+    live = np.flatnonzero(live)
     draws = np.minimum(draws, live[-1])
-    bad = probs[draws] <= ZERO_PROB
+    bad = dead[draws]
     draws[bad] = live[np.searchsorted(live, draws[bad])]
     return np.bincount(draws, minlength=len(probs))
 
 
+# the cut of an effect of trace 2, the largest in a complete measurement, on a unit-trace state
+DEAD_MAX = dead_cut(2.0, 1.0)
+
+
 @st.composite
 def distributions(draw):
-    """K = 1..16 probabilities with zero and sub-ZERO_PROB bins anywhere
-    (at least one live bin) and a sum equal to or just below 1."""
+    """K = 1..16 probabilities and their live mask, with dead bins anywhere, of
+    probability 0, 1e-16 or DEAD_MAX (at least one live bin), and a sum equal to
+    or just below 1."""
     k = draw(st.integers(1, 16))
-    kinds = draw(st.lists(st.sampled_from(["live", 0.0, 1e-16, ZERO_PROB]), min_size=k, max_size=k))
+    kinds = draw(st.lists(st.sampled_from(["live", 0.0, 1e-16, DEAD_MAX]), min_size=k, max_size=k))
     kinds[draw(st.integers(0, k - 1))] = "live"
     weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
     live = np.array([kind == "live" for kind in kinds])
     deficit = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 0.05]))
     probs = np.where(live, weights, 0.0) / weights[live].sum() * (1 - deficit)
-    return np.where(live, probs, [0.0 if kind == "live" else kind for kind in kinds])
+    return np.where(live, probs, [0.0 if kind == "live" else kind for kind in kinds]), live
 
 
-def multinomial_tallies(probs, seed, n):
+def multinomial_tallies(probs, live, seed, n):
     """Reference for the sampler's rule, written out bin by bin: a live bin
-    (p > ZERO_PROB) gets the cell from the previous live bin's cumulative
-    probability (0 for the first) to its own, each capped at 1, and the last
-    live bin the cell up to 1; one multinomial draw of n over those cells."""
+    gets the cell from the previous live bin's cumulative probability (0 for
+    the first) to its own, each capped at 1, and the last live bin the cell
+    up to 1; one multinomial draw of n over those cells."""
     cum = np.cumsum(probs)
-    live = [k for k, p in enumerate(probs) if p > ZERO_PROB]
+    live = [k for k, alive in enumerate(live) if alive]
     cells, low = [], 0.0
     for k in live:
         high = 1.0 if k == live[-1] else min(float(cum[k]), 1.0)
@@ -317,10 +382,11 @@ def multinomial_tallies(probs, seed, n):
 
 @settings(max_examples=300, deadline=None)
 @given(distributions(), st.integers(0, 2**64 - 1), st.integers(0, 10_000) | st.integers(0, MAX_SAMPLES))
-def test_tallies_are_one_multinomial_draw_over_the_cells(probs, seed, n):
-    tallies = _tallies(probs, seed, n)
-    assert np.array_equal(tallies, multinomial_tallies(probs, seed, n))
-    assert int(tallies.sum()) == n and not tallies[probs <= ZERO_PROB].any()
+def test_tallies_are_one_multinomial_draw_over_the_cells(dist, seed, n):
+    probs, live = dist
+    tallies = _tallies(probs, live, seed, n)
+    assert np.array_equal(tallies, multinomial_tallies(probs, live, seed, n))
+    assert int(tallies.sum()) == n and not tallies[~live].any()
 
 
 def test_tallies_agree_in_distribution_with_the_inverse_cdf():
@@ -328,15 +394,15 @@ def test_tallies_agree_in_distribution_with_the_inverse_cdf():
     per-draw inverse CDF's within 5 sigma of the difference of the two means,
     sigma^2 = 2 n q (1 - q) / 2000 for the bin's cell q, and each sampler's
     variance with n q (1 - q) within 5 standard errors. K = 16 with a zero bin
-    inside, a 1e-16 bin at the end and a sum of 1 - 1e-3, so the dead-bin and
+    inside, a dead 1e-16 bin at the end and a sum of 1 - 1e-3, so the dead-bin and
     past-the-end rules carry mass."""
     rng = np.random.default_rng(22)
     probs = rng.dirichlet(np.ones(16)) * (1 - 1e-3)
     probs[3], probs[15] = 0.0, 1e-16
+    live = probs > DEAD_MAX
     n, seeds = 10_000, range(2000)
-    ours = np.array([_tallies(probs, seed, n) for seed in seeds])
-    oracle = np.array([inverse_cdf_tallies(probs, seed, n) for seed in seeds])
-    live = probs > ZERO_PROB
+    ours = np.array([_tallies(probs, live, seed, n) for seed in seeds])
+    oracle = np.array([inverse_cdf_tallies(probs, live, seed, n) for seed in seeds])
     q = np.diff(np.append(np.minimum(np.cumsum(probs)[live][:-1], 1), 1), prepend=0)
     var = n * q * (1 - q)
     sigma = np.sqrt(2 * var / len(seeds))
@@ -385,7 +451,7 @@ def test_tallies_make_one_multinomial_call(monkeypatch):
     monkeypatch.setattr(sim.np.random, "default_rng", lambda seq: Counting(np.random.Generator(np.random.PCG64(seq))))
     for n in (0, 2000, 2**32 + 1, MAX_SAMPLES):
         calls.clear()
-        tallies = _tallies(np.array([0.5, 0.0, 0.5]), 7, n)
+        tallies = _tallies(np.array([0.5, 0.0, 0.5]), np.array([True, False, True]), 7, n)
         assert calls == [("multinomial", n, 2)] and int(tallies.sum()) == n
 
 

@@ -29,7 +29,9 @@ read line by line. Both sides get the same inputs:
 - the engine group: each input of the `povm` benchmark pools of seeds 1 to 3
   (`bench/povm.py`) as that workload runs it, then ENGINE_EDGES edge cases:
   the elements or the state scaled by 1e150 and 1e-150, an outcome of
-  probability exactly 0, and n = 0, MAX_SAMPLES and MAX_SAMPLES + 1; each
+  probability exactly 0, n = 0, MAX_SAMPLES and MAX_SAMPLES + 1, and the small
+  elements 1e-8 I and 1e-150 I, of probability 1e-16 and 1e-300 on a pure
+  state, beside their complements, at n = MAX_SAMPLES; each
   through `measurement`, `scenario1_sample`, `boosted_probabilities` (for the
   `observer_boost` of the input's velocity) and `report_invariants`, a
   Measurement compared by its elements, deviation and transforms;
@@ -86,7 +88,7 @@ CALLS = ("element_to_lorentz", "polar_decompose", "lorentz_to_element", "spinor_
 # v and kind are those of a Velocity, the last three those of a Measurement.
 ATTRIBUTES = ("e_vec", "v_vec", "velocity", "v", "scale", "rotation", "kind", "elements", "deviation", "transforms")
 ENGINES = ("measurement", "scenario1_sample", "boosted_probabilities", "report_invariants")
-ENGINE_EDGES = 8  # the cases engine_cases adds after the povm pools
+ENGINE_EDGES = 10  # the cases engine_cases adds after the povm pools
 
 
 def attributes(obj) -> dict | None:
@@ -165,7 +167,8 @@ def pool_records(main):
 
 def engine_cases() -> list:
     """(name, elements, rho, v, seed, n) of the engine group: the povm pool inputs, then
-    ENGINE_EDGES edge cases, all but the projective one built on the first input."""
+    ENGINE_EDGES edge cases, all but the projective and small-element ones built on the
+    first input."""
     import numpy as np
 
     sys.path.insert(0, str(ROOT / "bench"))
@@ -179,6 +182,8 @@ def engine_cases() -> list:
                   (f"state x {s:g}", elements, s * rho, v, seed, n)]
     cases += [(f"n = {k}", elements, rho, v, seed, k) for k in (0, MAX_SAMPLES, MAX_SAMPLES + 1)]
     cases.append(("probability exactly 0", [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.diag([0.0, 1.0]), v, seed, n))
+    cases += [(f"small element {s:g} I", [s * np.eye(2), math.sqrt(1 - s * s) * np.eye(2)], np.diag([1.0, 0.0]), v,
+               seed, MAX_SAMPLES) for s in (1e-8, 1e-150)]
     assert len(cases) == len(POOL_SEEDS) * povm.POOL + ENGINE_EDGES
     return cases
 
