@@ -10,7 +10,7 @@ on the four entries of one A as Python complex numbers, which the
 single-element chain passes. _preimage inverts psi up to the global phase
 psi cannot see: it takes the 16 entries of L / max|L| as Python floats and returns
 the four entries of A as Python complex numbers, which lorentz._unit_det
-and lorentz._factor take as they are.
+and lorentz._core take as they are.
 """
 from __future__ import annotations
 
@@ -107,16 +107,17 @@ def _preimage(unit: list, ell: float) -> list:
     return [a00, m01 * k, m10 * k, complex(a11.real, -a00.imag) if tr else a11]
 
 
-def _boost(v: np.ndarray, g: float) -> np.ndarray:
-    """[[1, -v^T], [-v, g I + v v^T / (1 + g)]]: the pure boost of velocity v
-    divided by its gamma, for g = 1/gamma = sqrt(1 - |v|^2); g = 0 and |v| = 1
-    give its null limit. Every boost matrix of the package is a multiple of this one."""
+def _boost(v: np.ndarray, g: float) -> list:
+    """The 16 row-major entries, as Python floats, of [[1, -v^T], [-v, g I + v v^T / (1 + g)]]:
+    the pure boost of velocity v divided by its gamma, for g = 1/gamma = sqrt(1 - |v|^2);
+    g = 0 and |v| = 1 give its null limit. Every boost matrix of the package is a multiple
+    of this one, formed as one flat array of these floats, scaled first where a caller can."""
     x, y, z = v.tolist()
     k = 1.0 + g
-    return np.array([[1.0, -x, -y, -z],
-                     [-x, g + x * x / k, x * y / k, x * z / k],
-                     [-y, x * y / k, g + y * y / k, y * z / k],
-                     [-z, x * z / k, y * z / k, g + z * z / k]])
+    return [1.0, -x, -y, -z,
+            -x, g + x * x / k, x * y / k, x * z / k,
+            -y, x * y / k, g + y * y / k, y * z / k,
+            -z, x * z / k, y * z / k, g + z * z / k]
 
 
 def psi_of_unitary(u) -> np.ndarray:
@@ -142,4 +143,4 @@ def psi_of_sqrt(e) -> np.ndarray:
         raise TooLarge("Tr(e) overflows")
     if a <= 0:  # positivity leaves e = 0
         return np.zeros((4, 4))
-    return (a / 2) * _boost(-p / a, 2 * _sqrt_det(*c) / a)
+    return (a / 2) * np.array(_boost(-p / a, 2 * _sqrt_det(*c) / a)).reshape(4, 4)

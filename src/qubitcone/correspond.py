@@ -150,14 +150,14 @@ def lorentz_to_element(decomp: LorentzDecomposition, lam: float | None = None) -
     if not (0.0 < lam <= lam_max * math.sqrt(1.0 + TOL)):  # (lam/lam_max)^2, the top eigenvalue of M†M, <= 1 + TOL
         raise LambdaOutOfRange(f"lambda = {lam} outside (0, {lam_max}]")
     v = decomp.velocity.v
-    g = 0.0 if decomp.velocity.kind == NULL else math.sqrt(1.0 - v @ v)
+    g = 0.0 if decomp.velocity.kind == NULL else math.sqrt(1.0 - v.dot(v))
     # lam sqrt(E) = lam (E + (g/2) I) / sqrt(1 + g) for the effect E with coordinates
     # (1, -v), sqrt(det E) = g/2: the positive element of the effect lam^2 (1, -v)
     vx, vy, vz = v.tolist()
     k = lam / (2 * math.sqrt(1.0 + g))
     r00, r01, r10, r11 = k * (1.0 - vz + g), k * complex(-vx, vy), k * complex(-vx, -vy), k * (1.0 + vz + g)
-    return np.array([[u00 * r00 + u01 * r10, u00 * r01 + u01 * r11],
-                     [u10 * r00 + u11 * r10, u10 * r01 + u11 * r11]])
+    return np.array([u00 * r00 + u01 * r10, u00 * r01 + u01 * r11,
+                     u10 * r00 + u11 * r10, u10 * r01 + u11 * r11]).reshape(2, 2)
 
 
 def prop2_invariants(meas_element, rho) -> Prop2Report:

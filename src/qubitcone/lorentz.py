@@ -6,14 +6,14 @@ formula; Bloch-block rotations, the psi images of SU(2) spinors and read
 back through the same lift; classification of a 4x4 matrix against those
 families, the rotation-times-boost decomposition, and the two-to-one spinor
 lift back to unit-determinant 2x2 complex matrices. Classification,
-decomposition and lift all read the one psi preimage A = _preimage(L) and
-factor it with _factor, as element_to_lorentz factors M; both forward maps
-build one record, EffectGeometry, with _geometry, which alone forms the polar
-factor. The chain is scalar: qmat._entries validates L once into the 16
-floats _classify and _rotation_spinor read; _preimage, _unit_det and _factor
-pass A as four Python complex numbers, the psi residual reads _psi_entries,
-and an array is formed only for the returned result. The residual and
-unit-determinant tests read qmat.TOL.
+decomposition and lift read the one psi preimage A = _fitting_preimage(L), and
+every factorisation the one scalar core _core: _classify takes its speed and
+scale alone, while decompose, like element_to_lorentz for M, builds the record
+EffectGeometry from _factor with _geometry, which alone forms the polar factor.
+The chain is scalar: qmat._entries validates L once into 16 floats, A passes as
+four Python complex numbers, the psi residual reads _psi_entries, and an array
+is formed only for a returned result, as one flat np.array and a reshape. The
+residual and unit-determinant tests read qmat.TOL.
 """
 from __future__ import annotations
 
@@ -78,7 +78,7 @@ class EffectGeometry(LorentzDecomposition):
 
 def _is_null(speed):
     """The null rule 1 - |v| <= TOL_V on a speed |v|, such as |e[1:]| / e[0] of an effect
-    four-vector e, elementwise on arrays: velocity, _factor and correspond._information read it."""
+    four-vector e, elementwise on arrays: velocity, _core and correspond._information read it."""
     return speed >= 1 - TOL_V
 
 
@@ -101,8 +101,8 @@ def pure_boost(vel) -> np.ndarray:
     vel = velocity(vel)
     if vel.kind != TIMELIKE:
         raise NotTimelike("pure_boost requires a timelike velocity")
-    g = math.sqrt(1.0 - float(vel.v @ vel.v))
-    return _boost(vel.v, g) / g
+    g = math.sqrt(1.0 - float(vel.v.dot(vel.v)))
+    return np.array([x / g for x in _boost(vel.v, g)]).reshape(4, 4)
 
 
 def null_boost_rescaled(vel) -> np.ndarray:
@@ -119,7 +119,7 @@ def null_boost_rescaled(vel) -> np.ndarray:
     vel = velocity(vel)
     if vel.kind != NULL:
         raise NotNull("null_boost_rescaled requires a null velocity")
-    return _boost(vel.v, 0.0)
+    return np.array(_boost(vel.v, 0.0)).reshape(4, 4)
 
 
 def rotation4(axis, theta: float) -> np.ndarray:
@@ -135,25 +135,31 @@ RESCALED_NULL_BOOST_PRODUCT = "rescaled_null_boost_product"
 OTHER = "other"
 
 
-def _factor(a: list, mu: float) -> tuple[Velocity, float, list, complex, list]:
-    """Velocity and scale of psi(a) = scale * psi(U) * boost(velocity) for the entries
-    a00, a01, a10, a11 of a 2x2 a as Python complex numbers and mu = max|a|, the
-    _scaled_entries n, det n that U = _unitary_factor(n, det n) takes, and the effect
-    coordinates e = phi(a†a) = mu^2 (t, x, y, z) as floats, where (t, x, y, z) are those
-    of n†n. v = -(x, y, z)/t does not underflow with a: timelike with scale |det a|
-    when 1 - |v| > TOL_V, else null with e0/2. The scales are formed as mu (mu |det n|)
-    and mu (mu t / 2), so that they are finite whenever representable, as e0 may not be."""
+def _core(a: list, mu: float) -> tuple:
+    """The scalars of psi(a) = scale * psi(U) * boost(v), for the entries of a 2x2 a as Python
+    complex numbers and mu = max|a|: the _scaled_entries n, det n that U = _unitary_factor takes,
+    the _gram_entries p0, p1, h01 of n†n, of Pauli coordinates (t, x, y, z) = (p0 + p1, 2 Re h01,
+    -2 Im h01, p0 - p1), v = -(x, y, z)/t, which does not underflow with a, |v| and the scale:
+    |det a| timelike (1 - |v| > TOL_V), else e0/2 = Tr(a†a)/2, formed as mu (mu |det n|) and
+    mu (mu t / 2) so that they are finite whenever representable, as e0 may not be."""
     if not mu:
         raise ZeroElement("the zero element carries no Lorentz data")
     n, d = _scaled_entries(a, mu)
-    p0, p1, h01 = _gram_entries(n)  # h01 = (n†n)_01 = (x - iy)/2
+    p0, p1, h01 = _gram_entries(n)
     t = p0 + p1
-    e = [mu * (mu * c) for c in (t, 2 * h01.real, -2 * h01.imag, p0 - p1)]
     v3 = (-2 * h01.real / t, 2 * h01.imag / t, (p1 - p0) / t)
     speed = math.hypot(*v3)
+    return n, d, p0, p1, h01, v3, speed, mu * (mu * t / 2) if _is_null(speed) else mu * (mu * abs(d))
+
+
+def _factor(a: list, mu: float) -> tuple[Velocity, float, list, complex, list]:
+    """The parts of _geometry from the _core of a with mu = max|a|: the Velocity, the
+    scale, n, det n and the effect coordinates e = phi(a†a) = mu^2 (t, x, y, z) as floats."""
+    n, d, p0, p1, h01, v3, speed, scale = _core(a, mu)
+    e = [mu * (mu * c) for c in (p0 + p1, 2 * h01.real, -2 * h01.imag, p0 - p1)]
     if _is_null(speed):
-        return Velocity(v=np.array(v3) / speed, kind=NULL), mu * (mu * t / 2), n, d, e
-    return Velocity(v=np.array(v3), kind=TIMELIKE), mu * (mu * abs(d)), n, d, e
+        return Velocity(v=np.array([c / speed for c in v3]), kind=NULL), scale, n, d, e
+    return Velocity(v=np.array(v3), kind=TIMELIKE), scale, n, d, e
 
 
 def _geometry(vel: Velocity, scale: float, n: list, d: complex, e: list) -> EffectGeometry:
@@ -172,22 +178,29 @@ def _fits(a: list, flat: list) -> bool:
     return max(map(abs, map(operator.sub, _psi_entries(a), flat))) <= TOL
 
 
-def _classify(L) -> tuple[str, list | None, tuple | None]:
-    """The class of a 4x4 L, validated here, with the entries of its psi preimage A
-    (Tr A >= 0) and _factor(A); both None when L is not in the image of psi."""
+def _fitting_preimage(L) -> list | None:
+    """The entries of the psi preimage A (Tr A >= 0) of a 4x4 L, validated here;
+    None when L is 0 or not in the image of psi."""
     flat = _entries(L, (4, 4), float, "4x4 matrix")
     norm = max(map(abs, flat))
     if norm == 0:
-        return OTHER, None, None
+        return None
     unit = [x / norm for x in flat]
     a = _preimage(unit, norm)
     r = 1 / math.sqrt(norm)  # psi(A r) against L / norm: nothing over- or underflows
-    if not _fits([x * r for x in a], unit):
-        return OTHER, None, None
-    vel, scale, *_ = parts = _factor(a, max(map(abs, a)))
-    if vel.kind == NULL:
-        return RESCALED_NULL_BOOST_PRODUCT, a, parts
-    return (RESTRICTED if abs(scale - 1) <= TOL else RESCALED_RESTRICTED), a, parts
+    return a if _fits([x * r for x in a], unit) else None
+
+
+def _classify(L) -> tuple[str, list | None]:
+    """The class of a 4x4 L and the entries of its psi preimage A (None when other), read
+    off the speed and scale of _core(A): no Velocity, record or effect coordinates are formed."""
+    a = _fitting_preimage(L)
+    if a is None:
+        return OTHER, None
+    *_, speed, scale = _core(a, max(map(abs, a)))
+    if _is_null(speed):
+        return RESCALED_NULL_BOOST_PRODUCT, a
+    return (RESTRICTED if abs(scale - 1) <= TOL else RESCALED_RESTRICTED), a
 
 
 def classify(L) -> str:
@@ -210,11 +223,11 @@ def decompose(L) -> EffectGeometry:
     A has Tr A >= 0, so decompose(psi(M)) = element_to_lorentz(e^{-i arg Tr M} M)
     for every nonzero M, and decompose(R L(v)) = (R, v).
     """
-    _, _, parts = _classify(L)
-    if parts is None:
+    a = _fitting_preimage(L)
+    if a is None:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
-    return _geometry(*parts)
+    return _geometry(*_factor(a, max(map(abs, a))))
 
 
 def _rotation_spinor(flat: list) -> list:
@@ -276,7 +289,7 @@ def spinor_lift(L) -> np.ndarray:
     """Lift a restricted transform to the unit-determinant 2x2 matrix A with
     psi(A) = L (see classify). A and -A are the two preimages; the returned
     one is signed as _unit_det describes."""
-    kind, a, _ = _classify(L)
+    kind, a = _classify(L)
     if kind != RESTRICTED:
         raise NotRestricted("spinor_lift requires a restricted Lorentz transform")
     return np.array(_unit_det(a)).reshape(2, 2)

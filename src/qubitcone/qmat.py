@@ -77,9 +77,10 @@ def _finite(entries, shape: tuple, dtype, what: str) -> np.ndarray:
 
 
 def _entries(entries, shape: tuple, dtype, what: str) -> list:
-    """_finite of one matrix as its row-major entries in Python numbers, each tested finite."""
+    """_finite of one matrix as its row-major entries in Python numbers: each is tested finite
+    only when their sum is not, as a non-finite entry or finite ones that overflow make it."""
     flat = _shaped(entries, shape, dtype, what).ravel().tolist()
-    if not all(map(cmath.isfinite, flat)):
+    if not cmath.isfinite(sum(flat)) and not all(map(cmath.isfinite, flat)):
         raise MalformedInput(f"{what} entries must be finite")
     return flat
 

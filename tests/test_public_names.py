@@ -47,10 +47,12 @@ NUMBERS = ("zero", "one", "two", "three", "four", "five", "six", "seven", "eight
 
 
 def test_readme_states_the_census_counts():
-    """README's counts of public names and defaulted options are the two censuses',
-    so that an edit to either census fails here until the README follows."""
+    """README's counts of public names, defaulted options and thresholds are the three
+    censuses', so that an edit to any census fails here until the README follows."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     names = re.findall(r"exports (\d+) names", text)
     options = re.findall(r"the (\w+) defaulted options", text)
+    thresholds = re.findall(r"the (\w+) thresholds", text)
     assert names == [str(len(census()))]
     assert options == [NUMBERS[len(test_options.census())]]
+    assert thresholds == [NUMBERS[len(test_options.thresholds())]]

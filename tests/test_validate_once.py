@@ -131,7 +131,7 @@ def test_forward_map_forms_no_effect(monkeypatch, make):
 @pytest.fixture
 def chain_calls(monkeypatch):
     """Counts both forms of psi, the psi preimage and np.abs, and records the
-    type of the first argument of every _unit_det and _factor call."""
+    type of the first argument of every _unit_det, _core and _factor call."""
     calls = count_calls(monkeypatch, ["_psi", "_psi_entries", "_preimage"])
     abs_calls = []
     real_abs = np.abs
@@ -143,7 +143,7 @@ def chain_calls(monkeypatch):
     monkeypatch.setattr(np, "abs", counting_abs)
     arg_types = []
     for mod in MODULES:
-        for name in ("_unit_det", "_factor"):
+        for name in ("_unit_det", "_core", "_factor"):
             if hasattr(mod, name):
                 fn = getattr(mod, name)
 
@@ -169,7 +169,7 @@ def test_single_element_chain_is_scalar(chain_calls, make):
     """element_to_lorentz, lorentz_to_element and spinor_lift each form psi once,
     by the closed form _psi_entries and never by the stack form _psi, and the psi
     preimage at most once, as four numbers: the lift path calls np.abs at most
-    once, and _unit_det and _factor take Python lists."""
+    once, and _unit_det, _core and _factor take Python lists."""
     reset, read = chain_calls
     m = make(np.random.default_rng(18))
     reset()
