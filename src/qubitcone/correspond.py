@@ -34,7 +34,7 @@ from .errors import (
     NullOrSpacelike,
     TooLarge,
 )
-from .lorentz import NULL, EffectGeometry, LorentzDecomposition, Velocity, _factor, _geometry, _is_null, _rotation_spinor
+from .lorentz import NULL, EffectGeometry, LorentzDecomposition, Velocity, _geometry, _is_null, _rotation_spinor
 from .qmat import (
     TOL,
     _coords,
@@ -63,7 +63,9 @@ class Measurement:
 
     elements: np.ndarray  # (K, 2, 2) complex, K >= 1, a read-only copy of the input
     deviation: float = field(init=False)  # _completeness(elements), formed once
-    transforms: np.ndarray = field(init=False)  # _psi(elements), (K, 4, 4), formed once
+    exponents: np.ndarray = field(init=False)  # k per element: 2^-k max|part of M| in [1/2, 1), 0 for M = 0
+    unit_effects: np.ndarray = field(init=False)  # phi(2^-2k M†M) = 2 psi(2^-k M)[0], (K, 4)
+    transforms: np.ndarray = field(init=False)  # _psi(M), (K, 4, 4), formed once
 
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
@@ -77,7 +79,15 @@ class Measurement:
                 raise MalformedInput("stack of 2x2 matrices entries must be finite")
             if not np.isfinite(_gram(elements)).all():
                 raise TooLarge("an element's effect M†M overflows")
-        object.__setattr__(self, "transforms", _psi(elements))
+        # psi(2^-k M), scaled by powers of two on the parts so that no signed zero moves, then
+        # by 2^2k in place: _psi(M) bit for bit where that does not underflow, else rounded once,
+        # and in _psi's strided layout, on which the bits of the engines' products with phi(rho) rest
+        parts = elements.view(float)
+        k = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
+        transforms = _psi(np.ldexp(parts, -k[:, None, None]).view(complex))
+        object.__setattr__(self, "exponents", k)
+        object.__setattr__(self, "unit_effects", 2 * transforms[:, 0])
+        object.__setattr__(self, "transforms", np.ldexp(transforms, 2 * k[:, None, None], out=transforms))
         self.transforms.flags.writeable = False  # engines hand out its rows
 
 
@@ -125,7 +135,7 @@ def element_to_lorentz(m) -> EffectGeometry:
     """Forward correspondence: psi(M) = scale * rotation * boost(velocity).
     Raises TooLarge when Tr(M†M) = e_vec[0], which bounds the other entries, overflows."""
     m = _entries(m, (2, 2), complex, "2x2 matrix")
-    return _geometry(*_factor(m, max(np.abs(m).tolist())))
+    return _geometry(m, max(np.abs(m).tolist()))
 
 
 def lambda_max(vel: Velocity) -> float:
@@ -181,22 +191,23 @@ def prop2_invariants(meas_element, rho) -> Prop2Report:
 
 
 @np.errstate(all="ignore")  # a vector that is not timelike reads NaN, whatever its entries give
-def _information(vecs: np.ndarray) -> np.ndarray:
-    """log2 of the Minkowski self-products of the four-vectors v along the last
-    axis, formed on v / 2^k with 1/2 <= v0 / 2^k < 1 so that no square over- or
-    underflows; NaN unless v is timelike: v0 > 0 and a speed |v[1:]| / v0 that
-    lorentz._is_null reads as timelike, so that round-off of a null v never decides."""
+def _information(vecs: np.ndarray, shift) -> np.ndarray:
+    """log2 of the Minkowski self-products of 2^shift v, for the four-vectors v along the
+    last axis and integer shifts broadcast over the others, formed on v / 2^k with
+    1/2 <= v0 / 2^k < 1 so that no square over- or underflows; NaN unless v is timelike:
+    v0 > 0 and a speed |v[1:]| / v0 that lorentz._is_null reads as timelike, so that
+    round-off of a null v never decides."""
     t = vecs[..., 0]
     live = (t > 0) & ~_is_null(np.hypot(np.hypot(vecs[..., 1], vecs[..., 2]), vecs[..., 3]) / t)
     k = np.frexp(t)[1]
     w = np.ldexp(vecs, -k[..., None])
-    return 2 * k + np.log2(_minkowski(w, w), out=np.full(t.shape, np.nan), where=live)
+    return 2 * (k + shift) + np.log2(_minkowski(w, w), out=np.full(t.shape, np.nan), where=live)
 
 
 def info_measure(v) -> float:
     """_information of one four-vector, additive under measurement:
     I(rho_m) = I(V_m) + I(rho) whenever all three are timelike."""
-    info = float(_information(fourvector(v)))
+    info = float(_information(fourvector(v), 0))
     if math.isnan(info):
         raise NullOrSpacelike("information measure requires a timelike vector")
     return info

@@ -9,11 +9,12 @@ lift back to unit-determinant 2x2 complex matrices. Classification,
 decomposition and lift read the one psi preimage A = _fitting_preimage(L), and
 every factorisation the one scalar core _core: _classify takes its speed and
 scale alone, while decompose, like element_to_lorentz for M, builds the record
-EffectGeometry from _factor with _geometry, which alone forms the polar factor.
-The chain is scalar: qmat._entries validates L once into 16 floats, A passes as
-four Python complex numbers, the psi residual reads _psi_entries, and an array
-is formed only for a returned result, as one flat np.array and a reshape. The
-residual and unit-determinant tests read qmat.TOL.
+EffectGeometry with _geometry, which alone forms the polar factor.
+The chain is scalar: qmat._entries validates L once into 16 floats, which
+_fitting_preimage takes, A passes as four Python complex numbers, the psi
+residual reads _psi_entries, and an array is formed only for a returned result,
+as one flat np.array and a reshape. The residual and unit-determinant tests read
+qmat.TOL.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from .errors import (
     TooLarge,
     ZeroElement,
 )
-from .qmat import TOL, _entries, _finite, _gram_entries, _scaled_entries, _unitary_factor
+from .qmat import TOL, _entries, _finite, _scaled_gram, _shaped, _unitary_factor
 
 # The null band 1 - TOL_V <= |v| <= 1 + TOL_V of _is_null and velocity. TOL_V
 # bands a speed, not a residual, so it is kept apart from qmat.TOL.
@@ -48,8 +49,20 @@ NULL = "null"
 
 @dataclass(frozen=True, eq=False)
 class Velocity:
+    """A 3-velocity v and its kind, checked here and never renormalised: v is a finite
+    3-vector, of norm below 1 when timelike and within TOL of 1 when null; else MalformedInput."""
+
     v: np.ndarray
     kind: str
+
+    def __post_init__(self):
+        if self.kind not in (TIMELIKE, NULL):
+            raise MalformedInput(f"velocity kind must be {TIMELIKE!r} or {NULL!r}, got {self.kind!r}")
+        v = _shaped(self.v, (3,), float, "3-vector")
+        s = math.hypot(*v.tolist())  # NaN or inf when an entry is, and fits neither kind
+        if not (s < 1 if self.kind == TIMELIKE else abs(s - 1) <= TOL):
+            raise MalformedInput(f"|v| = {s} does not fit a {self.kind} velocity")
+        object.__setattr__(self, "v", v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,36 +150,30 @@ OTHER = "other"
 
 def _core(a: list, mu: float) -> tuple:
     """The scalars of psi(a) = scale * psi(U) * boost(v), for the entries of a 2x2 a as Python
-    complex numbers and mu = max|a|: the _scaled_entries n, det n that U = _unitary_factor takes,
-    the _gram_entries p0, p1, h01 of n†n, of Pauli coordinates (t, x, y, z) = (p0 + p1, 2 Re h01,
+    complex numbers and mu = max|a|: the _scaled_gram n, det n that U = _unitary_factor takes
+    and p0, p1, h01 of n†n, of Pauli coordinates (t, x, y, z) = (p0 + p1, 2 Re h01,
     -2 Im h01, p0 - p1), v = -(x, y, z)/t, which does not underflow with a, |v| and the scale:
     |det a| timelike (1 - |v| > TOL_V), else e0/2 = Tr(a†a)/2, formed as mu (mu |det n|) and
     mu (mu t / 2) so that they are finite whenever representable, as e0 may not be."""
     if not mu:
         raise ZeroElement("the zero element carries no Lorentz data")
-    n, d = _scaled_entries(a, mu)
-    p0, p1, h01 = _gram_entries(n)
+    n, d, p0, p1, h01 = _scaled_gram(a, mu)
     t = p0 + p1
     v3 = (-2 * h01.real / t, 2 * h01.imag / t, (p1 - p0) / t)
     speed = math.hypot(*v3)
     return n, d, p0, p1, h01, v3, speed, mu * (mu * t / 2) if _is_null(speed) else mu * (mu * abs(d))
 
 
-def _factor(a: list, mu: float) -> tuple[Velocity, float, list, complex, list]:
-    """The parts of _geometry from the _core of a with mu = max|a|: the Velocity, the
-    scale, n, det n and the effect coordinates e = phi(a†a) = mu^2 (t, x, y, z) as floats."""
+def _geometry(a: list, mu: float) -> EffectGeometry:
+    """The record of the _core of a with mu = max|a|: the velocity v, a null one divided by its
+    speed, the scale, the rotation psi of the unitary polar factor of n with det n, and the effect
+    coordinates e = phi(a†a) = mu^2 (t, x, y, z). TooLarge when e[0], which bounds e, overflows."""
     n, d, p0, p1, h01, v3, speed, scale = _core(a, mu)
     e = [mu * (mu * c) for c in (p0 + p1, 2 * h01.real, -2 * h01.imag, p0 - p1)]
-    if _is_null(speed):
-        return Velocity(v=np.array([c / speed for c in v3]), kind=NULL), scale, n, d, e
-    return Velocity(v=np.array(v3), kind=TIMELIKE), scale, n, d, e
-
-
-def _geometry(vel: Velocity, scale: float, n: list, d: complex, e: list) -> EffectGeometry:
-    """The record of the parts of _factor: its rotation is psi of the unitary polar
-    factor of the _scaled_entries n with det n. TooLarge when e[0], which bounds e, overflows."""
     if not math.isfinite(e[0]):
         raise TooLarge("an element's effect M†M overflows")
+    null = _is_null(speed)
+    vel = Velocity(v=np.array([c / speed for c in v3] if null else v3), kind=NULL if null else TIMELIKE)
     rotation = np.array(_psi_entries(_unitary_factor(n, d))).reshape(4, 4)
     return EffectGeometry(rotation=rotation, velocity=vel, scale=scale, e_vec=np.array(e))
 
@@ -178,23 +185,27 @@ def _fits(a: list, flat: list) -> bool:
     return max(map(abs, map(operator.sub, _psi_entries(a), flat))) <= TOL
 
 
-def _fitting_preimage(L) -> list | None:
-    """The entries of the psi preimage A (Tr A >= 0) of a 4x4 L, validated here;
-    None when L is 0 or not in the image of psi."""
-    flat = _entries(L, (4, 4), float, "4x4 matrix")
+def _fitting_preimage(flat: list, *, unit_det: bool) -> list | None:
+    """The entries of the psi preimage A (Tr A >= 0) of the 4x4 L with the validated row-major
+    entries flat, fitted to L within TOL max|L|; with unit_det those of _unit_det(A), fitted
+    to L within TOL, as a rotation's lift is. None when L is 0 or the preimage does not fit."""
     norm = max(map(abs, flat))
     if norm == 0:
         return None
     unit = [x / norm for x in flat]
     a = _preimage(unit, norm)
+    if unit_det:
+        u = _unit_det(a)
+        return u if _fits(u, flat) else None
     r = 1 / math.sqrt(norm)  # psi(A r) against L / norm: nothing over- or underflows
     return a if _fits([x * r for x in a], unit) else None
 
 
 def _classify(L) -> tuple[str, list | None]:
-    """The class of a 4x4 L and the entries of its psi preimage A (None when other), read
-    off the speed and scale of _core(A): no Velocity, record or effect coordinates are formed."""
-    a = _fitting_preimage(L)
+    """The class of a 4x4 L, validated here, and the entries of its psi preimage A (None when
+    other), read off the speed and scale of _core(A): no Velocity, record or effect coordinates
+    are formed."""
+    a = _fitting_preimage(_entries(L, (4, 4), float, "4x4 matrix"), unit_det=False)
     if a is None:
         return OTHER, None
     *_, speed, scale = _core(a, max(map(abs, a)))
@@ -223,11 +234,11 @@ def decompose(L) -> EffectGeometry:
     A has Tr A >= 0, so decompose(psi(M)) = element_to_lorentz(e^{-i arg Tr M} M)
     for every nonzero M, and decompose(R L(v)) = (R, v).
     """
-    a = _fitting_preimage(L)
+    a = _fitting_preimage(_entries(L, (4, 4), float, "4x4 matrix"), unit_det=False)
     if a is None:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
-    return _geometry(*_factor(a, max(map(abs, a))))
+    return _geometry(a, max(map(abs, a)))
 
 
 def _rotation_spinor(flat: list) -> list:
@@ -236,9 +247,8 @@ def _rotation_spinor(flat: list) -> list:
     edge = flat[:4] + flat[4::4]  # row 0 and column 0
     if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > TOL:
         raise NotDecomposable("rotation is not a Bloch-block rotation")
-    ell = max(map(abs, flat))
-    u = _unit_det(_preimage([x / ell for x in flat], ell))
-    if not _fits(u, flat):
+    u = _fitting_preimage(flat, unit_det=True)
+    if u is None:
         raise NotDecomposable("rotation block is not a proper rotation")
     return u
 

@@ -9,8 +9,8 @@ messages by _entries into one matrix's entries as Python numbers, for the scalar
 chain. Both take leaves by the one leaf rule _number, as serialize._walk does: an
 int, float or complex, never a bool, str or None. The underscored kernels take
 validated input: _hermitize, _gram, _coords and _from_coords broadcast over leading
-axes; _scaled_entries, _gram_entries and _unitary_factor take one matrix's entries
-as Python complex numbers, max|m| given. Roots and polar factors are Cayley–Hamilton
+axes; _scaled_gram and _unitary_factor take one matrix's entries as Python complex
+numbers, max|m| given. Roots and polar factors are Cayley–Hamilton
 closed forms. Every yes/no test of the package, the bound on lambda too, reads TOL.
 """
 from __future__ import annotations
@@ -152,11 +152,7 @@ def eigenvalues(h) -> tuple[float, float]:
     Closed form: lam_pm = (Tr(h) +- |Bloch part|) / 2, the Bloch norm taken
     by hypot so that no square over- or underflows.
     """
-    return _eigenvalues(mat2(h))
-
-
-def _eigenvalues(h: np.ndarray) -> tuple[float, float]:
-    return _spectrum(_coords(h))
+    return _spectrum(_coords(mat2(h)))
 
 
 def _spectrum(c: np.ndarray) -> tuple[float, float]:
@@ -216,24 +212,18 @@ def _unit_scaled(m: list, mu: float, size) -> list:
     return [x * r for x in m]
 
 
-def _scaled_entries(m: list, mu: float) -> tuple[list, complex]:
-    """Entries n00, n01, n10, n11 of n = m / mu and det n, for the entries m of a nonzero
-    matrix as Python complex numbers and mu = max|m|: no product of entries of n over- or
-    underflows."""
+def _scaled_gram(m: list, mu: float) -> tuple[list, complex, float, float, complex]:
+    """Entries n00, n01, n10, n11 of n = m / mu, det n and the Gram entries (n†n)_00, (n†n)_11
+    and (n†n)_01, for the entries m of a nonzero matrix as Python complex numbers and
+    mu = max|m|: no product of entries of n over- or underflows."""
     n00, n01, n10, n11 = n = _unit_scaled(m, mu, lambda m: float(np.abs(m).max()))
-    return n, n00 * n11 - n01 * n10
-
-
-def _gram_entries(n: list) -> tuple[float, float, complex]:
-    """(n†n)_00, (n†n)_11 and (n†n)_01 of the entries n00, n01, n10, n11 of n."""
-    n00, n01, n10, n11 = n
-    p0, p1 = abs(n00) ** 2 + abs(n10) ** 2, abs(n01) ** 2 + abs(n11) ** 2
-    return p0, p1, n00.conjugate() * n01 + n10.conjugate() * n11
+    return (n, n00 * n11 - n01 * n10, abs(n00) ** 2 + abs(n10) ** 2, abs(n01) ** 2 + abs(n11) ** 2,
+            n00.conjugate() * n01 + n10.conjugate() * n11)
 
 
 def _unitary_factor(n: list, d: complex) -> list:
     """Entries u00, u01, u10, u11 of the unitary polar factor of a nonzero matrix
-    from its _scaled_entries n and det n; see polar_decompose."""
+    from the n and det n of _scaled_gram; see polar_decompose."""
     n00, n01, n10, n11 = n
     abs_det = abs(d)
     fro2 = abs(n00) ** 2 + abs(n01) ** 2 + abs(n10) ** 2 + abs(n11) ** 2
@@ -259,8 +249,7 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     mu = max(np.abs(m).tolist())
     if not mu:
         return np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
-    n, d = _scaled_entries(m, mu)
-    p0, p1, h01 = _gram_entries(n)
+    n, d, p0, p1, h01 = _scaled_gram(m, mu)
     abs_det = abs(d)
     k = mu / math.sqrt(p0 + p1 + 2 * abs_det)
     u = np.array(_unitary_factor(n, d)).reshape(2, 2)

@@ -136,16 +136,19 @@ def report_invariants(meas: Measurement, rho) -> dict:
     vector only (correspond._information), the residual when all three are;
     an element is null when its information_effect is absent. The Minkowski
     products and information values are formed once each, on the (2K+1, 4)
-    stack of the V vectors, the post vectors and phi(rho)."""
+    stack of the V vectors, the post vectors and phi(rho). Each V is read as
+    2^2k V' off Measurement.unit_effects, V' = V / 2^2k, so that its kind and
+    information do not underflow with the element; eta(V, V) = 2^4k eta(V', V')."""
     require_valid(meas)
     rho_vec = _state_vector(mat2(rho))
     k = len(meas.transforms)
     e_vecs = 2 * meas.transforms[:, 0]  # row 0 of psi(M) is phi(M†M) / 2
     v_vecs = e_vecs * _HALF_ETA
     probs, posts, _ = _outcomes(meas, rho_vec)
-    stack = np.concatenate((v_vecs, posts, rho_vec[None]))
-    norms = _minkowski(stack, stack).tolist()
-    info = _information(stack)
+    stack = np.concatenate((meas.unit_effects * _HALF_ETA, posts, rho_vec[None]))
+    shift = np.concatenate((2 * meas.exponents, np.zeros(k + 1, dtype=int)))
+    norms = np.ldexp(_minkowski(stack, stack), 2 * shift).tolist()
+    info = _information(stack, shift)
     values = _numbers(info)
     columns = zip(range(k), probs.tolist(), e_vecs.tolist(), v_vecs.tolist(), norms[:k], norms[k:-1],
                   values[:k], values[k:-1], _numbers(info[k:-1] - info[:k] - info[-1]))

@@ -191,6 +191,24 @@ def test_simulate_negative_count_or_seed_is_malformed(proj_z, mixed_state, capsy
     assert captured.err.startswith("error: ")
 
 
+def test_simulate_zero_count_and_zero_seed_run(proj_z, mixed_state, capsys):
+    """--n 0 and --seed 0 are the smallest counts and seeds, not malformed: every tally is 0."""
+    code, out = run(capsys, ["simulate", "--measurement", proj_z, "--state", mixed_state, "--seed", "0", "--n", "0"])
+    assert code == EXIT_OK
+    doc = serialize.loads(out)
+    assert (doc["seed"], doc["n"]) == (0, 0) and [o["tally"] for o in doc["outcomes"]] == [0, 0]
+
+
+def test_validate_at_tol_zero_is_invalid_not_malformed(capsys):
+    """--tol 0 is a tolerance: tests/data/measurement.json, complete only up to round-off,
+    is invalid at it (exit 1), not malformed input (exit 2)."""
+    path = str(Path(__file__).parent / "data" / "measurement.json")
+    code, out = run(capsys, ["validate", "--measurement", path, "--tol", "0"])
+    doc = serialize.loads(out)
+    assert code == EXIT_INVALID
+    assert doc["valid"] is False and doc["tol"] == 0 and doc["max_deviation"] > 0
+
+
 def test_simulate_undrawable_count_is_a_domain_error(proj_z, mixed_state, capsys):
     """A count above sim.MAX_SAMPLES is refused before the first draw."""
     argv = ["simulate", "--measurement", proj_z, "--state", mixed_state, "--seed", "1", "--n", str(10**20)]

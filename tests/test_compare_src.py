@@ -35,7 +35,7 @@ def test_src_against_itself_is_identical():
     assert "differing chain calls by input tag, each under every tag it has: none; untagged: 0" in run.stdout
     assert "worst difference where both return: 0 eps*max|entry|" in run.stdout
     assert "record attributes on one side only, not compared: none" in run.stdout
-    assert (f"engine calls (povm pools of seeds 1, 2, 3 and 10 edge cases): {N_ENGINE} identical, 0 differing "
+    assert (f"engine calls (povm pools of seeds 1, 2, 3 and 11 edge cases): {N_ENGINE} identical, 0 differing "
             "(bit for bit); differing by function: none") in run.stdout
     n_pool = 3 * 25  # bench/cli_calls.py ROUND_SIZE calls per seed
     assert f"cli pool calls (seeds 1, 2, 3): {n_pool} identical, 0 differing" in run.stdout
@@ -68,11 +68,11 @@ def test_a_moved_tally_is_named_by_its_path(tmp_path):
     assert moved == simulate_calls and len(moved) == 3 + 3 * 3  # 3 golden, 3 per pool seed
     for line in moved:
         assert set(line.split(": ", 2)[2].split(", ")) <= {f"outcomes[{i}].tally" for i in range(16)}, line
-    # all 96 pool inputs, n = MAX_SAMPLES, the exact zero and the two small elements;
-    # n = 0 draws only zeros, the rest raise
+    # all 96 pool inputs, n = MAX_SAMPLES, the exact zero, the two small elements and the
+    # underflowing one; n = 0 draws only zeros, the rest raise
     engine = next(line for line in run.stdout.splitlines() if line.startswith("engine calls"))
-    assert engine.endswith(f"{N_ENGINE - 100} identical, 100 differing (bit for bit); "
-                           "differing by function: scenario1_sample 100"), engine
+    assert engine.endswith(f"{N_ENGINE - 101} identical, 101 differing (bit for bit); "
+                           "differing by function: scenario1_sample 101"), engine
     summary = next(line for line in run.stdout.splitlines() if line.startswith("stdout paths that differ"))
     assert summary.startswith(f"stdout paths that differ, over the {len(moved)} differing CLI calls")
     values = sum(line.count(".tally") for line in moved)
@@ -85,7 +85,8 @@ def test_the_engine_group_reaches_its_edges(monkeypatch):
     that is never drawn, n = 0 and n = MAX_SAMPLES drawn in full, a count above it
     refused, scaled elements refused by completeness, a scaled state reported, and
     the small elements' outcomes of probability 1e-16 and 1e-300 live: post vector
-    p (1, 0, 0, 1), the first drawn at n = MAX_SAMPLES, the second not."""
+    p (1, 0, 0, 1), the first drawn at n = MAX_SAMPLES, the second not; and the element
+    whose psi(M) underflows reported timelike."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # engine_cases puts bench/ first
     records = {rec["id"]: rec for rec in compare_src.engine_records()}
     assert len(records) == N_ENGINE
@@ -106,6 +107,8 @@ def test_the_engine_group_reaches_its_edges(monkeypatch):
         small = records[f"engine small element {s:g} I: scenario1_sample"]["ok"][0]
         assert small[:2] == [0, s * s] and small[3:7] == [s * s, 0.0, 0.0, s * s], small
         assert (small[2] > 0) == (s == 1e-8), small
+    report = records["engine underflowing element 1e-170 diag(1, 1/2): report_invariants"]["ok"][0]
+    assert report[report.index("kind") + 1] == "timelike", report  # the first element's kind
 
 
 def test_json_paths_name_each_differing_value():

@@ -63,6 +63,14 @@ def test_validate_examples():
             measurement(bad)
 
 
+def test_validate_at_tol_zero():
+    """{I} is complete exactly, deviation 0, so it passes validate at tol = 0: the test is
+    deviation <= tol, not <."""
+    meas = measurement([I2])
+    assert meas.deviation == 0.0 and validate(meas, tol=0)
+    assert not validate(measurement([PROJ0, PROJ1 * (1 + 2**-52)]), tol=0)
+
+
 def test_apply_element_examples():
     rho = rand_state(np.random.default_rng(0))
     p, post = apply_element(I2, rho)

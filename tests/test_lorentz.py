@@ -58,6 +58,34 @@ def test_velocity_classification():
     assert velocity([0, 0, 1 - 1e-10]).kind == NULL  # within TOL_V of 1, as _is_null reads it
 
 
+@pytest.mark.parametrize("v, kind", [
+    ([2.0, 0.0, 0.0], TIMELIKE),  # pure_boost raised "math domain error" on it
+    ([1.0, 0.0, 0.0], TIMELIKE),
+    ([0.5, 0.0, 0.0], NULL),  # lorentz_to_element returned a non-projective element of it
+    ([0.5, 0.0, 0.0], "bogus"),  # read as timelike
+    ([math.nan, 0.0, 0.0], TIMELIKE),
+    ([math.inf, 0.0, 0.0], NULL),
+    ([0.5, 0.0], TIMELIKE),
+    ([True, 0.0, 0.0], TIMELIKE),
+], ids=["timelike |v| = 2", "timelike |v| = 1", "null |v| = 1/2", "unknown kind", "NaN", "inf", "2-vector",
+        "bool leaf"])
+def test_a_velocity_checks_itself(v, kind):
+    """A Velocity built by hand is MalformedInput unless v is a finite 3-vector whose norm
+    fits its kind, so that pure_boost and lorentz_to_element never read a bad one."""
+    with pytest.raises(MalformedInput):
+        Velocity(v=v, kind=kind)
+
+
+def test_a_velocity_is_never_renormalised():
+    """The checked v is kept as given: the same array for a float 3-vector, and a null v
+    within TOL of unit norm keeps its norm."""
+    arr = np.array([0.1, 0.2, 0.3])
+    assert Velocity(v=arr, kind=TIMELIKE).v is arr
+    near = np.array([0.0, 0.0, 1 + 0.5e-9])
+    assert Velocity(v=near, kind=NULL).v[2] == 1 + 0.5e-9
+    assert Velocity(v=[0.0, 0.6, 0.8], kind=NULL).v.tolist() == [0.0, 0.6, 0.8]
+
+
 def norm_velocity(v) -> Velocity:
     """velocity as it was written with np.linalg.norm, kept as the oracle of its norm."""
     arr = _finite(v, (3,), float, "3-vector")
@@ -397,6 +425,17 @@ def test_spinor_lift_examples():
     d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     assert d == pytest.approx(1, abs=1e-12)
     assert abs(a[0, 1]) < 1e-12  # Bloch vector along z only
+
+
+@pytest.mark.parametrize("L, lift", [
+    (np.diag([1.0, 1.0, -1.0, -1.0]), [[0, -1j], [-1j, 0]]),
+    (np.diag([1.0, -1.0, 1.0, -1.0]), [[0, -1], [1, 0]]),
+], ids=["half turn about x", "half turn about y"])
+def test_spinor_lift_sign_at_a_half_turn(L, lift):
+    """At a half turn about x or y, u00 = 0 and the sign test of _unit_det reads
+    s = a00 + conj(a11) = 0 exactly: neither Re s < 0 nor the tie Im s < 0 flips the root,
+    so the lift is A / sqrt(det A) on the principal root, these entries exactly."""
+    assert spinor_lift(L).tolist() == np.array(lift, dtype=complex).tolist()
 
 
 def test_spinor_lift_properties():

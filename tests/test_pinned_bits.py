@@ -2,11 +2,12 @@
 
 pure_boost divides the 16 floats of adjoint._boost by g before it forms one flat
 array; lorentz_to_element forms its result flat and takes v.dot(v); the null
-branch of lorentz._factor divides v3 by the speed as floats; classify and
-spinor_lift read the class off lorentz._core without forming a Velocity; and
-qmat._entries tests its entries finite by their sum first. The earlier
-expressions are kept here as oracles, and every result is compared bit for bit,
-every exception by type and message.
+branch of lorentz._geometry divides v3 by the speed as floats; classify and
+spinor_lift read the class off lorentz._core without forming a Velocity;
+qmat._entries tests its entries finite by their sum first; and the kernels that
+were folded into qmat._scaled_gram, lorentz._geometry and lorentz._fitting_preimage
+are kept here as they were. The earlier expressions are kept here as oracles, and
+every result is compared bit for bit, every exception by type and message.
 """
 import cmath
 import math
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import directions, unitaries, unitary
 from qubitcone import qmat
-from qubitcone.adjoint import _preimage, psi
+from qubitcone.adjoint import _preimage, _psi_entries, psi
 from qubitcone.correspond import element_to_lorentz, lambda_max, lorentz_to_element
 from qubitcone.errors import MalformedInput, NotDecomposable, NotNull, NotRestricted, NotTimelike, TooLarge
 from qubitcone.lorentz import (
@@ -34,19 +35,18 @@ from qubitcone.lorentz import (
     LorentzDecomposition,
     Velocity,
     _fits,
-    _geometry,
     _is_null,
-    _rotation_spinor,
     _unit_det,
     classify,
     decompose,
     null_boost_rescaled,
     pure_boost,
     rotation4,
+    rotation_axis_angle,
     spinor_lift,
     velocity,
 )
-from qubitcone.qmat import TOL, _gram_entries, _scaled_entries
+from qubitcone.qmat import TOL, _unit_scaled, _unitary_factor
 
 
 def nested_boost(v: np.ndarray, g: float) -> np.ndarray:
@@ -75,9 +75,21 @@ def null_boost_oracle(vel) -> np.ndarray:
     return nested_boost(vel.v, 0.0)
 
 
+def rotation_spinor_oracle(flat: list) -> list:
+    """lorentz._rotation_spinor as it was, with its own psi preimage and fit test."""
+    edge = flat[:4] + flat[4::4]
+    if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > TOL:
+        raise NotDecomposable("rotation is not a Bloch-block rotation")
+    ell = max(map(abs, flat))
+    u = _unit_det(_preimage([x / ell for x in flat], ell))
+    if not _fits(u, flat):
+        raise NotDecomposable("rotation block is not a proper rotation")
+    return u
+
+
 def lorentz_to_element_oracle(decomp: LorentzDecomposition) -> np.ndarray:
     """lorentz_to_element at lambda_max as it was: v @ v and a nested 2x2 array."""
-    u00, u01, u10, u11 = _rotation_spinor(qmat._entries(decomp.rotation, (4, 4), float, "4x4 matrix"))
+    u00, u01, u10, u11 = rotation_spinor_oracle(qmat._entries(decomp.rotation, (4, 4), float, "4x4 matrix"))
     lam = lambda_max(decomp.velocity)
     v = decomp.velocity.v
     g = 0.0 if decomp.velocity.kind == NULL else math.sqrt(1.0 - v @ v)
@@ -88,11 +100,24 @@ def lorentz_to_element_oracle(decomp: LorentzDecomposition) -> np.ndarray:
                      [u10 * r00 + u11 * r10, u10 * r01 + u11 * r11]])
 
 
+def scaled_entries_oracle(m: list, mu: float) -> tuple[list, complex]:
+    """qmat._scaled_entries as it was: n = m / mu and det n."""
+    n00, n01, n10, n11 = n = _unit_scaled(m, mu, lambda m: float(np.abs(m).max()))
+    return n, n00 * n11 - n01 * n10
+
+
+def gram_entries_oracle(n: list) -> tuple[float, float, complex]:
+    """qmat._gram_entries as it was: (n†n)_00, (n†n)_11 and (n†n)_01."""
+    n00, n01, n10, n11 = n
+    p0, p1 = abs(n00) ** 2 + abs(n10) ** 2, abs(n01) ** 2 + abs(n11) ** 2
+    return p0, p1, n00.conjugate() * n01 + n10.conjugate() * n11
+
+
 def factor_oracle(a: list, mu: float) -> tuple:
     """lorentz._factor as it was, before the scalar core was split out of it: the null
     velocity divided by the speed as an array."""
-    n, d = _scaled_entries(a, mu)
-    p0, p1, h01 = _gram_entries(n)
+    n, d = scaled_entries_oracle(a, mu)
+    p0, p1, h01 = gram_entries_oracle(n)
     t = p0 + p1
     e = [mu * (mu * c) for c in (t, 2 * h01.real, -2 * h01.imag, p0 - p1)]
     v3 = (-2 * h01.real / t, 2 * h01.imag / t, (p1 - p0) / t)
@@ -100,6 +125,39 @@ def factor_oracle(a: list, mu: float) -> tuple:
     if _is_null(speed):
         return Velocity(v=np.array(v3) / speed, kind=NULL), mu * (mu * t / 2), n, d, e
     return Velocity(v=np.array(v3), kind=TIMELIKE), mu * (mu * abs(d)), n, d, e
+
+
+def geometry_oracle(vel: Velocity, scale: float, n: list, d: complex, e: list) -> EffectGeometry:
+    """lorentz._geometry as it was, on the parts of factor_oracle."""
+    if not math.isfinite(e[0]):
+        raise TooLarge("an element's effect M†M overflows")
+    rotation = np.array(_psi_entries(_unitary_factor(n, d))).reshape(4, 4)
+    return EffectGeometry(rotation=rotation, velocity=vel, scale=scale, e_vec=np.array(e))
+
+
+def polar_decompose_oracle(m) -> tuple[np.ndarray, np.ndarray]:
+    """qmat.polar_decompose as it was, on scaled_entries_oracle and gram_entries_oracle."""
+    m = qmat._entries(m, (2, 2), complex, "2x2 matrix")
+    mu = max(np.abs(m).tolist())
+    if not mu:
+        return np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    n, d = scaled_entries_oracle(m, mu)
+    p0, p1, h01 = gram_entries_oracle(n)
+    abs_det = abs(d)
+    k = mu / math.sqrt(p0 + p1 + 2 * abs_det)
+    u = np.array(_unitary_factor(n, d)).reshape(2, 2)
+    return u, np.array([[k * (p0 + abs_det), k * h01], [k * h01.conjugate(), k * (p1 + abs_det)]])
+
+
+def rotation_axis_angle_oracle(r3) -> tuple[np.ndarray, float]:
+    """rotation_axis_angle as it was, on rotation_spinor_oracle."""
+    r = qmat._entries(r3, (3, 3), float, "3x3 rotation matrix")
+    u00, u01, u10, u11 = rotation_spinor_oracle([1.0, 0.0, 0.0, 0.0, 0.0, *r[:3], 0.0, *r[3:6], 0.0, *r[6:]])
+    s = (-(u01 + u10).imag / 2, (u10 - u01).real / 2, (u11 - u00).imag / 2)
+    sin_half = math.hypot(*s)
+    if sin_half == 0:
+        return np.array([0.0, 0.0, 1.0]), 0.0
+    return np.array(s) / sin_half, 2 * math.atan2(sin_half, (u00 + u11).real / 2)
 
 
 def classify_oracle(L) -> tuple:
@@ -124,7 +182,7 @@ def decompose_oracle(L) -> EffectGeometry:
     _, _, parts = classify_oracle(L)
     if parts is None:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform or rescaled null-boost product")
-    return _geometry(*parts)
+    return geometry_oracle(*parts)
 
 
 def spinor_lift_oracle(L) -> np.ndarray:
@@ -136,13 +194,18 @@ def spinor_lift_oracle(L) -> np.ndarray:
 
 def element_to_lorentz_oracle(m) -> EffectGeometry:
     m = qmat._entries(m, (2, 2), complex, "2x2 matrix")
-    return _geometry(*factor_oracle(m, max(np.abs(m).tolist())))
+    return geometry_oracle(*factor_oracle(m, max(np.abs(m).tolist())))
 
 
 def bits(x):
-    """x as comparable bits: an array by dtype, shape and bytes, a record by its fields."""
+    """x as comparable bits: an array by dtype, shape and bytes, a record by its fields,
+    a tuple by its items and a float by its hex form."""
     if isinstance(x, np.ndarray):
         return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, tuple):
+        return tuple(map(bits, x))
+    if isinstance(x, float):
+        return x.hex()
     if isinstance(x, LorentzDecomposition):
         out = (bits(x.rotation), x.velocity.kind, bits(x.velocity.v), float(x.scale).hex())
         return out + (bits(x.e_vec),) if isinstance(x, EffectGeometry) else out
@@ -187,13 +250,15 @@ exponents = st.floats(-150, 150)
 @example(u=U0, v=V0, ratio=1e-16, k=-150.0, speed=0.9, direction=Z, j=-150.0)  # det M = 1e-316, subnormal
 @example(u=U0, v=V0, ratio=1.0, k=150.0, speed=0.0, direction=Z, j=150.0)
 def test_rewritten_sites_keep_their_bits(u, v, ratio, k, speed, direction, j):
-    """element_to_lorentz, pure_boost, null_boost_rescaled, lorentz_to_element, classify,
-    decompose and spinor_lift give the bits, or the exception and message, of the
+    """element_to_lorentz, polar_decompose, pure_boost, null_boost_rescaled, lorentz_to_element,
+    rotation_axis_angle, classify, decompose and spinor_lift give the bits, or the exception and message, of the
     expressions they replaced, for M = 10^k U diag(1, ratio) V†, the velocity
     speed * direction and the transforms psi(M), R B(v) of M and 10^j R B(velocity)."""
     m = 10.0**k * u @ np.diag([1.0, ratio]) @ v.conj().T
     assert outcome(element_to_lorentz, m) == outcome(element_to_lorentz_oracle, m)
+    assert outcome(qmat.polar_decompose, m) == outcome(polar_decompose_oracle, m)
     geom = element_to_lorentz(m)
+    assert outcome(rotation_axis_angle, geom.rotation[1:, 1:]) == outcome(rotation_axis_angle_oracle, geom.rotation[1:, 1:])
     vel = velocity(speed * direction)
     for fn, oracle in PAIRS:
         assert outcome(fn, vel) == outcome(oracle, vel)
@@ -206,6 +271,32 @@ def test_rewritten_sites_keep_their_bits(u, v, ratio, k, speed, direction, j):
     for L in transforms:
         for fn, oracle in MAPS_OF_L:
             assert outcome(fn, L) == outcome(oracle, L)
+
+
+@settings(max_examples=200, deadline=None)
+@given(axis=directions, theta=st.floats(0, math.pi), size=st.floats(-1, 1).map(lambda x: TOL * 10.0**x),
+       seed=st.integers(0, 2**32 - 1))
+@example(axis=Z, theta=0.0, size=1.2 * TOL, seed=0)
+def test_perturbed_rotations_are_accepted_as_before(axis, theta, size, seed):
+    """A rotation block perturbed by 0.1 to 10 TOL is accepted or rejected, and lifted,
+    as before the psi preimage of lorentz._rotation_spinor moved into _fitting_preimage,
+    through lorentz_to_element and rotation_axis_angle."""
+    r3 = rotation4(axis, theta)[1:, 1:] + size * np.random.default_rng(seed).normal(size=(3, 3)) / 3
+    rotation = np.eye(4)
+    rotation[1:, 1:] = r3
+    decomp = LorentzDecomposition(rotation=rotation, velocity=velocity([0.0, 0.0, 0.5]), scale=1.0)
+    assert outcome(lorentz_to_element, decomp) == outcome(lorentz_to_element_oracle, decomp)
+    assert outcome(rotation_axis_angle, r3) == outcome(rotation_axis_angle_oracle, r3)
+
+
+def test_a_rotation_fits_its_unit_det_lift_absolutely():
+    """diag(1, (1 + 1.2 TOL) I) is 1.2 TOL away from psi of its unit-det lift I, so it is no
+    rotation, as before; classify fits it within TOL max|L| to psi(1.00000000045 I) and reads
+    a restricted transform, which the rotation lift would pass on that fit."""
+    rotation = np.diag([1.0] + [1 + 1.2 * TOL] * 3)
+    with pytest.raises(NotDecomposable, match="not a proper rotation"):
+        rotation_axis_angle(rotation[1:, 1:])
+    assert classify(rotation) == RESTRICTED
 
 
 def test_the_class_oracle_meets_every_class():

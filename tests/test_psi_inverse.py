@@ -210,13 +210,13 @@ def test_element_to_lorentz_then_lorentz_to_element(u, v, ratio, log_scale):
     assert max_abs(got / max_abs(got) - want / max_abs(want)) <= 32 * gamma * EPS
 
 
-# Both e_vec are phi(X†X), formed by lorentz._factor, of X = A, the psi preimage of
+# Both e_vec are phi(X†X), formed by lorentz._geometry, of X = A, the psi preimage of
 # L = psi(M), and of X = e^{-i arg Tr M} M. In eps e0, e0 = ||M||_F^2 = max|phi(M†M)|:
 #   8  the stack psi: 2 L[0] within 2 * 4 eps max|M|^2 of phi(M†M) (test_psi_against_trace_oracle);
 #  46  the preimage: phi(A†A) / 2 is row 0 of psi(A), within 1e-14 max|L| = 1e-14 e0 / 2 of L[0]
 #      (test_psi_inv_is_a_preimage);
 #   4  the phase: each entry of e^{-i arg Tr M} M within 4u of its modulus, u = eps / 2;
-#   8  _factor, on each side: 7 roundings of u on sums of non-negative squares, 4 eps.
+#   8  _geometry, on each side: 7 roundings of u on sums of non-negative squares, 4 eps.
 E_VEC_BOUND = 8 + 46 + 4 + 8
 
 

@@ -216,7 +216,7 @@ def test_herm2_below_unit_scale():
 @pytest.mark.parametrize("scale", [1e-310, 5e-324])
 def test_herm2_rejects_a_subnormal_matrix_that_is_not_hermitian(scale):
     """Below 1/DBL_MAX, 1/max|m| overflows; herm2 lifts m by 2^1000 first, as
-    _scaled_entries does, so the test stays relative: the upper-triangular
+    _scaled_gram does, so the test stays relative: the upper-triangular
     matrix is rejected and its hermitian counterpart accepted."""
     with pytest.raises(MalformedInput, match="not hermitian"):
         herm2(scale * np.array([[1, 1], [0, 1]]))

@@ -196,17 +196,37 @@ def test_report_invariants():
     unitaries,
     unitaries,
     st.just(0.0) | st.floats(min_value=-3, max_value=0).map(lambda k: 10.0**k),
-    st.floats(min_value=-100, max_value=-1),
+    st.floats(min_value=-300, max_value=0),
 )
 @example(I2, I2, 1.0, -4.0)  # {1e-4 I, sqrt(1 - 1e-8) I}
+@example(I2, I2, 0.5, -170.0)  # psi(M) ~ 1e-340 underflows to 0
+@example(I2, I2, 1e-3, -300.0)  # M subnormal in part
+@example(I2, I2, 1.0, 0.0)  # {I, 0}
 def test_report_invariants_kind_is_the_forward_maps(u, v, ratio, log_scale):
     """An element's kind is element_to_lorentz's, 1 - |v| <= TOL_V with
-    |v| = |e[1:]| / e[0], at element scales 1e-1 to 1e-100: rank one or
-    singular-value ratio at least 1e-3, and the complement of either."""
-    m = 10.0**log_scale * u @ np.diag([1.0, ratio]) @ v.conj().T
-    meas = measurement([m, sqrt_psd(np.eye(2) - effect(m))])
+    |v| = |e[1:]| / e[0], at element scales 1e-300 to 1, where psi(M) underflows
+    too: rank one or singular-value ratio at least 1e-3, and the complement
+    diag(sqrt(1 - s^2), sqrt(1 - s^2 r^2)) V† of M = s U diag(1, r) V†; the zero
+    element reads null."""
+    s = 10.0**log_scale
+    m = s * u @ np.diag([1.0, ratio]) @ v.conj().T
+    meas = measurement([m, np.diag([math.sqrt(1 - s * s), math.sqrt(1 - (s * ratio) ** 2)]) @ v.conj().T])
     rep = report_invariants(meas, I2 / 2)
-    assert [el["kind"] for el in rep["elements"]] == [element_to_lorentz(e).kind for e in meas.elements]
+    assert [el["kind"] for el in rep["elements"]] == [element_to_lorentz(e).kind if e.any() else "null"
+                                                      for e in meas.elements]
+
+
+def test_report_invariants_reads_an_element_whose_psi_underflows():
+    """M = 1e-170 diag(1, 1/2): psi(M) ~ 1e-340 underflows to 0, yet the report reads V
+    off Measurement.unit_effects, V = 1e-340 (5/8, 0, 0, -3/8): timelike, as element_to_lorentz
+    reads M, with information_effect log2 eta(V, V) = log2(1e-680 / 4)."""
+    m0, m1 = 1e-170, 0.5e-170
+    m = np.diag([m0, m1])
+    meas = measurement([m, np.diag([math.sqrt(1 - m0**2), math.sqrt(1 - m1**2)])])
+    assert not meas.transforms[0].any()
+    el = report_invariants(meas, I2 / 2)["elements"][0]
+    assert el["kind"] == element_to_lorentz(m).kind == "timelike"
+    assert el["information_effect"] == pytest.approx(4 * math.log2(1e-170) - 2, rel=1e-15)
 
 
 def test_validation_errors():

@@ -47,6 +47,14 @@ MODULES = [
 ]
 
 
+def bindings(names, modules=MODULES) -> list:
+    """(module, name) for every binding of the named functions in modules; a name that no
+    module binds fails here, so that a count of it cannot pass by checking nothing."""
+    found = [(mod, name) for name in names for mod in modules if hasattr(mod, name)]
+    assert {name for _, name in found} == set(names), f"bound by no module: {set(names) - {n for _, n in found}}"
+    return found
+
+
 def count_calls(monkeypatch, names, modules=MODULES) -> Counter:
     """Counts calls of the named functions through every binding in modules."""
     calls = Counter()
@@ -58,10 +66,8 @@ def count_calls(monkeypatch, names, modules=MODULES) -> Counter:
 
         return wrapper
 
-    for mod in modules:
-        for name in names:
-            if hasattr(mod, name):
-                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    for mod, name in bindings(names, modules):
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     return calls
 
 
@@ -131,7 +137,8 @@ def test_forward_map_forms_no_effect(monkeypatch, make):
 @pytest.fixture
 def chain_calls(monkeypatch):
     """Counts both forms of psi, the psi preimage and np.abs, and records the
-    type of the first argument of every _unit_det, _core and _factor call."""
+    type of the first argument of every _unit_det, _core, _geometry and
+    _fitting_preimage call."""
     calls = count_calls(monkeypatch, ["_psi", "_psi_entries", "_preimage"])
     abs_calls = []
     real_abs = np.abs
@@ -142,16 +149,14 @@ def chain_calls(monkeypatch):
 
     monkeypatch.setattr(np, "abs", counting_abs)
     arg_types = []
-    for mod in MODULES:
-        for name in ("_unit_det", "_core", "_factor"):
-            if hasattr(mod, name):
-                fn = getattr(mod, name)
+    for mod, name in bindings(("_unit_det", "_core", "_geometry", "_fitting_preimage")):
+        fn = getattr(mod, name)
 
-                def recording(a, *args, _fn=fn, **kwargs):
-                    arg_types.append(type(a))
-                    return _fn(a, *args, **kwargs)
+        def recording(a, *args, _fn=fn, **kwargs):
+            arg_types.append(type(a))
+            return _fn(a, *args, **kwargs)
 
-                monkeypatch.setattr(mod, name, recording)
+        monkeypatch.setattr(mod, name, recording)
 
     def reset():
         calls.clear()
@@ -169,7 +174,7 @@ def test_single_element_chain_is_scalar(chain_calls, make):
     """element_to_lorentz, lorentz_to_element and spinor_lift each form psi once,
     by the closed form _psi_entries and never by the stack form _psi, and the psi
     preimage at most once, as four numbers: the lift path calls np.abs at most
-    once, and _unit_det, _core and _factor take Python lists."""
+    once, and _unit_det, _core, _geometry and _fitting_preimage take Python lists."""
     reset, read = chain_calls
     m = make(np.random.default_rng(18))
     reset()
@@ -242,7 +247,7 @@ def test_engines_form_the_state_vector_once(monkeypatch, engine, k):
     rng = np.random.default_rng(19)
     rho = rand_state(rng)
     meas = measurement(unitary_mixture(k, rng))
-    calls = count_calls(monkeypatch, ["_coords", "_eigenvalues"])
+    calls = count_calls(monkeypatch, ["_coords", "eigenvalues"])
     STATE_ENGINES[engine](meas, rho)
     assert calls == {"_coords": 1}
 
@@ -251,7 +256,7 @@ def test_cli_apply_forms_the_state_vector_once(monkeypatch, tmp_path, capsys):
     meas_path, state_path = tmp_path / "meas.json", tmp_path / "state.json"
     meas_path.write_text(serialize.dumps(serialize.measurement_to_json(measurement(unitary_mixture(3, np.random.default_rng(20))))))
     state_path.write_text(serialize.dumps(serialize.mat2_to_json(np.diag([0.25, 0.75]))))
-    calls = count_calls(monkeypatch, ["_coords", "_eigenvalues"])
+    calls = count_calls(monkeypatch, ["_coords", "eigenvalues"])
     assert main(["apply", "--measurement", str(meas_path), "--state", str(state_path)]) == 0
     assert calls == {"_coords": 1}
     assert len(serialize.loads(capsys.readouterr().out)["outcomes"]) == 3

@@ -31,7 +31,8 @@ read line by line. Both sides get the same inputs:
   the elements or the state scaled by 1e150 and 1e-150, an outcome of
   probability exactly 0, n = 0, MAX_SAMPLES and MAX_SAMPLES + 1, and the small
   elements 1e-8 I and 1e-150 I, of probability 1e-16 and 1e-300 on a pure
-  state, beside their complements, at n = MAX_SAMPLES; each
+  state, beside their complements, at n = MAX_SAMPLES, and the element
+  1e-170 diag(1, 1/2), whose psi(M) underflows, beside its complement on I/2; each
   through `measurement`, `scenario1_sample`, `boosted_probabilities` (for the
   `observer_boost` of the input's velocity) and `report_invariants`, a
   Measurement compared by its elements, deviation and transforms;
@@ -88,7 +89,7 @@ CALLS = ("element_to_lorentz", "polar_decompose", "lorentz_to_element", "spinor_
 # v and kind are those of a Velocity, the last three those of a Measurement.
 ATTRIBUTES = ("e_vec", "v_vec", "velocity", "v", "scale", "rotation", "kind", "elements", "deviation", "transforms")
 ENGINES = ("measurement", "scenario1_sample", "boosted_probabilities", "report_invariants")
-ENGINE_EDGES = 10  # the cases engine_cases adds after the povm pools
+ENGINE_EDGES = 11  # the cases engine_cases adds after the povm pools
 
 
 def attributes(obj) -> dict | None:
@@ -184,6 +185,10 @@ def engine_cases() -> list:
     cases.append(("probability exactly 0", [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], np.diag([0.0, 1.0]), v, seed, n))
     cases += [(f"small element {s:g} I", [s * np.eye(2), math.sqrt(1 - s * s) * np.eye(2)], np.diag([1.0, 0.0]), v,
                seed, MAX_SAMPLES) for s in (1e-8, 1e-150)]
+    m0, m1 = 1e-170, 0.5e-170
+    cases.append(("underflowing element 1e-170 diag(1, 1/2)",
+                  [np.diag([m0, m1]), np.diag([math.sqrt(1 - m0 * m0), math.sqrt(1 - m1 * m1)])], np.eye(2) / 2, v,
+                  seed, n))
     assert len(cases) == len(POOL_SEEDS) * povm.POOL + ENGINE_EDGES
     return cases
 
