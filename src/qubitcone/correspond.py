@@ -63,9 +63,7 @@ class Measurement:
 
     elements: np.ndarray  # (K, 2, 2) complex, K >= 1, a read-only copy of the input
     deviation: float = field(init=False)  # _completeness(elements), formed once
-    exponents: np.ndarray = field(init=False)  # k per element: 2^-k max|part of M| in [1/2, 1), 0 for M = 0
-    unit_effects: np.ndarray = field(init=False)  # phi(2^-2k M†M) = 2 psi(2^-k M)[0], (K, 4)
-    transforms: np.ndarray = field(init=False)  # _psi(M), (K, 4, 4), formed once
+    transforms: np.ndarray = field(init=False)  # _psi(elements), (K, 4, 4), formed once
 
     @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
@@ -79,15 +77,7 @@ class Measurement:
                 raise MalformedInput("stack of 2x2 matrices entries must be finite")
             if not np.isfinite(_gram(elements)).all():
                 raise TooLarge("an element's effect M†M overflows")
-        # psi(2^-k M), scaled by powers of two on the parts so that no signed zero moves, then
-        # by 2^2k in place: _psi(M) bit for bit where that does not underflow, else rounded once,
-        # and in _psi's strided layout, on which the bits of the engines' products with phi(rho) rest
-        parts = elements.view(float)
-        k = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
-        transforms = _psi(np.ldexp(parts, -k[:, None, None]).view(complex))
-        object.__setattr__(self, "exponents", k)
-        object.__setattr__(self, "unit_effects", 2 * transforms[:, 0])
-        object.__setattr__(self, "transforms", np.ldexp(transforms, 2 * k[:, None, None], out=transforms))
+        object.__setattr__(self, "transforms", _psi(elements))
         self.transforms.flags.writeable = False  # engines hand out its rows
 
 

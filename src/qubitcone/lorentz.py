@@ -10,11 +10,10 @@ decomposition and lift read the one psi preimage A = _fitting_preimage(L), and
 every factorisation the one scalar core _core: _classify takes its speed and
 scale alone, while decompose, like element_to_lorentz for M, builds the record
 EffectGeometry with _geometry, which alone forms the polar factor.
-The chain is scalar: qmat._entries validates L once into 16 floats, which
-_fitting_preimage takes, A passes as four Python complex numbers, the psi
-residual reads _psi_entries, and an array is formed only for a returned result,
-as one flat np.array and a reshape. The residual and unit-determinant tests read
-qmat.TOL.
+The chain is scalar: qmat._entries validates L once into 16 floats, A passes as
+four Python complex numbers, the psi residual reads _psi_entries, and an array
+is formed only for a returned result, as one flat np.array and a reshape. The
+residual and unit-determinant tests read qmat.TOL.
 """
 from __future__ import annotations
 
@@ -50,7 +49,8 @@ NULL = "null"
 @dataclass(frozen=True, eq=False)
 class Velocity:
     """A 3-velocity v and its kind, checked here and never renormalised: v is a finite
-    3-vector, of norm below 1 when timelike and within TOL of 1 when null; else MalformedInput."""
+    3-vector, of norm below 1 when timelike and within TOL of 1 when null; else MalformedInput.
+    v is kept as a read-only copy, so that no later change to the caller's array escapes the check."""
 
     v: np.ndarray
     kind: str
@@ -58,11 +58,21 @@ class Velocity:
     def __post_init__(self):
         if self.kind not in (TIMELIKE, NULL):
             raise MalformedInput(f"velocity kind must be {TIMELIKE!r} or {NULL!r}, got {self.kind!r}")
-        v = _shaped(self.v, (3,), float, "3-vector")
+        v = np.array(_shaped(self.v, (3,), float, "3-vector"))
+        v.flags.writeable = False
         s = math.hypot(*v.tolist())  # NaN or inf when an entry is, and fits neither kind
         if not (s < 1 if self.kind == TIMELIKE else abs(s - 1) <= TOL):
             raise MalformedInput(f"|v| = {s} does not fit a {self.kind} velocity")
         object.__setattr__(self, "v", v)
+
+
+def _velocity(v: np.ndarray, kind: str) -> Velocity:
+    """The Velocity of a fresh array v, which no caller holds, that velocity or _geometry has
+    just classified as kind by its norm: Velocity's check is not run a second time."""
+    vel = object.__new__(Velocity)
+    object.__setattr__(vel, "v", v)
+    object.__setattr__(vel, "kind", kind)
+    return vel
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +116,7 @@ def velocity(v) -> Velocity:
         s = math.sqrt(arr.dot(arr))  # np.linalg.norm of a real 1-D array, its warning text included
     if s > 1 + TOL_V:
         raise NotTimelike(f"|v| = {s} is superluminal")
-    return Velocity(v=arr / s, kind=NULL) if _is_null(s) else Velocity(v=arr, kind=TIMELIKE)
+    return _velocity(arr / s, NULL) if _is_null(s) else _velocity(arr.copy(), TIMELIKE)
 
 
 def pure_boost(vel) -> np.ndarray:
@@ -173,7 +183,7 @@ def _geometry(a: list, mu: float) -> EffectGeometry:
     if not math.isfinite(e[0]):
         raise TooLarge("an element's effect M†M overflows")
     null = _is_null(speed)
-    vel = Velocity(v=np.array([c / speed for c in v3] if null else v3), kind=NULL if null else TIMELIKE)
+    vel = _velocity(np.array([c / speed for c in v3] if null else v3), NULL if null else TIMELIKE)
     rotation = np.array(_psi_entries(_unitary_factor(n, d))).reshape(4, 4)
     return EffectGeometry(rotation=rotation, velocity=vel, scale=scale, e_vec=np.array(e))
 
@@ -185,27 +195,23 @@ def _fits(a: list, flat: list) -> bool:
     return max(map(abs, map(operator.sub, _psi_entries(a), flat))) <= TOL
 
 
-def _fitting_preimage(flat: list, *, unit_det: bool) -> list | None:
-    """The entries of the psi preimage A (Tr A >= 0) of the 4x4 L with the validated row-major
-    entries flat, fitted to L within TOL max|L|; with unit_det those of _unit_det(A), fitted
-    to L within TOL, as a rotation's lift is. None when L is 0 or the preimage does not fit."""
+def _fitting_preimage(L) -> list | None:
+    """The entries of the psi preimage A (Tr A >= 0) of a 4x4 L, validated here;
+    None when L is 0 or not in the image of psi."""
+    flat = _entries(L, (4, 4), float, "4x4 matrix")
     norm = max(map(abs, flat))
     if norm == 0:
         return None
     unit = [x / norm for x in flat]
     a = _preimage(unit, norm)
-    if unit_det:
-        u = _unit_det(a)
-        return u if _fits(u, flat) else None
     r = 1 / math.sqrt(norm)  # psi(A r) against L / norm: nothing over- or underflows
     return a if _fits([x * r for x in a], unit) else None
 
 
 def _classify(L) -> tuple[str, list | None]:
-    """The class of a 4x4 L, validated here, and the entries of its psi preimage A (None when
-    other), read off the speed and scale of _core(A): no Velocity, record or effect coordinates
-    are formed."""
-    a = _fitting_preimage(_entries(L, (4, 4), float, "4x4 matrix"), unit_det=False)
+    """The class of a 4x4 L and the entries of its psi preimage A (None when other), read
+    off the speed and scale of _core(A): no Velocity, record or effect coordinates are formed."""
+    a = _fitting_preimage(L)
     if a is None:
         return OTHER, None
     *_, speed, scale = _core(a, max(map(abs, a)))
@@ -234,7 +240,7 @@ def decompose(L) -> EffectGeometry:
     A has Tr A >= 0, so decompose(psi(M)) = element_to_lorentz(e^{-i arg Tr M} M)
     for every nonzero M, and decompose(R L(v)) = (R, v).
     """
-    a = _fitting_preimage(_entries(L, (4, 4), float, "4x4 matrix"), unit_det=False)
+    a = _fitting_preimage(L)
     if a is None:
         raise NotDecomposable("matrix is not a (rescaled) restricted transform "
                               "or rescaled null-boost product")
@@ -247,8 +253,9 @@ def _rotation_spinor(flat: list) -> list:
     edge = flat[:4] + flat[4::4]  # row 0 and column 0
     if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > TOL:
         raise NotDecomposable("rotation is not a Bloch-block rotation")
-    u = _fitting_preimage(flat, unit_det=True)
-    if u is None:
+    ell = max(map(abs, flat))
+    u = _unit_det(_preimage([x / ell for x in flat], ell))
+    if not _fits(u, flat):
         raise NotDecomposable("rotation block is not a proper rotation")
     return u
 

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .adjoint import _psi
 from .conemap import _HALF_ETA, _minkowski
 from .correspond import Measurement, _information, _state_vector, require_valid
 from .errors import NotTimelike, TooLarge
@@ -129,6 +130,15 @@ def _numbers(x: np.ndarray) -> list:
     return [None if math.isnan(v) else v for v in x.tolist()]
 
 
+def _unit_effects(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi(2^-2k M†M) = 2 psi(2^-k M)[0] and 2k for each M of a (K, 2, 2) stack, k from
+    np.frexp of the largest real or imaginary part of M, so that phi does not underflow
+    with M; the parts are scaled by powers of two on the float view, so no signed zero moves."""
+    parts = elements.view(float)
+    k = np.frexp(np.abs(parts).max(axis=(1, 2)))[1]
+    return 2 * _psi(np.ldexp(parts, -k[:, None, None]).view(complex))[:, 0], 2 * k
+
+
 def report_invariants(meas: Measurement, rho) -> dict:
     """Machine-readable per-element report of the correspondence invariants:
     probability, mixedness before/after, eta(V,V), information values and
@@ -136,18 +146,23 @@ def report_invariants(meas: Measurement, rho) -> dict:
     vector only (correspond._information), the residual when all three are;
     an element is null when its information_effect is absent. The Minkowski
     products and information values are formed once each, on the (2K+1, 4)
-    stack of the V vectors, the post vectors and phi(rho). Each V is read as
-    2^2k V' off Measurement.unit_effects, V' = V / 2^2k, so that its kind and
-    information do not underflow with the element; eta(V, V) = 2^4k eta(V', V')."""
+    stack of the V vectors, the post vectors and phi(rho). Where e0 = Tr(M†M) is
+    subnormal or 0, psi(M) has lost V's kind and information to underflow: they
+    are read off V' = V / 2^2k of _unit_effects instead, log2 eta(V, V) being
+    2k + 2k + log2 eta(V', V'), while eta(V, V) <= e0^2 / 4 underflows to 0 either way."""
     require_valid(meas)
     rho_vec = _state_vector(mat2(rho))
     k = len(meas.transforms)
     e_vecs = 2 * meas.transforms[:, 0]  # row 0 of psi(M) is phi(M†M) / 2
     v_vecs = e_vecs * _HALF_ETA
     probs, posts, _ = _outcomes(meas, rho_vec)
-    stack = np.concatenate((meas.unit_effects * _HALF_ETA, posts, rho_vec[None]))
-    shift = np.concatenate((2 * meas.exponents, np.zeros(k + 1, dtype=int)))
-    norms = np.ldexp(_minkowski(stack, stack), 2 * shift).tolist()
+    stack = np.concatenate((v_vecs, posts, rho_vec[None]))
+    norms = _minkowski(stack, stack).tolist()
+    shift, lost = 0, (e_vecs[:, 0] < 2.0**-1022).nonzero()[0]  # 2^-1022: the smallest normal float
+    if lost.size:
+        shift = np.zeros(len(stack), dtype=int)
+        units, shift[lost] = _unit_effects(meas.elements[lost])
+        stack[lost] = units * _HALF_ETA
     info = _information(stack, shift)
     values = _numbers(info)
     columns = zip(range(k), probs.tolist(), e_vecs.tolist(), v_vecs.tolist(), norms[:k], norms[k:-1],

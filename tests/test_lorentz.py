@@ -8,11 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import directions, rand_restricted, rand_rotation4, rand_timelike, rand_unit3
+from conftest import CORNERS, directions, rand_restricted, rand_rotation4, rand_timelike, rand_unit3, swept_elements
 from qubitcone.adjoint import psi
 from qubitcone.cli import main
 from qubitcone.conemap import ETA
-from qubitcone.correspond import element_to_lorentz
+from qubitcone.correspond import element_to_lorentz, lorentz_to_element
 from qubitcone.errors import (
     BadAxis,
     MalformedInput,
@@ -30,6 +30,7 @@ from qubitcone.lorentz import (
     RESTRICTED,
     TIMELIKE,
     TOL_V,
+    LorentzDecomposition,
     Velocity,
     _is_null,
     classify,
@@ -77,13 +78,47 @@ def test_a_velocity_checks_itself(v, kind):
 
 
 def test_a_velocity_is_never_renormalised():
-    """The checked v is kept as given: the same array for a float 3-vector, and a null v
-    within TOL of unit norm keeps its norm."""
+    """The checked v is kept bit for bit, and a null v within TOL of unit norm keeps its norm."""
     arr = np.array([0.1, 0.2, 0.3])
-    assert Velocity(v=arr, kind=TIMELIKE).v is arr
+    assert Velocity(v=arr, kind=TIMELIKE).v.tobytes() == arr.tobytes()
     near = np.array([0.0, 0.0, 1 + 0.5e-9])
     assert Velocity(v=near, kind=NULL).v[2] == 1 + 0.5e-9
     assert Velocity(v=[0.0, 0.6, 0.8], kind=NULL).v.tolist() == [0.0, 0.6, 0.8]
+
+
+def test_a_velocity_keeps_a_read_only_copy():
+    """A change to the caller's array after the check reaches no record: pure_boost and
+    lorentz_to_element read the checked v, and the record's own v cannot be written."""
+    arr = np.array([0.1, 0.0, 0.0])
+    vel = Velocity(v=arr, kind=TIMELIKE)
+    decomp = LorentzDecomposition(rotation=np.eye(4), velocity=vel, scale=1.0)
+    before = pure_boost(vel), lorentz_to_element(decomp)
+    arr[0] = 2.0
+    assert vel.v.tolist() == [0.1, 0.0, 0.0]
+    assert pure_boost(vel).tobytes() == before[0].tobytes()
+    assert lorentz_to_element(decomp).tobytes() == before[1].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        vel.v[0] = 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(swept=swept_elements, direction=directions, speed=st.floats(0, 1 + TOL_V))
+@example(swept=CORNERS[0], direction=np.array([0.0, 0.0, 1.0]), speed=1 - TOL_V)
+@example(swept=CORNERS[1], direction=np.array([0.0, 0.6, 0.8]), speed=1 + TOL_V)
+def test_built_velocities_pass_the_check(swept, direction, speed):
+    """velocity and element_to_lorentz build their records without running Velocity's
+    check again: each record passes it and keeps its bits through it."""
+    for vel in [velocity(speed * direction), element_to_lorentz(swept[0]).velocity]:
+        assert Velocity(v=vel.v, kind=vel.kind).v.tobytes() == vel.v.tobytes()
+
+
+def test_velocity_copies_the_callers_array():
+    """A timelike velocity keeps a copy, so that a later change to the caller's array
+    cannot make it superluminal."""
+    arr = np.array([0.1, 0.0, 0.0])
+    vel = velocity(arr)
+    arr[0] = 2.0
+    assert vel.v.tolist() == [0.1, 0.0, 0.0]
 
 
 def norm_velocity(v) -> Velocity:

@@ -4,10 +4,11 @@ pure_boost divides the 16 floats of adjoint._boost by g before it forms one flat
 array; lorentz_to_element forms its result flat and takes v.dot(v); the null
 branch of lorentz._geometry divides v3 by the speed as floats; classify and
 spinor_lift read the class off lorentz._core without forming a Velocity;
-qmat._entries tests its entries finite by their sum first; and the kernels that
-were folded into qmat._scaled_gram, lorentz._geometry and lorentz._fitting_preimage
-are kept here as they were. The earlier expressions are kept here as oracles, and
-every result is compared bit for bit, every exception by type and message.
+qmat._entries tests its entries finite by their sum first; the kernels that were
+folded into qmat._scaled_gram and lorentz._geometry are kept here as they were; and
+the rotation lift keeps its own psi preimage and absolute fit test. The earlier
+expressions are kept here as oracles, and every result is compared bit for bit,
+every exception by type and message.
 """
 import cmath
 import math
@@ -76,7 +77,8 @@ def null_boost_oracle(vel) -> np.ndarray:
 
 
 def rotation_spinor_oracle(flat: list) -> list:
-    """lorentz._rotation_spinor as it was, with its own psi preimage and fit test."""
+    """lorentz._rotation_spinor with its own psi preimage and a fit test absolute in TOL,
+    not the relative one of lorentz._fitting_preimage (see the perturbed rotations below)."""
     edge = flat[:4] + flat[4::4]
     if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > TOL:
         raise NotDecomposable("rotation is not a Bloch-block rotation")
@@ -279,8 +281,8 @@ def test_rewritten_sites_keep_their_bits(u, v, ratio, k, speed, direction, j):
 @example(axis=Z, theta=0.0, size=1.2 * TOL, seed=0)
 def test_perturbed_rotations_are_accepted_as_before(axis, theta, size, seed):
     """A rotation block perturbed by 0.1 to 10 TOL is accepted or rejected, and lifted,
-    as before the psi preimage of lorentz._rotation_spinor moved into _fitting_preimage,
-    through lorentz_to_element and rotation_axis_angle."""
+    by the rotation lift's own absolute fit test, through lorentz_to_element and
+    rotation_axis_angle; the relative fit of lorentz._fitting_preimage flips about 3% of them."""
     r3 = rotation4(axis, theta)[1:, 1:] + size * np.random.default_rng(seed).normal(size=(3, 3)) / 3
     rotation = np.eye(4)
     rotation[1:, 1:] = r3

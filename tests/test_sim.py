@@ -202,6 +202,9 @@ def test_report_invariants():
 @example(I2, I2, 0.5, -170.0)  # psi(M) ~ 1e-340 underflows to 0
 @example(I2, I2, 1e-3, -300.0)  # M subnormal in part
 @example(I2, I2, 1.0, 0.0)  # {I, 0}
+@example(I2, I2, 1.0, -153.8)  # e0 = 5e-308, just above the smallest normal float
+@example(I2, I2, 1.0, -154.0)  # e0 = 2e-308, just below it
+@example(I2, I2, 0.0, -154.0)  # rank one, e0 = 1e-308
 def test_report_invariants_kind_is_the_forward_maps(u, v, ratio, log_scale):
     """An element's kind is element_to_lorentz's, 1 - |v| <= TOL_V with
     |v| = |e[1:]| / e[0], at element scales 1e-300 to 1, where psi(M) underflows
@@ -216,17 +219,18 @@ def test_report_invariants_kind_is_the_forward_maps(u, v, ratio, log_scale):
                                                       for e in meas.elements]
 
 
-def test_report_invariants_reads_an_element_whose_psi_underflows():
-    """M = 1e-170 diag(1, 1/2): psi(M) ~ 1e-340 underflows to 0, yet the report reads V
-    off Measurement.unit_effects, V = 1e-340 (5/8, 0, 0, -3/8): timelike, as element_to_lorentz
-    reads M, with information_effect log2 eta(V, V) = log2(1e-680 / 4)."""
-    m0, m1 = 1e-170, 0.5e-170
-    m = np.diag([m0, m1])
-    meas = measurement([m, np.diag([math.sqrt(1 - m0**2), math.sqrt(1 - m1**2)])])
-    assert not meas.transforms[0].any()
+@pytest.mark.parametrize("s", [1e-170, 1e-157, 1e-100])
+def test_report_invariants_reads_an_element_whose_psi_underflows(s):
+    """M = s diag(1, 1/2), V = s^2 (5/8, 0, 0, -3/8): timelike, as element_to_lorentz reads M,
+    with information_effect log2 eta(V, V) = log2(s^4 / 4) to the last bits, also where
+    psi(M) underflows to 0 (s = 1e-170) or to subnormals of about 32 bits (s = 1e-157):
+    the report reads V off sim._unit_effects there."""
+    m = np.diag([s, s / 2])
+    meas = measurement([m, np.diag([math.sqrt(1 - s**2), math.sqrt(1 - s**2 / 4)])])
+    assert meas.transforms[0].any() == (s > 1e-160)
     el = report_invariants(meas, I2 / 2)["elements"][0]
     assert el["kind"] == element_to_lorentz(m).kind == "timelike"
-    assert el["information_effect"] == pytest.approx(4 * math.log2(1e-170) - 2, rel=1e-15)
+    assert el["information_effect"] == pytest.approx(4 * math.log2(s) - 2, rel=1e-15)
 
 
 def test_validation_errors():

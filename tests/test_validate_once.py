@@ -137,8 +137,7 @@ def test_forward_map_forms_no_effect(monkeypatch, make):
 @pytest.fixture
 def chain_calls(monkeypatch):
     """Counts both forms of psi, the psi preimage and np.abs, and records the
-    type of the first argument of every _unit_det, _core, _geometry and
-    _fitting_preimage call."""
+    type of the first argument of every _unit_det, _core and _geometry call."""
     calls = count_calls(monkeypatch, ["_psi", "_psi_entries", "_preimage"])
     abs_calls = []
     real_abs = np.abs
@@ -149,7 +148,7 @@ def chain_calls(monkeypatch):
 
     monkeypatch.setattr(np, "abs", counting_abs)
     arg_types = []
-    for mod, name in bindings(("_unit_det", "_core", "_geometry", "_fitting_preimage")):
+    for mod, name in bindings(("_unit_det", "_core", "_geometry")):
         fn = getattr(mod, name)
 
         def recording(a, *args, _fn=fn, **kwargs):
@@ -174,7 +173,7 @@ def test_single_element_chain_is_scalar(chain_calls, make):
     """element_to_lorentz, lorentz_to_element and spinor_lift each form psi once,
     by the closed form _psi_entries and never by the stack form _psi, and the psi
     preimage at most once, as four numbers: the lift path calls np.abs at most
-    once, and _unit_det, _core, _geometry and _fitting_preimage take Python lists."""
+    once, and _unit_det, _core and _geometry take Python lists."""
     reset, read = chain_calls
     m = make(np.random.default_rng(18))
     reset()
