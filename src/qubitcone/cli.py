@@ -4,6 +4,12 @@ One command per invocation; all structured input and output is the JSON
 documented in serialize.py. Exit codes: 0 success, 1 validation failure,
 2 malformed input, 3 numeric-domain error. A measurement file is checked by
 the correspond.Measurement it builds, as the library's input is.
+
+build_parser declares every option. A call whose words after the command name
+are exact `--option value` or `--option=value` pairs is read off that command's
+option table, built from the same argparse actions; any other argv (an
+abbreviation, -h or --help, `--`, an unknown or missing option, a value that
+its type rejects) is parsed by argparse, which prints help and usage errors.
 """
 from __future__ import annotations
 
@@ -154,48 +160,72 @@ def build_parser() -> argparse.ArgumentParser:
         "(rescaled) Lorentz transforms, and run the two scenario engines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.set_defaults(commands=sub.choices)  # command name -> its subparser, for _parse
+    commands = {}  # command name -> its subparser and option table, for _parse
+    parser.set_defaults(commands=commands)
 
     p = sub.add_parser("validate", help="check measurement completeness")
-    p.add_argument("--measurement", required=True)
-    p.add_argument("--tol", type=float, default=TOL)
-    p.set_defaults(func=cmd_validate)
+    commands["validate"] = _command(p, cmd_validate, [
+        p.add_argument("--measurement", required=True),
+        p.add_argument("--tol", type=float, default=TOL),
+    ])
 
     p = sub.add_parser("to-lorentz", help="measurement element to Lorentz data")
-    p.add_argument("--element", required=True)
-    p.set_defaults(func=cmd_to_lorentz)
+    commands["to-lorentz"] = _command(p, cmd_to_lorentz, [p.add_argument("--element", required=True)])
 
     p = sub.add_parser("to-element", help="Lorentz data to measurement element")
-    p.add_argument("--rotation-axis", required=True, metavar="X,Y,Z")
-    p.add_argument("--rotation-angle", required=True, type=float, metavar="R")
-    p.add_argument("--velocity", required=True, metavar="VX,VY,VZ")
-    p.add_argument("--lambda", dest="lam", type=float, default=None, metavar="L")
-    p.set_defaults(func=cmd_to_element)
+    commands["to-element"] = _command(p, cmd_to_element, [
+        p.add_argument("--rotation-axis", required=True, metavar="X,Y,Z"),
+        p.add_argument("--rotation-angle", required=True, type=float, metavar="R"),
+        p.add_argument("--velocity", required=True, metavar="VX,VY,VZ"),
+        p.add_argument("--lambda", dest="lam", type=float, default=None, metavar="L"),
+    ])
 
     p = sub.add_parser("apply", help="apply every element to a state")
-    p.add_argument("--measurement", required=True)
-    p.add_argument("--state", required=True)
-    p.set_defaults(func=cmd_apply)
+    commands["apply"] = _command(p, cmd_apply, [
+        p.add_argument("--measurement", required=True),
+        p.add_argument("--state", required=True),
+    ])
 
     p = sub.add_parser("simulate", help="sample measurement outcomes")
-    p.add_argument("--measurement", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.set_defaults(func=cmd_simulate)
+    commands["simulate"] = _command(p, cmd_simulate, [
+        p.add_argument("--measurement", required=True),
+        p.add_argument("--state", required=True),
+        p.add_argument("--seed", required=True, type=int),
+        p.add_argument("--n", required=True, type=int),
+    ])
 
     p = sub.add_parser("boost-observer", help="probabilities in a boosted frame")
-    p.add_argument("--measurement", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--velocity", required=True, metavar="VX,VY,VZ")
-    p.set_defaults(func=cmd_boost_observer)
+    commands["boost-observer"] = _command(p, cmd_boost_observer, [
+        p.add_argument("--measurement", required=True),
+        p.add_argument("--state", required=True),
+        p.add_argument("--velocity", required=True, metavar="VX,VY,VZ"),
+    ])
 
     p = sub.add_parser("invariants", help="per-element invariant report")
-    p.add_argument("--measurement", required=True)
-    p.add_argument("--state", required=True)
-    p.set_defaults(func=cmd_invariants)
+    commands["invariants"] = _command(p, cmd_invariants, [
+        p.add_argument("--measurement", required=True),
+        p.add_argument("--state", required=True),
+    ])
 
     return parser
+
+
+# The class of the actions that add_argument makes by default: a plain store.
+_STORE = type(argparse.ArgumentParser(add_help=False).add_argument("--x"))
+
+
+def _command(sub: argparse.ArgumentParser, func, actions: list[argparse.Action]) -> tuple:
+    """sub, with func as its default, and the option table of its actions, which are all
+    the actions added to it: option string -> action, the namespace of every default
+    then func, and the required dests. The table is None unless every action stores one
+    value with no choices and no str default, which argparse would convert at the end."""
+    sub.set_defaults(func=func)
+    if not all(type(a) is _STORE and a.nargs is None and a.choices is None and not isinstance(a.default, str)
+               for a in actions):
+        return sub, None
+    options = {flag: a for a in actions for flag in a.option_strings}
+    required = {a.dest for a in actions if a.required}
+    return sub, (options, {**{a.dest: a.default for a in actions}, "func": func}, required)
 
 
 # Built once per process: main(argv) may be called any number of times.
@@ -216,10 +246,41 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_exact(table: tuple, words: list[str]) -> argparse.Namespace | None:
+    """The namespace of the command's subparser.parse_known_args(words), read off its option
+    table when words are exact `--option value` or `--option=value` pairs, no spaced value
+    starting with `-`, that give every required option and that each action's type converts
+    (a repeated option keeps its last value, as in argparse); else None, for argparse."""
+    options, defaults, required = table
+    values = dict(defaults)
+    given = set()
+    words = iter(words)
+    for word in words:
+        flag, eq, value = word.partition("=")
+        action = options.get(flag)
+        if action is None:
+            return None
+        if not eq:
+            value = next(words, None)
+            if value is None or value[:1] == "-":
+                return None
+        try:
+            values[action.dest] = value if action.type is None else action.type(value)
+        except (TypeError, ValueError):
+            return None
+        given.add(action.dest)
+    return argparse.Namespace(**values) if required <= given else None
+
+
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """parser.parse_args(argv) in one pass when argv[0] names a command whose own
+    """parser.parse_args(argv), read off the option table when argv[0] names a command and
+    the rest is exact (_parse_exact); else in one argparse pass when the command's own
     subparser takes all of argv[1:]; else parser parses, to render its usage errors."""
-    sub = parser.get_default("commands").get(argv[0]) if argv else None
+    sub, table = parser.get_default("commands").get(argv[0], (None, None)) if argv else (None, None)
+    if table is not None:
+        args = _parse_exact(table, argv[1:])
+        if args is not None:
+            return args
     if sub is not None:
         args, extra = sub.parse_known_args(argv[1:])
         if not extra:

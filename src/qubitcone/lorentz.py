@@ -68,7 +68,9 @@ class Velocity:
 
 def _velocity(v: np.ndarray, kind: str) -> Velocity:
     """The Velocity of a fresh array v, which no caller holds, that velocity or _geometry has
-    just classified as kind by its norm: Velocity's check is not run a second time."""
+    just classified as kind by its norm: Velocity's check is not run a second time, and v is
+    made read-only, as Velocity makes its copy."""
+    v.setflags(write=False)
     vel = object.__new__(Velocity)
     object.__setattr__(vel, "v", v)
     object.__setattr__(vel, "kind", kind)

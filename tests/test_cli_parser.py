@@ -1,8 +1,13 @@
 """The CLI parser is built once, at import, and reused by every main(argv)
-call in the process; a call parses with its command's own subparser and reads
-as the full parser reads it; option values may start with `-`."""
+call in the process; an exact call is read off its command's option table,
+any other parses with its command's own subparser, and either reads as the full
+parser reads it; option values may start with `-`."""
+import argparse
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qubitcone import cli, serialize
 from qubitcone.cli import EXIT_DOMAIN, EXIT_MALFORMED, EXIT_OK, main
@@ -117,6 +122,9 @@ def parser_corpus(f) -> tuple[list, list]:
         ["validate", "--measurement", f["meas"], "--tol", "x"],
         ["to-element", "--rotation", "0,0,1", "--rotation-angle", "0.3", "--velocity", "0,0,0"],
         ["validate", "--measurement"],
+        ["validate", "--measurement", "--tol"],
+        ["validate", "--measurement", "--x", "--tol", "1e-3"],
+        ["to-lorentz", "--element", "--", f["elem"]],
         ["validate", "--", "--measurement", f["meas"]],
         ["validate", "--measurement", f["meas"], "--"],
         ["--", "validate", "--measurement", f["meas"]],
@@ -154,22 +162,120 @@ def test_parsing_with_the_command_subparser_matches_the_full_parser(files, capsy
 
 
 def test_a_valid_call_runs_only_its_command_subparser(files, capsys, monkeypatch):
-    """The full parser parses only argv whose first word is not a command, or
-    that the command's subparser does not take whole."""
-    full = []
+    """An exact call runs no argparse parser; an abbreviated one runs its command's
+    subparser alone; the full parser parses only argv whose first word is not a
+    command, or that the command's subparser does not take whole."""
+    full, subparsed = [], []
 
     def parse_args(argv):
         full.append(argv)
         raise SystemExit(2)
 
+    def recorded(parse):
+        return lambda words: subparsed.append(words) or parse(words)
+
     monkeypatch.setattr(cli.PARSER, "parse_args", parse_args)
+    for sub, _ in cli.PARSER.get_default("commands").values():
+        monkeypatch.setattr(sub, "parse_known_args", recorded(sub.parse_known_args))
     valid, _ = parser_corpus(files)
     for argv in valid:
         call(capsys, argv)
     assert full == []
+    prefixes = {"--meas", "--el", "--lam", "--vel", "--st"}
+    abbreviated = [argv for argv in valid if any(word.partition("=")[0] in prefixes for word in argv)]
+    assert len(abbreviated) == 7
+    assert subparsed == [cli._attach_dash_values(argv)[1:] for argv in abbreviated]
     for argv in (["validate", "--measurement", files["meas"], "--bogus"], ["-h"], []):
         call(capsys, argv)
     assert len(full) == 3
+
+
+def option_values(f) -> dict:
+    """command -> its options, each with values that read: some run, some end in exit 1, 2 or 3."""
+    io = {"--measurement": [f["meas"], f["short"]], "--state": [f["state"]]}
+    return {
+        "validate": {"--measurement": [f["meas"], f["short"]], "--tol": ["1e-3", "-1e-3", "nan"]},
+        "to-lorentz": {"--element": [f["elem"]]},
+        "to-element": {
+            "--rotation-axis": ["0,0,1", "-1,0,0"],
+            "--rotation-angle": ["0.3", "-1e-3"],
+            "--velocity": ["0.1,0,0", "-0.5,0,0", "0,0,1.5"],
+            "--lambda": ["0.5", "-1", "5"],
+        },
+        "apply": io,
+        "simulate": {**io, "--seed": ["7", "1", "-1"], "--n": ["50", "1", "0"]},
+        "boost-observer": {**io, "--velocity": ["0,0,0.5", "-0.1,0,0", "0.6,0.6,0.6"]},
+        "invariants": io,
+    }
+
+
+# Values that no option reads as a number: empty, dash-leading and type-invalid ones.
+ODD_VALUES = ["", "abc", "x", "-x", "--x", "-", "1,2"]
+# Words that are no option pair: the separator, help, an unknown option, a stray word.
+EXTRA_WORDS = ["--", "-h", "--help", "--bogus", "--bogus=1", "extra"]
+
+
+def draw_argv(choose, f) -> list:
+    """One argv of a command: its options in any order, each given once or, one time in eight,
+    left out or twice, under its full name or, one time in three, a prefix, spaced or joined
+    by `=`, with a value that reads or, one time in six, an odd one; one argv in three has an
+    extra word inserted. Each pick is choose(sequence), an item of it, so that Hypothesis and
+    a seeded generator can draw."""
+    options = option_values(f)
+    cmd = choose(list(options))
+    pairs = []
+    for flag, values in options[cmd].items():
+        for _ in range(choose((0, 1, 1, 1, 1, 1, 1, 2))):
+            name = choose((flag, flag, flag[: choose(range(3, len(flag) + 1))]))
+            value = choose(choose((values,) * 5 + (ODD_VALUES,)))
+            pairs.append(choose(([name, value], [f"{name}={value}"])))
+    argv = [cmd]
+    while pairs:
+        argv += pairs.pop(choose(range(len(pairs))))
+    if choose((False, False, True)):
+        argv.insert(choose(range(1, len(argv) + 1)), choose(EXTRA_WORDS))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_argv_of_a_command_reads_as_the_full_parser_reads_it(files, capsys, data):
+    """main gives the exit code, stdout and stderr of the full parser for every drawn argv;
+    where the option table reads the argv, its namespace is the subparser's, in order
+    (compared by repr, which reads a NaN --tol as equal)."""
+    argv = draw_argv(lambda seq: data.draw(st.sampled_from(seq)), files)
+    result = call(capsys, argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse", parse_as_the_full_parser)
+        assert result == call(capsys, argv)
+    words = cli._attach_dash_values(argv)[1:]
+    sub, table = cli.PARSER.get_default("commands")[argv[0]]
+    exact = cli._parse_exact(table, words)
+    if exact is not None:
+        args, extra = sub.parse_known_args(words)
+        assert extra == [] and repr(exact) == repr(args)
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        {"action": "store_true"},
+        {"action": "append"},
+        {"action": "count"},
+        {"nargs": "?"},
+        {"nargs": 1},
+        {"choices": ["a", "b"]},
+        {"default": "a"},
+    ],
+)
+def test_only_plain_stores_are_read_off_a_table(option):
+    """A command gets an option table only when each of its actions stores one value with
+    no choices and no str default; all seven commands have one."""
+    p = argparse.ArgumentParser()
+    assert cli._command(p, print, [p.add_argument("--a", type=int, default=1)])[1] is not None
+    q = argparse.ArgumentParser()
+    assert cli._command(q, print, [q.add_argument("--a"), q.add_argument("--b", **option)]) == (q, None)
+    assert all(table is not None for _, table in cli.PARSER.get_default("commands").values())
 
 
 def test_options_do_not_leak_into_the_next_call(files, capsys):

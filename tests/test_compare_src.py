@@ -31,6 +31,8 @@ def test_src_against_itself_is_identical():
     assert run.returncode == 0, run.stdout + run.stderr
     n_golden = len(list((ROOT / "tests" / "data" / "golden").glob("*.args")))
     assert f"golden CLI calls: {n_golden} identical, 0 differing" in run.stdout
+    assert (f"cli argv group calls (seed 1): {compare_src.ARGV_CALLS} identical, 0 differing "
+            "(exit code, stdout and stderr)") in run.stdout
     assert "chain calls: 120 identical, 0 differing" in run.stdout
     assert "differing chain calls by input tag, each under every tag it has: none; untagged: 0" in run.stdout
     assert "worst difference where both return: 0 eps*max|entry|" in run.stdout
@@ -49,11 +51,22 @@ def test_src_against_itself_is_identical():
     assert run.stderr == ""
 
 
-def test_a_moved_tally_is_named_by_its_path(tmp_path):
+def test_a_moved_tally_is_named_by_its_path(tmp_path, monkeypatch):
     """A change that reverses every tally moves only the simulate calls, and
     only at outcomes[i].tally: each such call is listed with its paths, and the
-    summary counts them as outcomes[*].tally. In the engine group it moves
-    scenario1_sample alone, on every input whose tallies are not a palindrome."""
+    summary counts them as outcomes[*].tally. In the engine group and among the
+    argv group's simulate calls that print a result, it moves those whose tallies
+    are not a palindrome, and in the engine group scenario1_sample alone."""
+    from qubitcone.cli import main
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # argv_records puts tests/ first
+    monkeypatch.chdir(ROOT)
+    argv_moved = 0
+    for rec in compare_src.argv_records(main, 1):
+        if rec["id"].endswith(" simulate") and rec["stdout"].startswith("{"):  # not a help text
+            tallies = [o["tally"] for o in json.loads(rec["stdout"])["outcomes"]]
+            argv_moved += tallies != tallies[::-1]
+    assert argv_moved > 0
     change = tmp_path / "src"
     shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
     sim = change / "qubitcone" / "sim.py"
@@ -65,7 +78,7 @@ def test_a_moved_tally_is_named_by_its_path(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     moved = [line for line in run.stdout.splitlines() if line.startswith("paths differ: ")]
     simulate_calls = [line for line in moved if " simulate" in line]
-    assert moved == simulate_calls and len(moved) == 3 + 3 * 3  # 3 golden, 3 per pool seed
+    assert moved == simulate_calls and len(moved) == 3 + argv_moved + 3 * 3  # 3 golden, 3 per pool seed
     for line in moved:
         assert set(line.split(": ", 2)[2].split(", ")) <= {f"outcomes[{i}].tally" for i in range(16)}, line
     # all 96 pool inputs, n = MAX_SAMPLES, the exact zero, the two small elements and the

@@ -101,6 +101,31 @@ def test_a_velocity_keeps_a_read_only_copy():
         vel.v[0] = 2.0
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: velocity([0.1, 0.0, 0.0]),
+        lambda: velocity([0.0, 0.6, 0.8]),
+        lambda: element_to_lorentz(np.diag([1.0, 0.5])),
+        lambda: element_to_lorentz(np.diag([1.0, 0.0])),
+        lambda: decompose(psi(np.diag([1.0, 0.5]))),
+        lambda: decompose(psi(np.diag([1.0, 0.0]))),
+    ],
+    ids=["velocity timelike", "velocity null", "element_to_lorentz timelike", "element_to_lorentz null",
+         "decompose timelike", "decompose null"],
+)
+def test_a_built_velocity_cannot_be_written(build):
+    """The records that velocity, element_to_lorentz and decompose build hold a read-only v,
+    so that no write into a record gets round Velocity's check: a superluminal v written in
+    would reach pure_boost as a bare math domain error."""
+    record = build()
+    vel = record if isinstance(record, Velocity) else record.velocity
+    before = vel.v.tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        vel.v[vel.v.argmax()] = 2.0
+    assert vel.v.tolist() == before
+
+
 @settings(max_examples=300, deadline=None)
 @given(swept=swept_elements, direction=directions, speed=st.floats(0, 1 + TOL_V))
 @example(swept=CORNERS[0], direction=np.array([0.0, 0.0, 1.0]), speed=1 - TOL_V)

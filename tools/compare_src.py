@@ -9,6 +9,13 @@ read line by line. Both sides get the same inputs:
 
 - every `tests/data/golden/*.args` of this checkout, run through
   `qubitcone.cli.main` in-process: the exit code, stdout and stderr;
+- the argv group: ARGV_CALLS argv of the seven commands on the files of
+  `tests/data`, drawn from a generator seeded with S by the property test's
+  `draw_argv` (`tests/test_cli_parser.py`): options in any order, left out,
+  repeated or abbreviated, spaced or joined by `=`, with negative,
+  dash-leading, empty and type-invalid values, and now and then `--`, `-h`,
+  `--help`, an unknown option or a stray word; run through
+  `qubitcone.cli.main` in-process: the exit code, stdout and stderr;
 - N seeded calls of the single-element chain: `element_to_lorentz`,
   `polar_decompose`, `lorentz_to_element`, `spinor_lift`, `decompose`,
   `classify` and `rotation_axis_angle`. Element scales are
@@ -90,6 +97,11 @@ CALLS = ("element_to_lorentz", "polar_decompose", "lorentz_to_element", "spinor_
 ATTRIBUTES = ("e_vec", "v_vec", "velocity", "v", "scale", "rotation", "kind", "elements", "deviation", "transforms")
 ENGINES = ("measurement", "scenario1_sample", "boosted_probabilities", "report_invariants")
 ENGINE_EDGES = 11  # the cases engine_cases adds after the povm pools
+ARGV_CALLS = 600  # the calls of the argv group
+# The files that the argv group's calls read, relative to the checkout: a measurement, an
+# incomplete one (exit 1), a state and an element.
+ARGV_FILES = {"meas": "tests/data/measurement.json", "short": "tests/data/measurement_incomplete.json",
+              "state": "tests/data/state_mixed.json", "elem": "tests/data/element_rank2.json"}
 
 
 def attributes(obj) -> dict | None:
@@ -154,6 +166,20 @@ def cli_record(main, ident: str, argv: list) -> dict:
 def golden_records(main):
     for args in sorted(GOLDEN.glob("*.args")):
         yield cli_record(main, f"golden {args.stem}", args.read_text().split())
+
+
+def argv_records(main, seed: int):
+    """ARGV_CALLS argv drawn by tests/test_cli_parser.py's draw_argv from a generator seeded
+    with seed, run from the root of the checkout."""
+    import numpy as np
+
+    sys.path.insert(0, str(ROOT / "tests"))
+    import test_cli_parser
+
+    rng = np.random.default_rng(seed)
+    for i in range(ARGV_CALLS):
+        argv = test_cli_parser.draw_argv(lambda seq: seq[rng.integers(len(seq))], ARGV_FILES)
+        yield cli_record(main, f"argv #{i} {argv[0]}", argv)
 
 
 def pool_records(main):
@@ -435,6 +461,8 @@ def worker(src: str, calls: int, seed: int) -> None:
     os.chdir(ROOT)  # the golden .args name their inputs relative to the checkout
     for rec in golden_records(main):
         print(json.dumps(rec))
+    for rec in argv_records(main, seed):
+        print(json.dumps(rec))
     functions = chain_functions()
     for i, (name, tag, raw) in enumerate(chain_inputs(calls, seed)):
         ident = f"{name} #{i}" + (f" [{tag}]" if tag else "")
@@ -492,7 +520,7 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     sides = [subprocess.Popen([sys.executable, __file__, "--worker", src, str(calls), str(seed)], stdout=subprocess.PIPE,
                               text=True, env=env, cwd=ROOT) for src in (parent_src, change_src)]
-    tally = {"golden": [0, 0], "calls": [0, 0], "engine": [0, 0], "pool": [0, 0], "malformed": [0, 0], "fuzz": [0, 0]}
+    tally = {"golden": [0, 0], "argv": [0, 0], "calls": [0, 0], "engine": [0, 0], "pool": [0, 0], "malformed": [0, 0], "fuzz": [0, 0]}
     raised, outcome_differs, worst, worst_id, shown, stderr_differs = 0, 0, 0.0, None, [], []
     moved, path_calls, path_values, tags, one_side, engines = [], Counter(), Counter(), Counter(), Counter(), Counter()
     a = b = {"id": None}
@@ -538,6 +566,8 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
         print(f"a worker failed: exit codes {codes}, last records {a['id']!r} and {b['id']!r}")
         return 1
     print(f"golden CLI calls: {tally['golden'][0]} identical, {tally['golden'][1]} differing "
+          "(exit code, stdout and stderr)")
+    print(f"cli argv group calls (seed {seed}): {tally['argv'][0]} identical, {tally['argv'][1]} differing "
           "(exit code, stdout and stderr)")
     print(f"chain calls: {tally['calls'][0]} identical, {tally['calls'][1]} differing "
           f"({raised} of the identical raise, with the same type and message on both sides)")
