@@ -2,8 +2,9 @@
 
 Pure boosts and rescaled null boosts (the finite gamma^{-1}-scaled limits
 of boosts at the speed of light), both multiples of the one adjoint._boost
-formula; Bloch-block rotations, the psi images of SU(2) spinors and read
-back through the same lift; classification of a 4x4 matrix against those
+formula; Bloch-block rotations, the psi images of SU(2) spinors, read back
+by their quaternion closed form (_rotation_spinor, Shepperd's pivoted
+extraction) in real arithmetic; classification of a 4x4 matrix against those
 families, the rotation-times-boost decomposition, and the two-to-one spinor
 lift back to unit-determinant 2x2 complex matrices. Classification,
 decomposition and lift read the one psi preimage A = _fitting_preimage(L), and
@@ -251,12 +252,35 @@ def decompose(L) -> EffectGeometry:
 
 def _rotation_spinor(flat: list) -> list:
     """The entries of the U with det U = 1, signed as _unit_det describes, and psi(U) = rot within
-    TOL, for the 16 entries flat of a proper block rotation rot = diag(1, R); else NotDecomposable."""
+    TOL, for the 16 entries flat of a proper block rotation rot = diag(1, R); else NotDecomposable.
+    U = w I - i (x, y, z) . sigma is read off rot in real arithmetic by Shepperd's pivoted quaternion
+    extraction (J. Guidance & Control 1, 1978). The weights r00 +- r11 +- r22 +- r33, with an even
+    number of minus signs, are 4 r00 (w^2, x^2, y^2, z^2): r00 = |c|^2 scales all of psi(c U). The
+    largest, at least r00, gives its component sqrt/2, and off-diagonal sums or differences over 4
+    times it the other three. The normalised (w, x, y, z) is negated when w < 0, or w = 0 and z > 0,
+    as _unit_det signs U_00 + conj(U_11) = 2 (w - i z)."""
     edge = flat[:4] + flat[4::4]  # row 0 and column 0
     if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > TOL:
         raise NotDecomposable("rotation is not a Bloch-block rotation")
-    ell = max(map(abs, flat))
-    u = _unit_det(_preimage([x / ell for x in flat], ell))
+    r00, r11, r12, r13, r21, r22, r23, r31, r32, r33 = flat[:1] + flat[5:8] + flat[9:12] + flat[13:]
+    weights = (r00 + r11 + r22 + r33, r00 + r11 - r22 - r33, r00 - r11 + r22 - r33, r00 - r11 - r22 + r33)
+    big = max(weights)
+    pivot = weights.index(big)
+    p = math.sqrt(big) / 2
+    k = 1 / (4 * p)
+    if pivot == 0:
+        w, x, y, z = p, (r32 - r23) * k, (r13 - r31) * k, (r21 - r12) * k
+    elif pivot == 1:
+        w, x, y, z = (r32 - r23) * k, p, (r12 + r21) * k, (r13 + r31) * k
+    elif pivot == 2:
+        w, x, y, z = (r13 - r31) * k, (r12 + r21) * k, p, (r23 + r32) * k
+    else:
+        w, x, y, z = (r21 - r12) * k, (r13 + r31) * k, (r23 + r32) * k, p
+    n = math.hypot(w, x, y, z)
+    if w < 0 or (w == 0 and z > 0):
+        n = -n
+    w, x, y, z = w / n, x / n, y / n, z / n
+    u = [complex(w, -z), complex(-y, -x), complex(y, -x), complex(w, z)]
     if not _fits(u, flat):
         raise NotDecomposable("rotation block is not a proper rotation")
     return u

@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -36,6 +37,7 @@ def test_src_against_itself_is_identical():
     assert "chain calls: 120 identical, 0 differing" in run.stdout
     assert "differing chain calls by input tag, each under every tag it has: none; untagged: 0" in run.stdout
     assert "worst difference where both return: 0 eps*max|entry|" in run.stdout
+    assert "differing chain calls by function, with the worst difference where both return: none" in run.stdout
     assert "record attributes on one side only, not compared: none" in run.stdout
     assert (f"engine calls (povm pools of seeds 1, 2, 3 and 11 edge cases): {N_ENGINE} identical, 0 differing "
             "(bit for bit); differing by function: none") in run.stdout
@@ -90,6 +92,39 @@ def test_a_moved_tally_is_named_by_its_path(tmp_path, monkeypatch):
     assert summary.startswith(f"stdout paths that differ, over the {len(moved)} differing CLI calls")
     values = sum(line.count(".tally") for line in moved)
     assert summary.endswith(f"outcomes[*].tally in {len(moved)} calls ({values} values)")
+
+
+def test_a_moved_chain_call_is_counted_by_its_function(tmp_path):
+    """A change that moves every angle of rotation_axis_angle up by one ulp moves only that
+    function's chain calls that return: the report counts them under its name, with a worst
+    difference of at most 1 eps*max|entry|, and no CLI call."""
+    from qubitcone.lorentz import rotation_axis_angle
+
+    calls = 70  # 10 of each of the 7 chain functions
+    returning = 0
+    for name, _, raw in compare_src.chain_inputs(calls, 1):
+        if name == "rotation_axis_angle":
+            try:
+                returning += rotation_axis_angle(raw)[1] > 0
+            except Exception:  # noqa: BLE001 - the same exception on both sides
+                pass
+    assert returning > 0
+    change = tmp_path / "src"
+    shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
+    lorentz = change / "qubitcone" / "lorentz.py"
+    text = lorentz.read_text()
+    angle = "2 * math.atan2(sin_half, (u00 + u11).real / 2)"
+    assert text.count(angle) == 1
+    lorentz.write_text(text.replace(angle, f"math.nextafter({angle}, 4.0)"))
+    run = subprocess.run([sys.executable, str(TOOL), str(ROOT / "src"), str(change), "--calls", str(calls)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert f"chain calls: {calls - returning} identical, {returning} differing" in run.stdout
+    line = next(line for line in run.stdout.splitlines() if line.startswith("differing chain calls by function"))
+    found = re.fullmatch(r"differing chain calls by function, with the worst difference where both return: "
+                         r"rotation_axis_angle (\d+) \((\S+) eps\*max\|entry\|\)", line)
+    assert found and int(found[1]) == returning and 0 < float(found[2]) <= 1, line
+    assert "stdout paths that differ, over the 0 differing CLI calls with JSON stdout on both sides: none" in run.stdout
 
 
 def test_the_engine_group_reaches_its_edges(monkeypatch):

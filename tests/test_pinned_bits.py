@@ -5,13 +5,17 @@ array; lorentz_to_element forms its result flat and takes v.dot(v); the null
 branch of lorentz._geometry divides v3 by the speed as floats; classify and
 spinor_lift read the class off lorentz._core without forming a Velocity;
 qmat._entries tests its entries finite by their sum first; the kernels that were
-folded into qmat._scaled_gram and lorentz._geometry are kept here as they were; and
-the rotation lift keeps its own psi preimage and absolute fit test. The earlier
-expressions are kept here as oracles, and every result is compared bit for bit,
-every exception by type and message.
+folded into qmat._scaled_gram and lorentz._geometry are kept here as they were. The
+earlier expressions are kept here as oracles, and every result is compared bit for
+bit, every exception by type and message. The rotation lift alone is compared within
+bounds: it reads the spinor of diag(1, R) by its quaternion closed form where it took
+the psi preimage and _unit_det, so lorentz_to_element and rotation_axis_angle must
+raise the same exception and message as before, or return within 4 eps max|M| (the
+element), 4 eps (the angle) and 4 eps / sin(theta/2) (the axis).
 """
 import cmath
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -37,6 +41,7 @@ from qubitcone.lorentz import (
     Velocity,
     _fits,
     _is_null,
+    _rotation_spinor,
     _unit_det,
     classify,
     decompose,
@@ -77,8 +82,9 @@ def null_boost_oracle(vel) -> np.ndarray:
 
 
 def rotation_spinor_oracle(flat: list) -> list:
-    """lorentz._rotation_spinor with its own psi preimage and a fit test absolute in TOL,
-    not the relative one of lorentz._fitting_preimage (see the perturbed rotations below)."""
+    """lorentz._rotation_spinor as it was, through the psi preimage and _unit_det, with the
+    fit test absolute in TOL, not the relative one of lorentz._fitting_preimage (see the
+    perturbed rotations below)."""
     edge = flat[:4] + flat[4::4]
     if max(abs(edge[0] - 1.0), *map(abs, edge[1:])) > TOL:
         raise NotDecomposable("rotation is not a Bloch-block rotation")
@@ -214,15 +220,46 @@ def bits(x):
     return x
 
 
-def outcome(fn, *args):
-    """The bits of what fn returns, or the type and message of what it raises, with every
-    warning an error."""
+def attempt(fn, *args):
+    """(None, what fn returns), or (the type and message of what it raises, None), with
+    every warning an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return "ok", bits(fn(*args))
+            return None, fn(*args)
         except Exception as exc:  # noqa: BLE001 - compared as type and message
-            return type(exc).__name__, str(exc)
+            return (type(exc).__name__, str(exc)), None
+
+
+def outcome(fn, *args):
+    """The bits of what fn returns, or the type and message of what it raises, with every
+    warning an error."""
+    error, result = attempt(fn, *args)
+    return ("ok", bits(result)) if error is None else error
+
+
+EPS = 2.0**-52
+
+
+def assert_element_near_oracle(decomp):
+    """lorentz_to_element raises as its oracle does, with the same message, or returns
+    within 4 eps max|M| of it."""
+    (error, m), (error_o, m_o) = attempt(lorentz_to_element, decomp), attempt(lorentz_to_element_oracle, decomp)
+    assert error == error_o
+    if error is None:
+        assert (m.dtype, m.shape) == (m_o.dtype, m_o.shape)
+        assert np.abs(m - m_o).max() <= 4 * EPS * np.abs(m_o).max()
+
+
+def assert_axis_angle_near_oracle(r3):
+    """rotation_axis_angle raises as its oracle does, with the same message, or returns the
+    angle within 4 eps and the axis within 4 eps / sin(theta/2) of it."""
+    (error, got), (error_o, want) = attempt(rotation_axis_angle, r3), attempt(rotation_axis_angle_oracle, r3)
+    assert error == error_o
+    if error is None:
+        (axis, angle), (axis_o, angle_o) = got, want
+        assert abs(angle - angle_o) <= 4 * EPS
+        assert np.abs(axis - axis_o).max() * math.sin(angle_o / 2) <= 4 * EPS
 
 
 PAIRS = [
@@ -251,22 +288,28 @@ exponents = st.floats(-150, 150)
 @example(u=U0, v=V0, ratio=0.3, k=2.0, speed=math.nextafter(1 - TOL_V, 0), direction=Z, j=0.0)
 @example(u=U0, v=V0, ratio=1e-16, k=-150.0, speed=0.9, direction=Z, j=-150.0)  # det M = 1e-316, subnormal
 @example(u=U0, v=V0, ratio=1.0, k=150.0, speed=0.0, direction=Z, j=150.0)
+# psi of this element's polar factor is 1 - 6.4e-15 times a rotation: the rotation lift reads
+# its weights off r00, where 1 + tr R would put lorentz_to_element 12 eps*max|M| off
+@example(u=unitary(5.580896228261273, 1.8851639605797, 2.2001431228615105, 1.0038502791337682),
+         v=unitary(4.349617794701731, 5.09445290022638, 1.356361683975255, 0.9777120271100703),
+         ratio=1.6690329317193966e-15, k=0.0, speed=0.5, direction=Z, j=0.0)
 def test_rewritten_sites_keep_their_bits(u, v, ratio, k, speed, direction, j):
-    """element_to_lorentz, polar_decompose, pure_boost, null_boost_rescaled, lorentz_to_element,
-    rotation_axis_angle, classify, decompose and spinor_lift give the bits, or the exception and message, of the
-    expressions they replaced, for M = 10^k U diag(1, ratio) V†, the velocity
-    speed * direction and the transforms psi(M), R B(v) of M and 10^j R B(velocity)."""
+    """element_to_lorentz, polar_decompose, pure_boost, null_boost_rescaled, classify, decompose
+    and spinor_lift give the bits, or the exception and message, of the expressions they
+    replaced, and lorentz_to_element and rotation_axis_angle come within the rotation lift's
+    bounds of theirs, for M = 10^k U diag(1, ratio) V†, the velocity speed * direction and the
+    transforms psi(M), R B(v) of M and 10^j R B(velocity)."""
     m = 10.0**k * u @ np.diag([1.0, ratio]) @ v.conj().T
     assert outcome(element_to_lorentz, m) == outcome(element_to_lorentz_oracle, m)
     assert outcome(qmat.polar_decompose, m) == outcome(polar_decompose_oracle, m)
     geom = element_to_lorentz(m)
-    assert outcome(rotation_axis_angle, geom.rotation[1:, 1:]) == outcome(rotation_axis_angle_oracle, geom.rotation[1:, 1:])
+    assert_axis_angle_near_oracle(geom.rotation[1:, 1:])
     vel = velocity(speed * direction)
     for fn, oracle in PAIRS:
         assert outcome(fn, vel) == outcome(oracle, vel)
         assert outcome(fn, geom.velocity) == outcome(oracle, geom.velocity)
     for decomp in (geom, LorentzDecomposition(rotation=geom.rotation, velocity=vel, scale=1.0)):
-        assert outcome(lorentz_to_element, decomp) == outcome(lorentz_to_element_oracle, decomp)
+        assert_element_near_oracle(decomp)
     transforms = [psi(m), 10.0**j * geom.rotation @ (pure_boost(vel) if vel.kind == TIMELIKE else null_boost_rescaled(vel))]
     if geom.kind == TIMELIKE:
         transforms.append(geom.rotation @ pure_boost(geom.velocity))
@@ -275,20 +318,104 @@ def test_rewritten_sites_keep_their_bits(u, v, ratio, k, speed, direction, j):
             assert outcome(fn, L) == outcome(oracle, L)
 
 
+# perturbation sizes 0.1 to 10 TOL
+perturbations = st.floats(-1, 1).map(lambda x: TOL * 10.0**x)
+
+
+def perturbed(axis, theta, size, seed, block=None) -> np.ndarray:
+    """block, or the block of rotation4(axis, theta) when it is None, plus size times a seeded
+    normal 3x3 over 3."""
+    r3 = rotation4(axis, theta)[1:, 1:] if block is None else block
+    return r3 + size * np.random.default_rng(seed).normal(size=(3, 3)) / 3
+
+
 @settings(max_examples=200, deadline=None)
-@given(axis=directions, theta=st.floats(0, math.pi), size=st.floats(-1, 1).map(lambda x: TOL * 10.0**x),
-       seed=st.integers(0, 2**32 - 1))
+@given(axis=directions, theta=st.floats(0, math.pi), size=perturbations, seed=st.integers(0, 2**32 - 1))
 @example(axis=Z, theta=0.0, size=1.2 * TOL, seed=0)
 def test_perturbed_rotations_are_accepted_as_before(axis, theta, size, seed):
     """A rotation block perturbed by 0.1 to 10 TOL is accepted or rejected, and lifted,
     by the rotation lift's own absolute fit test, through lorentz_to_element and
     rotation_axis_angle; the relative fit of lorentz._fitting_preimage flips about 3% of them."""
-    r3 = rotation4(axis, theta)[1:, 1:] + size * np.random.default_rng(seed).normal(size=(3, 3)) / 3
+    r3 = perturbed(axis, theta, size, seed)
     rotation = np.eye(4)
     rotation[1:, 1:] = r3
-    decomp = LorentzDecomposition(rotation=rotation, velocity=velocity([0.0, 0.0, 0.5]), scale=1.0)
-    assert outcome(lorentz_to_element, decomp) == outcome(lorentz_to_element_oracle, decomp)
-    assert outcome(rotation_axis_angle, r3) == outcome(rotation_axis_angle_oracle, r3)
+    assert_element_near_oracle(LorentzDecomposition(rotation=rotation, velocity=velocity([0.0, 0.0, 0.5]), scale=1.0))
+    assert_axis_angle_near_oracle(r3)
+
+
+def half_turn(axis) -> np.ndarray:
+    """The block 2 n n^T - I of the half turn about a unit axis n, symmetric in its bits, so that
+    the lift reads w = 0 off it exactly, as no rotation4(axis, math.pi) gives it."""
+    n = np.array(axis)
+    return 2 * np.outer(n, n) - np.eye(3)
+
+
+# The rotation lift's examples, (axis, theta, block) as perturbed takes them: theta = 0; the
+# half turns about x, y and z, (0.6, 0.8, 0) and (0.6, 0, 0.8), at the sign rule's tie w = 0,
+# with z = 0 and z > 0; a turn 1e-8 short of a half turn; and a block of entries near 1e308,
+# which is no rotation.
+LIFT_EXAMPLES = [
+    (Z, 0.0, None),
+    (Z, 0.0, half_turn([1.0, 0.0, 0.0])),
+    (Z, 0.0, half_turn([0.0, 1.0, 0.0])),
+    (Z, 0.0, half_turn([0.0, 0.0, 1.0])),
+    (Z, 0.0, half_turn([0.6, 0.8, 0.0])),
+    (Z, 0.0, half_turn([0.6, 0.0, 0.8])),
+    (np.array([0.0, 0.8, 0.6]), math.pi - 1e-8, None),
+    (Z, 0.0, 1e308 * np.array([[1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])),
+]
+
+
+def lift_examples(test):
+    for axis, theta, block in LIFT_EXAMPLES:
+        test = example(axis=axis, theta=theta, size=0.0, seed=0, block=block)(test)
+    return test
+
+
+def pivot(r3) -> int:
+    """The index of the largest weight of the rotation lift, 4 w^2, 4 x^2, 4 y^2 or 4 z^2
+    of diag(1, R), the first of equal ones."""
+    (r11, _, _), (_, r22, _), (_, _, r33) = r3.tolist()
+    weights = [1 + r11 + r22 + r33, 1 + r11 - r22 - r33, 1 - r11 + r22 - r33, 1 - r11 - r22 + r33]
+    return weights.index(max(weights))
+
+
+def block_entries(r3) -> list:
+    """The 16 entries of diag(1, r3), as Python floats, as qmat._entries gives them."""
+    row1, row2, row3 = r3.tolist()
+    return [1.0, 0.0, 0.0, 0.0, 0.0, *row1, 0.0, *row2, 0.0, *row3]
+
+
+def test_the_lift_examples_reach_every_pivot_and_the_sign_tie():
+    """The examples make each of the four weights the largest, and lift with U_00 = w - i z on
+    the sign rule: w > 0, or w = 0 and Im U_00 = -z >= 0, which the half turns about z and
+    (0.6, 0, 0.8) meet with z != 0, the tie."""
+    blocks = [perturbed(axis, theta, 0.0, 0, block) for axis, theta, block in LIFT_EXAMPLES]
+    assert [pivot(r3) for r3 in blocks] == [0, 1, 2, 3, 2, 3, 2, 0]
+    u00 = [_rotation_spinor(block_entries(r3))[0] for r3 in blocks[:-1]]
+    assert all(u.real > 0 or (u.real == 0 and u.imag >= 0) for u in u00), u00
+    assert [u.imag for u in u00 if u.real == 0] == [0.0, 0.0, 1.0, 0.0, 0.8]
+
+
+@settings(max_examples=300, deadline=None)
+@given(axis=directions, theta=st.floats(0, math.pi), size=st.just(0.0) | perturbations,
+       seed=st.integers(0, 2**32 - 1), block=st.none())
+@lift_examples
+def test_the_rotation_lift_reads_the_old_spinor(axis, theta, size, seed, block):
+    """The quaternion closed form of lorentz._rotation_spinor gives the spinor of the psi
+    preimage and _unit_det within 4 eps, signed alike, ties included, or raises as they did,
+    with the same message, on exact rotations and rotations perturbed by 0.1 to 10 TOL, and
+    rotation_axis_angle keeps its bounds on them. A block with an entry beyond 1 + 2 TOL is
+    no rotation: NotDecomposable, with no warning."""
+    r3 = perturbed(axis, theta, size, seed, block)
+    flat = block_entries(r3)
+    (error, u), (error_o, u_o) = attempt(_rotation_spinor, flat), attempt(rotation_spinor_oracle, flat)
+    assert error == error_o
+    if error is None:
+        assert max(map(abs, map(operator.sub, u, u_o))) <= 4 * EPS
+    if np.abs(r3).max() > 1 + 2 * TOL:
+        assert error == ("NotDecomposable", "rotation block is not a proper rotation")
+    assert_axis_angle_near_oracle(r3)
 
 
 def test_a_rotation_fits_its_unit_det_lift_absolutely():

@@ -56,11 +56,11 @@ read line by line. Both sides get the same inputs:
 
 A call is identical when every number has the same bits and every string and
 warning is equal; so the engine group compares its arrays bit for bit. The
-report gives the identical and differing counts, the engine group's also per
-function, and the worst difference of a number in units of eps * max|entry| of
-that call's parent result. On the malformed corpus a call differs when its
-exit code or stdout does; each stderr difference there is listed, since an
-error message may be reworded. For each differing CLI call whose stdout is
+report gives the identical and differing counts, the chain's and the engine
+group's also per function, and the worst difference of a number in units of
+eps * max|entry| of that call's parent result, overall and per chain function.
+On the malformed corpus a call differs when its exit code or stdout does; each
+stderr difference there is listed, since an error message may be reworded. For each differing CLI call whose stdout is
 JSON on both sides, the report names the paths whose values differ, such as
 `outcomes[2].tally`, and the summary counts the calls and values per path with
 its indices as `[*]`. The exit status is 0 when nothing differs, else 1. The
@@ -523,6 +523,7 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
     tally = {"golden": [0, 0], "argv": [0, 0], "calls": [0, 0], "engine": [0, 0], "pool": [0, 0], "malformed": [0, 0], "fuzz": [0, 0]}
     raised, outcome_differs, worst, worst_id, shown, stderr_differs = 0, 0, 0.0, None, [], []
     moved, path_calls, path_values, tags, one_side, engines = [], Counter(), Counter(), Counter(), Counter(), Counter()
+    chain, chain_worst = Counter(), {}  # per function: differing calls, worst difference where both return
     a = b = {"id": None}
     for line_a, line_b in zip(*(p.stdout for p in sides)):
         a, b = json.loads(line_a), json.loads(line_b)
@@ -544,9 +545,12 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
         if group == "calls" and not same:
             tag = re.search(r" \[(.*)\]$", a["id"])
             tags.update(tag[1].split(", ") if tag else [None])
+            name = a["id"].split()[0]
+            chain[name] += 1
             if "ok" in a and "ok" in b:
                 gap = difference(a["ok"], b["ok"])
                 worst, worst_id = max((worst, worst_id), (gap, a["id"]))
+                chain_worst[name] = max(chain_worst.get(name, 0.0), gap)
             else:
                 outcome_differs += 1
         if group == "engine" and not same:
@@ -576,6 +580,10 @@ def compare(parent_src: str, change_src: str, calls: int, seed: int) -> int:
     print("differing chain calls by input tag, each under every tag it has: "
           + (", ".join(f"{tag} {count}" for tag, count in sorted(tags.items())) or "none") + f"; untagged: {untagged}")
     print(f"worst difference where both return: {worst:g} eps*max|entry|" + (f", at {worst_id}" if worst_id else ""))
+    print("differing chain calls by function, with the worst difference where both return: "
+          + (", ".join(f"{name} {chain[name]} ({chain_worst[name]:g} eps*max|entry|)" if name in chain_worst
+                       else f"{name} {chain[name]} (none return on both sides)" for name in CALLS if chain[name])
+             or "none"))
     print(f"record attributes on one side only, not compared: {len(one_side) or 'none'}")
     for (call, name, side), count in sorted(one_side.items()):
         print(f"record attribute on the {side} side only: {call}.{name}, in {count} calls")
